@@ -22,10 +22,9 @@ Coverage matches what the serving stack actually executes:
 * ``qforward.<scheme>`` — one U-Net forward at serving precision, paired
   against full precision: the *pre* arm runs the FP32 model, the *fast*
   arm runs the quantized model with packed weights on the accelerated
-  backend, where the deep layers dispatch straight to the fused
-  dequantize-GEMM kernels.  Metadata carries the
-  :class:`~repro.core.QuantizationConfig` fingerprint and the MAC count
-  of one forward.
+  backend, where the deep layers run on the integer GEMM kernels.
+  Metadata carries the :class:`~repro.core.QuantizationConfig`
+  fingerprint and the MAC count of one forward.
 * ``serving.throughput`` — end-to-end dynamic-batched serving of a small
   deterministic workload through the real engine.
 * ``calibration.reference`` — a fixed numpy matmul loop used to normalize
@@ -392,14 +391,14 @@ for _name in _SAMPLER_PLANS:
 
 
 # ----------------------------------------------------------------------
-# quantized forward, pre (FP32 weights) vs fast (packed, fused kernels)
+# quantized forward, pre (FP32 weights) vs fast (packed, integer kernels)
 # ----------------------------------------------------------------------
 def _qforward_spec() -> ModelSpec:
-    """A bottom-heavy U-Net sized for the fused dequantize-GEMM kernels.
+    """A bottom-heavy U-Net sized for the integer GEMM kernels.
 
-    The fused path pays off exactly where a layer's float weight spills
-    the last-level cache while its GEMM stays skinny (M <= 8): the deepest
-    U-Net level, where channels are wide and the spatial grid is 2x2.
+    The integer path pays off most where a layer's float weight spills
+    the last-level cache while its GEMM stays skinny: the deepest U-Net
+    level, where channels are wide and the spatial grid is 2x2.
     ``channel_multipliers=(1, 2, 8)`` concentrates nearly all of the
     ~170 MB of weights at that level, so the pair measures the weight-
     traffic win instead of drowning it in shallow high-resolution layers

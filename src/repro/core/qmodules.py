@@ -65,7 +65,7 @@ def _unpack_levels(packed: np.ndarray, bitwidth: int, size: int) -> np.ndarray:
 class QuantizedStorage(Protocol):
     """The storage contract quantized layers and fused kernels consume.
 
-    Everything a layer wrapper (or the fused dequant-GEMM entry points in
+    Everything a layer wrapper (or the integer-GEMM entry points in
     :mod:`repro.tensor.functional`) may do with a quantized weight goes
     through these three methods — layer code never reaches into storage
     internals such as the dequantization memo:
@@ -169,7 +169,9 @@ class PackedIntWeight:
         Presents the weight as the ``(N, K)`` matrix a GEMM consumes
         (``N`` output channels, ``K = in_features`` or
         ``C_in * kh * kw``), with per-row scale/zero-point arrays —
-        per-tensor formats broadcast their single grid to every row.
+        per-tensor formats broadcast their single grid to every row —
+        and the per-row level sums the integer GEMM's zero-point
+        correction needs, computed once here.
         Nibble-packed storages (bitwidth <= 4) can only be row-aligned
         when ``K`` is even; otherwise, and for degenerate shapes, this
         returns ``None`` and callers stay on the dequantized path.  The
@@ -189,8 +191,11 @@ class PackedIntWeight:
             if k % 2:
                 return None
             packed2d = self.packed.reshape(n_rows, k // 2)
+            level_sums = ((packed2d & np.uint8(0x0F)).sum(axis=1, dtype=np.int64)
+                          + (packed2d >> np.uint8(4)).sum(axis=1, dtype=np.int64))
         else:
             packed2d = self.packed.reshape(n_rows, k)
+            level_sums = packed2d.sum(axis=1, dtype=np.int64)
         if isinstance(self.fmt, PerChannelIntFormat):
             if self.fmt.num_channels != n_rows:
                 return None
@@ -202,7 +207,7 @@ class PackedIntWeight:
                                   dtype=np.float64)
         view = PackedLevelsView(packed=packed2d, bitwidth=self.fmt.bitwidth,
                                 shape=(n_rows, k), scales=scales,
-                                zero_points=zero_points)
+                                zero_points=zero_points, level_sums=level_sums)
         self._packed_view = view
         return view
 
@@ -370,6 +375,13 @@ class _QuantizedLayerBase(nn.Module):
             self._parameters["weight"] = param
         return param
 
+    def _integer_activations(self) -> Optional[IntFormat]:
+        """The per-tensor integer activation grid, or ``None`` when the
+        activations are not integer-quantized (the integer kernels then
+        decline and the layer takes the float path)."""
+        quantizer = self.activation_quantizer
+        return quantizer.fmt if isinstance(quantizer, IntTensorQuantizer) else None
+
     def packed_nbytes(self) -> Optional[int]:
         """Bytes of packed weight storage, or None for float schemes."""
         return None if self.packed_weight is None else self.packed_weight.nbytes
@@ -429,17 +441,17 @@ class QuantizedConv2d(_QuantizedLayerBase):
         self.weight_quantizer = weight_quantizer
 
     def forward(self, x: Tensor) -> Tensor:
-        quantized_input = Tensor(self.activation_quantizer.quantize(x.data))
         if self.packed_weight is not None:
             # Inference mode with an eligible backend runs the convolution
-            # straight off the packed bytes; otherwise fall back to the
-            # dequantized float path below.
-            fused = F.fused_conv2d(quantized_input, self.packed_weight,
-                                   self.bias, stride=self.stride,
-                                   padding=self.padding,
-                                   kernel_size=self.kernel_size)
+            # in the integer domain, quantizing x inside the kernel;
+            # otherwise fall back to the fake-quantized float path below.
+            fused = F.fused_conv2d(x, self.packed_weight, self.bias,
+                                   stride=self.stride, padding=self.padding,
+                                   kernel_size=self.kernel_size,
+                                   act_format=self._integer_activations())
             if fused is not None:
                 return fused
+        quantized_input = Tensor(self.activation_quantizer.quantize(x.data))
         return F.conv2d(quantized_input, self.weight, self.bias,
                         stride=self.stride, padding=self.padding)
 
@@ -461,12 +473,12 @@ class QuantizedLinear(_QuantizedLayerBase):
         self.weight_quantizer = weight_quantizer
 
     def forward(self, x: Tensor) -> Tensor:
-        quantized_input = Tensor(self.activation_quantizer.quantize(x.data))
         if self.packed_weight is not None:
-            fused = F.fused_linear(quantized_input, self.packed_weight,
-                                   self.bias)
+            fused = F.fused_linear(x, self.packed_weight, self.bias,
+                                   act_format=self._integer_activations())
             if fused is not None:
                 return fused
+        quantized_input = Tensor(self.activation_quantizer.quantize(x.data))
         return F.linear(quantized_input, self.weight, self.bias)
 
 

@@ -321,8 +321,8 @@ def weight_traffic_bytes(costs: List[LayerCost],
     On the ``reference`` backend every layer reads float32 weights — the
     quantized path dequantizes into a float32 memo once, so steady-state
     traffic is float32 regardless of scheme.  On the ``accelerated``
-    backend, layers whose GEMM passes the fused dequantize-GEMM gates
-    (skinny product, weight past the cache-spill threshold — read from
+    backend, layers whose GEMM passes the integer-GEMM gates (output
+    rows and weight size, read from
     :class:`repro.tensor.backend.AcceleratedBackend` so the model can
     never drift from the implementation) stream the packed integer
     levels instead; ``bytes_per_element`` is then the packed width from

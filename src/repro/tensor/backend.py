@@ -15,14 +15,18 @@ ship:
 ``accelerated`` (opt-in)
     Inherits the reference arithmetic for float GEMMs — numpy's BLAS
     (OpenBLAS) is already a blocked, cache-tiled GEMM, which no pure-
-    Python tiling can beat — and adds **fused dequantize-GEMM** kernels
-    that consume :class:`PackedLevelsView` integer weights directly, so
-    int8 costs 1/4 and int4 1/8 of the float weight's memory traffic.
-    Engages only in inference mode, for GEMV-shaped products (``M <= 8``
-    output rows) on weights large enough to be memory-bound; everything
-    else falls back to the reference path.  Fused outputs accumulate in
-    float32 (fast-math) instead of BLAS order and are therefore
-    **tolerance-bounded**, not bit-identical — see the per-kernel notes
+    Python tiling can beat — and runs **integer-quantized layers on
+    integer arithmetic**: a layer whose weight is a
+    :class:`PackedLevelsView` of integer levels and whose activations use
+    a per-tensor integer grid quantizes its input straight into a uint8
+    patch matrix and takes exact int32 dot products against the packed
+    levels, so int8 reads 1/4 and int4 1/8 of the float weight's bytes
+    and does byte arithmetic instead of float arithmetic.  Engages only
+    in inference mode, within measured gates on the output rows and the
+    weight size; everything else declines to the reference path.
+    Outputs accumulate exactly and round once to float32, and are
+    therefore **tolerance-bounded** against the reference (float32
+    fake-quantize, then BLAS), not bit-identical — see the kernel table
     in ``EXPERIMENTS.md``.
 
 Selection: :func:`set_backend` switches the process default (used by
@@ -100,7 +104,7 @@ def _add_macs(count: int) -> None:
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class PackedLevelsView:
-    """Row-aligned view of packed integer weight levels for fused GEMM.
+    """Row-aligned view of packed integer weight levels for integer GEMM.
 
     A GEMM-ready presentation of a quantized weight: the ``(N, K)``
     logical matrix whose rows are output channels, with per-row affine
@@ -109,7 +113,9 @@ class PackedLevelsView:
     (bitwidth 5–8) or ``(N, K // 2)`` for nibble-packed levels
     (bitwidth <= 4, two interleaved levels per byte) — nibble packing is
     only row-alignable when ``K`` is even, so storages with odd reduction
-    depth expose no view at all.
+    depth expose no view at all.  ``level_sums[n]`` is the sum of row
+    ``n``'s levels, the weight side of the integer GEMM's zero-point
+    correction.
 
     Deliberately plain (numpy fields only): defined here so the tensor
     layer never imports :mod:`repro.core`, while ``PackedIntWeight``
@@ -120,7 +126,8 @@ class PackedLevelsView:
     bitwidth: int
     shape: Tuple[int, int]
     scales: np.ndarray       # (N,) float64
-    zero_points: np.ndarray  # (N,) float64
+    zero_points: np.ndarray  # (N,) float64, integer-valued
+    level_sums: np.ndarray   # (N,) int64
 
 
 # ----------------------------------------------------------------------
@@ -176,25 +183,23 @@ class ComputeBackend:
         _add_macs(result.size * cols.shape[-1])
         return result
 
-    # -- fused dequantize-GEMM -----------------------------------------
-    def fused_eligible(self, m_rows: int, view: PackedLevelsView) -> bool:
-        """Whether :meth:`fused_dequant_gemm` would engage for this shape.
+    # -- integer GEMM --------------------------------------------------
+    def fused_int_gemm(self, x: np.ndarray, view: PackedLevelsView,
+                       act_format, bias: Optional[np.ndarray] = None,
+                       kernel_size: int = 1, stride: int = 1,
+                       padding: int = 0) -> Optional[np.ndarray]:
+        """Quantized convolution of float input ``x`` in the integer domain.
 
-        Callers probe this *before* paying im2col / reshape so a declined
-        product costs nothing.  The reference backend never fuses: its
-        quantized path is dequantize (memoized) + BLAS.
-        """
-        return False
-
-    def fused_dequant_gemm(self, x2d: np.ndarray, view: PackedLevelsView,
-                           bias: Optional[np.ndarray] = None
-                           ) -> Optional[np.ndarray]:
-        """``x2d @ W.T (+ bias)`` with ``W`` dequantized from ``view``.
-
-        ``x2d`` is ``(M, K)`` float32, the result ``(M, N)`` float32, and
-        ``W[n, k] = scales[n] * (levels[n, k] - zero_points[n])``.
-        Returns ``None`` when the backend declines (the caller falls back
-        to the dequantize-and-GEMM reference path).
+        ``x`` is the unquantized ``(N, C, H, W)`` float32 input (a linear
+        layer passes ``(M, K, 1, 1)``), ``view`` the packed ``(C_out, K)``
+        weight levels with ``K = C * kernel_size**2``, and ``act_format``
+        the per-tensor integer activation grid (``bitwidth``, ``scale``,
+        ``zero_point``, as :class:`repro.core.integer.IntFormat`).
+        Returns the ``(N, C_out, H_out, W_out)`` float32 output of
+        quantizing ``x`` onto that grid and convolving it with the
+        dequantized weight, or ``None`` when the backend declines (the
+        caller then fake-quantizes and takes the float path).  The
+        reference backend always declines.
         """
         return None
 
@@ -247,53 +252,67 @@ class NumpyReferenceBackend(ComputeBackend):
 
 
 class AcceleratedBackend(ComputeBackend):
-    """Opt-in backend with fused dequantize-GEMM integer kernels.
+    """Opt-in backend that runs integer-quantized layers on integers.
 
     Float GEMMs are inherited unchanged from the reference backend —
     numpy's BLAS is already a blocked, cache-tiled implementation with
     its own packing workspaces, and a Python-level re-tiling of it only
-    loses.  What this backend adds is the quantized-weight product: when
-    a GEMV-shaped matmul (``M <= _FUSED_MAX_M`` output rows, the batch-1
-    denoising regime) hits a packed integer weight big enough to be
-    memory-bound (``N * K >= _FUSED_MIN_WEIGHT``), the packed bytes go
-    straight to a fused kernel from :mod:`repro.tensor._ckernels` that
-    converts levels to float in-register — the float32 weight matrix is
-    never materialized.  The affine correction
+    loses.  What this backend adds is :meth:`fused_int_gemm`: when a
+    product with at most ``_FUSED_MAX_M`` output rows hits a packed
+    integer weight of at least ``_FUSED_MIN_WEIGHT`` elements and the
+    activations use an integer grid, two kernels from
+    :mod:`repro.tensor._ckernels` quantize the input straight into a
+    uint8 patch matrix and take exact int32 dot products against the
+    packed levels, with the affine correction and the bias applied in
+    the kernel.  Neither the float32 weight nor the fake-quantized float
+    input is materialized.
 
-        ``y[m, n] = scales[n] * (raw[m, n] - zero_points[n] * sumx[m])``
+    Declined (``None``, reference path): activation grids wider than 8
+    bits; reduction depths whose int32 accumulator could overflow
+    (``K * 255 * 128 >= 2**31`` for byte levels, ``K * 255 * 15`` for
+    nibbles); padded convolutions whose activation zero point has no
+    level (the padded 0.0 could not be represented, which happens when
+    calibration saw only positive or only negative values); and any
+    product when the kernels are unavailable.
 
-    with ``raw = x @ levels.T`` and ``sumx[m] = sum_k x[m, k]`` is
-    applied on the small ``(M, N)`` output in float64, which lets one
-    raw-levels kernel serve per-tensor and per-channel formats alike.
-
-    When no jitted/compiled kernel is available the fused product falls
-    back to pure-numpy **tile dequantization**: weight rows are
-    dequantized in row blocks into a preallocated per-thread workspace
-    and multiplied per block, bounding the float working set to one tile
-    instead of the whole weight (same numerics class, no wall-clock win
-    over BLAS — the compiled kernels are where the speed lives).
-
-    Tolerance: fused outputs accumulate in float32 with reassociation
-    (fast-math) instead of BLAS order, giving relative error on the
-    order of ``K * eps_f32`` against the reference dequantize-then-GEMM
-    spelling; see ``EXPERIMENTS.md`` for the per-kernel table.
+    Tolerance: exact integer accumulation and one float32 rounding,
+    against the reference's float32 fake-quantized operands and BLAS
+    accumulation order; see ``EXPERIMENTS.md``.
     """
 
     name = "accelerated"
 
-    #: Fused kernels beat BLAS sgemm only while the product is
-    #: memory-bound on the weight; at M >= 16 BLAS's operand reuse wins
-    #: (measured crossover on the reference machine: ~0.7x at M=16).
-    _FUSED_MAX_M = 8
-    #: Minimum weight elements (N * K) for fusing.  Below ~1 MB of float32
-    #: weight the dequantized matrix lives in L2 and BLAS wins (measured
-    #: 0.2-0.5x at 0.6 MB); at and above it the float traffic is what the
-    #: fused path avoids (measured 1.3-3x, growing once a model's total
-    #: weights stream from memory every forward).
-    _FUSED_MIN_WEIGHT = 262144
-    #: Row-block size of the pure-numpy tile-dequantization fallback,
-    #: sized so a float32 tile of a wide (K ~ 1k) weight stays ~L2-sized.
-    _TILE_ROWS = 64
+    #: The gates, measured per product through the full layer call on a
+    #: 2-vCPU AVX-512/VNNI VM: integer-path time over declined-path time
+    #: (fake-quantize, then BLAS on the float weight memo), int8 and int4
+    #: weights; below 1 the integer path wins.
+    #:
+    #:   =====================  ===========  ===========
+    #:   product: M, N x K      1 thread     2 threads
+    #:   =====================  ===========  ===========
+    #:   1, 512 x 4608          0.31  0.21   0.04* 0.36
+    #:   4, 512 x 4608          0.16  0.13   0.25  0.08*
+    #:   16, 512 x 4608         0.27  0.24   0.08* 0.26
+    #:   64, 512 x 4608         0.44  0.41   0.54  0.45
+    #:   256, 512 x 4608        0.55  0.52   0.47  0.32
+    #:   1024, 128 x 1152       0.40  0.42   0.18  0.44
+    #:   64, 64 x 27            1.64  --     1.93  --
+    #:   64, 64 x 144           0.94  0.98   0.94  1.03
+    #:   1, 64 x 256            1.25  1.32   1.25  1.23
+    #:   64, 64 x 288           0.54  0.61   0.59  0.55
+    #:   4, 64 x 576            0.62  0.63   0.67  0.62
+    #:   64, 64 x 576           0.33  0.37   0.39  0.33
+    #:   1, 512 x 256           0.90  0.70   1.01  0.82
+    #:   =====================  ===========  ===========
+    #:
+    #: (* the declined 2-thread BLAS call stalled waking its second
+    #: thread; -- odd K has no nibble view.)  The integer path wins at
+    #: every M measured, so the row gate is the largest M measured.  Below
+    #: one 64-channel 3x3 conv's weight (64 x 576) the fixed cost of the
+    #: two kernel calls ties or loses against a cache-resident BLAS
+    #: product.
+    _FUSED_MAX_M = 1024
+    _FUSED_MIN_WEIGHT = 36864
 
     _WORKSPACE_LIMIT = 32
 
@@ -316,67 +335,46 @@ class AcceleratedBackend(ComputeBackend):
             cache.move_to_end(key)
         return array
 
-    def fused_eligible(self, m_rows: int, view: PackedLevelsView) -> bool:
-        if view is None:
-            return False
+    def _engages(self, m_rows: int, view: PackedLevelsView, act_format,
+                 padding: int) -> bool:
         n_rows, k = view.shape
-        return m_rows <= self._FUSED_MAX_M and n_rows * k >= self._FUSED_MIN_WEIGHT
+        levels = 2 ** act_format.bitwidth
+        weight_max = 128 if view.bitwidth > 4 else 15
+        return (m_rows <= self._FUSED_MAX_M
+                and n_rows * k >= self._FUSED_MIN_WEIGHT
+                and levels <= 256
+                and k * 255 * weight_max < 2 ** 31  # int32 accumulator
+                and (not padding or 0 <= act_format.zero_point < levels))
 
-    # repro: hot -- the quantized-layer product of every fused forward
-    def fused_dequant_gemm(self, x2d: np.ndarray, view: PackedLevelsView,
-                           bias: Optional[np.ndarray] = None
-                           ) -> Optional[np.ndarray]:
-        m_rows = x2d.shape[0]
-        if not self.fused_eligible(m_rows, view):
+    # repro: hot -- the quantized-layer product of every integer forward
+    def fused_int_gemm(self, x: np.ndarray, view: PackedLevelsView,
+                       act_format, bias: Optional[np.ndarray] = None,
+                       kernel_size: int = 1, stride: int = 1,
+                       padding: int = 0) -> Optional[np.ndarray]:
+        n, c, h, w = x.shape
+        out_h = (h + 2 * padding - kernel_size) // stride + 1
+        out_w = (w + 2 * padding - kernel_size) // stride + 1
+        m_rows = n * out_h * out_w
+        if not self._engages(m_rows, view, act_format, padding):
+            return None
+        kernels = _ckernels.load_kernels()
+        if kernels is None:
             return None
         n_rows, k = view.shape
-        x2d = np.ascontiguousarray(x2d, dtype=np.float32)
-        kernels = _ckernels.load_kernels()
-        if kernels is not None:
-            raw = self._workspace(("raw", m_rows, n_rows), (m_rows, n_rows),
-                                  np.float32)
-            if view.bitwidth > 4:
-                kernels.gemm_u8(x2d, view.packed, raw)
-            else:
-                kernels.gemm_u4(x2d, view.packed, raw)
-            # Affine correction on the small (M, N) output, in float64 so
-            # the raw-levels accumulation stays the only float32 error
-            # source: y = s * (raw - z * sumx).
-            sumx = x2d.sum(axis=1, dtype=np.float64)
-            out = (view.scales[None, :]
-                   * (raw.astype(np.float64)
-                      - view.zero_points[None, :] * sumx[:, None]))
-            out = out.astype(np.float32)
-        else:
-            out = self._tiled_dequant_gemm(x2d, view)
-        _add_macs(m_rows * n_rows * k)
+        x = np.ascontiguousarray(x, dtype=np.float32)
+        image = self._workspace(("image", n, c, h, w), (n, c, h, w), np.uint8)
+        cols = self._workspace(("cols", m_rows, k), (m_rows, k), np.uint8)
+        kernels.quantize_patches(x, image, cols, kernel_size, stride, padding,
+                                 act_format.scale, act_format.zero_point,
+                                 act_format.bitwidth)
+        out = np.empty((n, n_rows, out_h, out_w), dtype=np.float32)
         if bias is not None:
-            out += bias
-        return out
-
-    def _tiled_dequant_gemm(self, x2d: np.ndarray,
-                            view: PackedLevelsView) -> np.ndarray:
-        """Pure-numpy fallback: dequantize weight rows one tile at a time."""
-        m_rows = x2d.shape[0]
-        n_rows, k = view.shape
-        tile = self._TILE_ROWS
-        wbuf = self._workspace(("tile", tile, k), (tile, k), np.float32)
-        scales = view.scales.astype(np.float32)
-        zero_points = view.zero_points.astype(np.float32)
-        out = np.empty((m_rows, n_rows), dtype=np.float32)
-        for n0 in range(0, n_rows, tile):
-            n1 = min(n0 + tile, n_rows)
-            rows = n1 - n0
-            block = wbuf[:rows]
-            if view.bitwidth > 4:
-                block[:] = view.packed[n0:n1]
-            else:
-                nibbles = view.packed[n0:n1]
-                block[:, 0::2] = nibbles & np.uint8(0x0F)
-                block[:, 1::2] = nibbles >> np.uint8(4)
-            block -= zero_points[n0:n1, None]
-            block *= scales[n0:n1, None]
-            out[:, n0:n1] = x2d @ block.T
+            bias = np.ascontiguousarray(bias, dtype=np.float32)
+        kernels.int_gemm(cols, view.packed, view.bitwidth <= 4,
+                         view.level_sums, view.zero_points, view.scales,
+                         act_format.scale, act_format.zero_point, bias,
+                         out.reshape(n, n_rows, out_h * out_w))
+        _add_macs(m_rows * n_rows * k)
         return out
 
 

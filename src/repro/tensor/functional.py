@@ -18,7 +18,7 @@ Every GEMM in this module dispatches through :mod:`repro.tensor.backend`
 rather than calling numpy directly: inference paths use the active backend,
 graph-building forwards and all backward closures pin the bit-exact
 reference backend.  :func:`fused_linear` / :func:`fused_conv2d` are the
-packed-integer-weight entry points the quantized layer wrappers try first.
+integer-domain entry points the quantized layer wrappers try first.
 """
 
 from __future__ import annotations
@@ -205,19 +205,21 @@ def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
     return out
 
 
-def fused_linear(x: Tensor, storage, bias: Optional[Tensor] = None
-                 ) -> Optional[Tensor]:
-    """Linear layer straight from packed integer weight storage.
+def fused_linear(x: Tensor, storage, bias: Optional[Tensor] = None,
+                 act_format=None) -> Optional[Tensor]:
+    """Integer-domain linear layer straight from packed weight storage.
 
-    ``storage`` is a ``QuantizedStorage`` (see :mod:`repro.core.qmodules`);
-    its :meth:`packed_view` bytes go to the active backend's fused
-    dequantize-GEMM without materializing the float weight.  Returns
-    ``None`` whenever the fused path does not apply — outside inference
-    mode, when the storage has no row-aligned view, or when the backend
-    declines the shape — and the caller falls back to the dequantized
-    :func:`linear` path.
+    ``x`` is the *unquantized* input and ``act_format`` its per-tensor
+    integer grid (``None`` when the activations are not integer);
+    ``storage`` is a ``QuantizedStorage`` (see :mod:`repro.core.qmodules`)
+    whose :meth:`packed_view` levels go to the active backend's integer
+    GEMM as the 1x1 case of :func:`fused_conv2d`.  Returns ``None``
+    whenever that path does not apply — outside inference mode, without
+    an integer activation grid, when the storage has no row-aligned view,
+    or when the backend declines — and the caller falls back to
+    fake-quantizing ``x`` and the dequantized :func:`linear` path.
     """
-    if not is_inference_mode():
+    if act_format is None or not is_inference_mode():
         return None
     view: Optional[PackedLevelsView] = storage.packed_view()
     if view is None:
@@ -226,53 +228,35 @@ def fused_linear(x: Tensor, storage, bias: Optional[Tensor] = None
     if x.shape[-1] != k:
         return None
     m = x.size // k
-    backend = active_backend()
-    if not backend.fused_eligible(m, view):
-        return None
-    x2d = np.ascontiguousarray(x.data.reshape(m, k), dtype=np.float32)
-    out = backend.fused_dequant_gemm(
-        x2d, view, bias=None if bias is None else bias.data)
+    out = active_backend().fused_int_gemm(
+        x.data.reshape(m, k, 1, 1), view, act_format,
+        bias=None if bias is None else bias.data)
     if out is None:
         return None
     return Tensor._from_data(out.reshape(x.shape[:-1] + (n_rows,)))
 
 
 def fused_conv2d(x: Tensor, storage, bias: Optional[Tensor] = None,
-                 stride: int = 1, padding: int = 0,
-                 kernel_size: int = 1) -> Optional[Tensor]:
-    """Convolution straight from packed integer weight storage.
+                 stride: int = 1, padding: int = 0, kernel_size: int = 1,
+                 act_format=None) -> Optional[Tensor]:
+    """Integer-domain convolution straight from packed weight storage.
 
-    The im2col lowering turns the convolution into exactly the GEMV-shaped
-    product :func:`fused_linear` handles — ``(N * out_h * out_w, K)``
-    patches against the packed ``(C_out, K)`` weight — so the same fused
-    kernel serves both layer types.  Same ``None``-fallback contract as
-    :func:`fused_linear`; eligibility is probed from shapes *before* the
-    im2col so a declined call costs nothing.
+    The backend quantizes the unquantized input ``x`` onto ``act_format``
+    while gathering it into the im2col patch matrix, then multiplies the
+    patch levels with the packed ``(C_out, K)`` weight levels.  Same
+    ``None``-fallback contract as :func:`fused_linear`.
     """
-    if not is_inference_mode():
+    if act_format is None or not is_inference_mode():
         return None
     view: Optional[PackedLevelsView] = storage.packed_view()
     if view is None:
         return None
-    n, c_in, h, w = x.shape
-    c_out, k = view.shape
-    if k != c_in * kernel_size * kernel_size:
+    if view.shape[1] != x.shape[1] * kernel_size * kernel_size:
         return None
-    out_h = (h + 2 * padding - kernel_size) // stride + 1
-    out_w = (w + 2 * padding - kernel_size) // stride + 1
-    m = n * out_h * out_w
-    backend = active_backend()
-    if not backend.fused_eligible(m, view):
-        return None
-    cols, _ = _im2col(x.data, (kernel_size, kernel_size), stride, padding,
-                      reuse=True)
-    out = backend.fused_dequant_gemm(
-        cols.reshape(m, k), view, bias=None if bias is None else bias.data)
-    if out is None:
-        return None
-    out = np.ascontiguousarray(
-        out.reshape(n, out_h * out_w, c_out).transpose(0, 2, 1))
-    return Tensor._from_data(out.reshape(n, c_out, out_h, out_w))
+    out = active_backend().fused_int_gemm(
+        x.data, view, act_format, bias=None if bias is None else bias.data,
+        kernel_size=kernel_size, stride=stride, padding=padding)
+    return None if out is None else Tensor._from_data(out)
 
 
 def avg_pool2d(x: Tensor, kernel: int = 2) -> Tensor:
