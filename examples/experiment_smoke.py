@@ -1,6 +1,6 @@
 """Experiment-run API smoke: run a tiny spec twice, prove the cache works.
 
-Used by the CI ``experiment-smoke`` job (and runnable locally):
+Used by the CI ``smoke`` job (and runnable locally):
 
     PYTHONPATH=src python examples/experiment_smoke.py
 
@@ -62,6 +62,9 @@ def main() -> int:
     # calibration-data collection, one FP32 generation for all rows
     kinds = warm.manifest.kind_counts()
     assert kinds["pretrain"] == 1 and kinds["calibration"] == 1
+    for stage in warm.manifest.stages:
+        assert stage.key and stage.kind, stage.stage_id
+        assert stage.artifact_path, stage.stage_id
 
     manifest_path = warm.manifest.save(RESULTS_DIR / "experiment_manifest.json")
     print(f"OK: second run {warm.manifest.hit_rate:.0%} cache hits, "

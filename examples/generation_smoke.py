@@ -1,7 +1,7 @@
 """Generation-API smoke: a sampler x guidance matrix through the experiment
 runner AND the serving engine.
 
-Used by the CI ``generation-smoke`` job (and runnable locally):
+Used by the CI ``smoke`` job (and runnable locally):
 
     PYTHONPATH=src python examples/generation_smoke.py
 
@@ -73,6 +73,9 @@ def run_experiment_matrix(store: RunStore):
     kinds = run.manifest.kind_counts()
     assert kinds["quantize"] == 1, kinds       # matrix shares one quantize
     assert kinds["generate"] == len(PLAN_MATRIX) + 1, kinds  # rows + FP ref
+    generate_keys = {stage.key for stage in run.manifest.stages
+                     if stage.kind == "generate"}
+    assert len(generate_keys) == kinds["generate"], generate_keys
     manifest_path = run.manifest.save(RESULTS_DIR / "generation_manifest.json")
     print(f"experiment matrix OK ({len(PLAN_MATRIX)} plan rows) -> "
           f"{manifest_path}")
@@ -104,6 +107,10 @@ def run_serving_matrix(store: RunStore):
     assert reduced, "tight-SLO requests should be served with reduced steps"
     report = engine.stats.report()
     assert len(report["plans"]) >= len(PLAN_MATRIX), sorted(report["plans"])
+    for label, block in report["plans"].items():
+        assert block["count"] > 0, label
+        assert set(block["latency_s"]) == {"mean", "p50", "p95", "max"}, label
+        assert sum(block["by_scheme"].values()) == block["count"], label
     stats_path = RESULTS_DIR / "generation_serving_stats.json"
     engine.stats.to_json(stats_path)
     print(f"serving matrix OK: {len(report['plans'])} routed plans, "

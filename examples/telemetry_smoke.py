@@ -26,6 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
+from repro import schemas
 from repro.diffusion import DiffusionPipeline
 from repro.experiments import BenchSettings, ExperimentSpec, RunStore, \
     run_experiment
@@ -127,6 +128,7 @@ def main():
     calibration = run_cost_model_calibration(schemes=("fp32", "int8"),
                                              repeats=2, tracer=tracer)
     document = calibration.to_dict()
+    schemas.validate_document(document, expect=schemas.OBS_CALIBRATION)
     summary = document["summary"]
     print(f"  {summary['num_cells']} cells, median abs error "
           f"{summary['median_abs_error_pct']:.1f}% "
@@ -139,6 +141,14 @@ def main():
     calibration.save(args.out_dir / "calibration_report.json")
     (args.out_dir / "metrics_snapshot.json").write_text(
         json.dumps(metrics.snapshot(), indent=2, sort_keys=True))
+
+    # Checked after the artifacts are written, so a failing run still
+    # leaves them behind for inspection.
+    processes = {event["args"]["name"] for event in document["traceEvents"]
+                 if event["ph"] == "M" and event["name"] == "process_name"}
+    assert {"runner", "serving", "cluster"} <= processes, processes
+    assert summary["num_cells"] >= 4, summary
+    assert summary["median_abs_error_pct"] < 50.0, summary
 
     lanes = sorted({event.get("pid") for event in document["traceEvents"]})
     print(f"\ntrace: {len(document['traceEvents'])} events across "

@@ -12,29 +12,28 @@ Rules (see ``repro/analysis/checkers/``):
 - ``stage-purity`` — stage-reachable code does no I/O outside the RunStore
 - ``fingerprint-coverage`` — ``fingerprint()`` hashes every field
 - ``tracer-discipline`` — tracing is zero-cost when disabled
-- ``shim-drift`` — legacy shims forward every replacement keyword
+- ``race-discipline`` — worker-reachable writes to shared state hold a lock
+- ``hot-path-alloc`` — no per-iteration allocation in ``# repro: hot`` code
+- ``schema-discipline`` — ``family/vN`` tags come from ``repro.schemas``
+- ``gemm-dispatch`` — matrix products go through the compute backend
 
 Usage::
 
     PYTHONPATH=src python -m repro.analysis src --json report.json
 
-Suppress a finding in source with ``# repro: allow[rule] -- reason``;
-grandfather pre-existing debt in ``benchmarks/baselines/
-analysis_baseline.json`` (the gate fails only on *new* findings).
+Every finding fails the gate.  The one way to accept a finding is a
+reasoned pragma in source: ``# repro: allow[rule] -- reason``.
 """
 
-from .baseline import (BASELINE_SCHEMA, diff_against_baseline, load_baseline,
-                       save_baseline)
-from .config import DEFAULT_CONFIG, AnalysisConfig, ShimPair
+from .config import DEFAULT_CONFIG, AnalysisConfig
 from .findings import REPORT_SCHEMA, AnalysisReport, Finding
 from .project import Module, Project, parse_pragmas
 from .registry import (Checker, available_checkers, get_checker,
-                       register_checker, run_checkers)
+                       register_checker, run_analysis)
 
 __all__ = [
-    "AnalysisConfig", "AnalysisReport", "BASELINE_SCHEMA", "Checker",
+    "AnalysisConfig", "AnalysisReport", "Checker",
     "DEFAULT_CONFIG", "Finding", "Module", "Project", "REPORT_SCHEMA",
-    "ShimPair", "available_checkers", "diff_against_baseline",
-    "get_checker", "load_baseline", "parse_pragmas", "register_checker",
-    "run_checkers", "save_baseline",
+    "available_checkers", "get_checker", "parse_pragmas",
+    "register_checker", "run_analysis",
 ]

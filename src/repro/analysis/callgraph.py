@@ -1,12 +1,9 @@
-"""Project-wide call graph built from per-module, cacheable fact summaries.
+"""Project-wide call graph built from per-module fact summaries.
 
 Two layers, split on purpose:
 
 * :class:`ModuleSummary` — everything the interprocedural rules need to
-  know about one file, extracted in a single AST walk and fully
-  JSON-serializable.  Because a summary depends only on its own file's
-  bytes, the fact cache (:mod:`repro.analysis.cache`) can key it on the
-  content sha256 and warm runs never re-parse unchanged files.
+  know about one file, extracted in a single AST walk.
 * :class:`CallGraph` — summaries stitched together: local call descriptors
   resolved to project-wide function ids (``repro.zoo.registry.load_pretrained``),
   following package ``__init__`` re-exports and ``self.method`` dispatch.
@@ -22,14 +19,11 @@ from __future__ import annotations
 
 import ast
 import re
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
 from .imports import import_map, resolve_attribute
 from .project import Module, Project
-
-#: Bump to invalidate every cached summary when extraction logic changes.
-SUMMARY_VERSION = 1
 
 #: Qualname of the pseudo-function holding module-level facts.
 MODULE_SCOPE = "<module>"
@@ -84,7 +78,7 @@ _SCHEMA_TAG_RE = re.compile(r"[A-Za-z_][\w.]*/v\d+\Z")
 
 
 # ----------------------------------------------------------------------
-# summary data model (all dataclasses JSON-round-trip via asdict)
+# summary data model
 # ----------------------------------------------------------------------
 @dataclass
 class CallSite:
@@ -98,10 +92,6 @@ class CallSite:
     under_inference: bool = False
     guarded: bool = False        # inside an ``if x is not None:`` body
 
-    @classmethod
-    def from_dict(cls, data: Dict) -> "CallSite":
-        return cls(**data)
-
 
 @dataclass
 class FactRef:
@@ -111,10 +101,6 @@ class FactRef:
     line: int
     col: int
     in_default: bool = False     # appears in a signature default
-
-    @classmethod
-    def from_dict(cls, data: Dict) -> "FactRef":
-        return cls(**data)
 
 
 @dataclass
@@ -128,10 +114,6 @@ class Mutation:
     col: int
     locked: bool = False   # lexically under ``with <known lock>:``
 
-    @classmethod
-    def from_dict(cls, data: Dict) -> "Mutation":
-        return cls(**data)
-
 
 @dataclass
 class Alloc:
@@ -144,10 +126,6 @@ class Alloc:
     in_loop: bool = False
     under_inference: bool = False
     guarded: bool = False
-
-    @classmethod
-    def from_dict(cls, data: Dict) -> "Alloc":
-        return cls(**data)
 
 
 @dataclass
@@ -167,20 +145,6 @@ class FunctionSummary:
     mutations: List[Mutation] = field(default_factory=list)
     allocs: List[Alloc] = field(default_factory=list)
 
-    @classmethod
-    def from_dict(cls, data: Dict) -> "FunctionSummary":
-        return cls(
-            qualname=data["qualname"], line=data["line"],
-            end_line=data["end_line"], hot=data["hot"],
-            has_loop=data["has_loop"],
-            calls=[CallSite.from_dict(d) for d in data["calls"]],
-            spawns=[CallSite.from_dict(d) for d in data["spawns"]],
-            clocks=[FactRef.from_dict(d) for d in data["clocks"]],
-            rngs=[FactRef.from_dict(d) for d in data["rngs"]],
-            factories=[FactRef.from_dict(d) for d in data["factories"]],
-            mutations=[Mutation.from_dict(d) for d in data["mutations"]],
-            allocs=[Alloc.from_dict(d) for d in data["allocs"]])
-
 
 @dataclass
 class SchemaTag:
@@ -189,10 +153,6 @@ class SchemaTag:
     value: str
     line: int
     col: int
-
-    @classmethod
-    def from_dict(cls, data: Dict) -> "SchemaTag":
-        return cls(**data)
 
 
 @dataclass
@@ -208,20 +168,6 @@ class ModuleSummary:
     #: local alias -> dotted name (the module's import map)
     imports: Dict[str, str] = field(default_factory=dict)
     schema_tags: List[SchemaTag] = field(default_factory=list)
-
-    def to_dict(self) -> Dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: Dict) -> "ModuleSummary":
-        return cls(
-            module_name=data["module_name"], pkg_path=data["pkg_path"],
-            rel_path=data["rel_path"],
-            functions={name: FunctionSummary.from_dict(d)
-                       for name, d in data["functions"].items()},
-            globals=dict(data["globals"]), imports=dict(data["imports"]),
-            schema_tags=[SchemaTag.from_dict(d)
-                         for d in data["schema_tags"]])
 
 
 # ----------------------------------------------------------------------
@@ -710,35 +656,20 @@ class AnalysisContext:
     """Summaries + call graph for one run, built once and shared."""
 
     def __init__(self, summaries: Dict[str, ModuleSummary],
-                 graph: CallGraph, cache_hits: int = 0,
-                 cache_misses: int = 0):
+                 graph: CallGraph):
         self.summaries = summaries
         self.graph = graph
-        self.cache_hits = cache_hits
-        self.cache_misses = cache_misses
 
     @classmethod
-    def build(cls, project: Project, cache=None) -> "AnalysisContext":
-        """Summarize every module, consulting ``cache`` when provided."""
-        summaries: Dict[str, ModuleSummary] = {}
-        hits = misses = 0
-        for module in project.modules:
-            cached = cache.load_summary(module) if cache else None
-            if cached is not None:
-                summaries[module.module_name] = cached
-                hits += 1
-            else:
-                summary = summarize_module(module)
-                summaries[module.module_name] = summary
-                if cache:
-                    cache.store_summary(module, summary)
-                misses += 1
-        graph = CallGraph(summaries)
-        return cls(summaries, graph, cache_hits=hits, cache_misses=misses)
+    def build(cls, project: Project) -> "AnalysisContext":
+        """Summarize every module and stitch the call graph."""
+        summaries = {module.module_name: summarize_module(module)
+                     for module in project.modules}
+        return cls(summaries, CallGraph(summaries))
 
 
-def get_context(project: Project, cache=None) -> AnalysisContext:
+def get_context(project: Project) -> AnalysisContext:
     """Build (or reuse) the project's interprocedural context."""
     if project._context is None:
-        project._context = AnalysisContext.build(project, cache)
+        project._context = AnalysisContext.build(project)
     return project._context

@@ -1,7 +1,7 @@
 """Built-in checkers; importing this package registers all of them."""
 
 from . import (determinism, fingerprints, hotpath, purity, races, rawgemm,
-               schema, shims, tracing)
+               schema, tracing)
 
 __all__ = ["determinism", "fingerprints", "hotpath", "purity", "races",
-           "rawgemm", "schema", "shims", "tracing"]
+           "rawgemm", "schema", "tracing"]

@@ -61,7 +61,6 @@ class DeterminismChecker(Checker):
     description = ("virtual-time modules must not read wall clocks or "
                    "unseeded/global RNG, directly or through callees "
                    "(signature defaults excepted)")
-    needs_context = True
 
     def check(self, project: Project,
               config: AnalysisConfig) -> List[Finding]:

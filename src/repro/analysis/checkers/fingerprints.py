@@ -31,7 +31,7 @@ from typing import Dict, List, Optional, Set
 
 from ..config import AnalysisConfig
 from ..findings import Finding
-from ..project import Module, Project
+from ..project import Module
 from ..registry import Checker, register_checker
 
 
@@ -96,7 +96,6 @@ class FingerprintCoverageChecker(Checker):
     name = "fingerprint-coverage"
     description = ("dataclasses with fingerprint() must feed every field "
                    "into the hash payload (or mark it presentation-only)")
-    cacheable = True  # findings are a pure function of one file + config
 
     def check_module(self, module: Module,
                      config: AnalysisConfig) -> List[Finding]:

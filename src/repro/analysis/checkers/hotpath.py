@@ -74,7 +74,6 @@ class HotPathAllocChecker(Checker):
     description = ("functions marked '# repro: hot' must not allocate "
                    "per loop iteration or build Tensor graphs outside "
                    "inference_mode")
-    needs_context = True
 
     def check(self, project: Project,
               config: AnalysisConfig) -> List[Finding]:

@@ -43,7 +43,6 @@ class RaceDisciplineChecker(Checker):
     name = "race-discipline"
     description = ("module-global mutations reachable from worker threads "
                    "must hold a lock or be threading.local")
-    needs_context = True
 
     def check(self, project: Project,
               config: AnalysisConfig) -> List[Finding]:

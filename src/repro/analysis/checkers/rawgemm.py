@@ -26,9 +26,6 @@ The backend layer itself (``gemm_backend_modules``) is exempt: there the
 raw numpy product *is* the implementation.  A deliberate bypass — say a
 shape-only einsum on index arrays — takes a reasoned
 ``# repro: allow[gemm-dispatch]`` pragma.
-
-The rule is cacheable: findings are a pure function of one file plus the
-config, so warm runs serve them from the fact cache.
 """
 
 from __future__ import annotations
@@ -119,7 +116,6 @@ class GemmDispatchChecker(Checker):
     description = ("tensor/nn/qmodule code must route matrix products "
                    "through the compute backend, not raw numpy "
                    "matmul/einsum or the '@' operator")
-    cacheable = True
 
     def check_module(self, module: Module,
                      config: AnalysisConfig) -> List[Finding]:

@@ -35,7 +35,6 @@ class SchemaDisciplineChecker(Checker):
     name = "schema-discipline"
     description = ("'family/vN' schema tags must come from the central "
                    "registry module, not inline string literals")
-    needs_context = True
 
     def check(self, project: Project,
               config: AnalysisConfig) -> List[Finding]:

@@ -34,7 +34,7 @@ from typing import List, Optional, Set
 from ..config import AnalysisConfig
 from ..findings import Finding
 from ..imports import import_map
-from ..project import Module, Project
+from ..project import Module
 from ..registry import Checker, register_checker
 
 #: Methods that book an event (and therefore cost something to call).
@@ -95,8 +95,6 @@ class TracerDisciplineChecker(Checker):
     description = ("tracer params default to None/NULL_TRACER, spans "
                    "balance, and attr payloads are built only under a "
                    "tracer guard")
-
-    cacheable = True  # findings are a pure function of one file + config
 
     def check_module(self, module: Module,
                      config: AnalysisConfig) -> List[Finding]:

@@ -1,19 +1,9 @@
 """Command-line driver: ``python -m repro.analysis [paths...]``.
 
-Exit code is 0 when every finding is baselined or suppressed, 1 when any
-*new* finding exists (or a file fails to parse), 2 on usage errors.  The
-JSON report (``repro.analysis/v2``) is the machine interface CI consumes;
-stdout is for humans.
-
-Warm runs are incremental: per-file fact summaries and cacheable-rule
-findings are stored content-addressed under ``--cache-dir`` (default
-``.repro-analysis-cache``), so re-running after editing one file only
-re-analyzes that file.  ``--no-cache`` forces a cold run.
-
-``--fix`` applies the mechanical rewrites from :mod:`repro.analysis.fix`
-(pragma insertion, schema-constant rewrites, dead-shim-param removal);
-with ``--dry-run`` it prints a unified diff instead of writing and always
-exits 0 — preview is never a gate.
+Exit code is 0 when every finding is pragma-suppressed, 1 when any finding
+remains (or a file fails to parse), 2 on usage errors.  The JSON report
+(``repro.analysis/v3``) is the machine interface CI consumes; stdout is
+for humans.
 """
 
 from __future__ import annotations
@@ -23,15 +13,10 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .baseline import apply_baseline, save_baseline
-from .cache import DEFAULT_CACHE_DIR, FactCache
 from .config import AnalysisConfig
 from .findings import AnalysisReport
-from .fix import apply_fixes
 from .project import Project
 from .registry import available_checkers, run_analysis
-
-DEFAULT_BASELINE = "benchmarks/baselines/analysis_baseline.json"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -39,8 +24,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="python -m repro.analysis",
         description=("Repo-aware static analysis: determinism, stage "
                      "purity, fingerprint coverage, tracer discipline, "
-                     "shim drift, race discipline, hot-path allocation, "
-                     "schema discipline."))
+                     "race discipline, hot-path allocation, schema "
+                     "discipline, GEMM dispatch."))
     parser.add_argument(
         "paths", nargs="*", default=["src"],
         help="files or directories to analyze (default: src)")
@@ -51,107 +36,32 @@ def build_parser() -> argparse.ArgumentParser:
         "--list-rules", action="store_true",
         help="list registered rules and exit")
     parser.add_argument(
-        "--config", default=None, metavar="PATH",
-        help="JSON file overriding the built-in AnalysisConfig")
-    parser.add_argument(
-        "--baseline", default=None, metavar="PATH",
-        help=(f"baseline of grandfathered findings (default: "
-              f"{DEFAULT_BASELINE} when it exists)"))
-    parser.add_argument(
-        "--no-baseline", action="store_true",
-        help="ignore any baseline; every finding is new")
-    parser.add_argument(
-        "--update-baseline", action="store_true",
-        help="rewrite the baseline from the current findings and exit 0")
-    parser.add_argument(
         "--json", default=None, metavar="PATH", dest="json_path",
-        help="write the repro.analysis/v2 JSON report here")
+        help="write the repro.analysis/v3 JSON report here")
     parser.add_argument(
         "--quiet", action="store_true",
         help="suppress per-finding lines; print the summary only")
-    parser.add_argument(
-        "--cache-dir", default=DEFAULT_CACHE_DIR, metavar="DIR",
-        help=(f"fact-cache directory for incremental warm runs "
-              f"(default: {DEFAULT_CACHE_DIR})"))
-    parser.add_argument(
-        "--no-cache", action="store_true",
-        help="disable the fact cache; re-analyze every file from scratch")
-    parser.add_argument(
-        "--fix", action="store_true",
-        help=("apply mechanical fixes for fixable findings (pragma "
-              "insertion, schema-constant rewrites, dead shim params)"))
-    parser.add_argument(
-        "--dry-run", action="store_true",
-        help="with --fix: print the unified diff, write nothing, exit 0")
     return parser
-
-
-def _resolve_baseline(args) -> Optional[Path]:
-    if args.no_baseline:
-        return None
-    if args.baseline is not None:
-        return Path(args.baseline)
-    default = Path(DEFAULT_BASELINE)
-    return default if default.exists() else None
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-
-    if args.dry_run and not args.fix:
-        print("error: --dry-run only makes sense with --fix",
-              file=sys.stderr)
-        return 2
 
     if args.list_rules:
         for name, description in available_checkers():
             print(f"{name:22s} {description}")
         return 0
 
-    config = (AnalysisConfig.from_file(args.config) if args.config
-              else AnalysisConfig())
     rules = ([rule.strip() for rule in args.rules.split(",") if rule.strip()]
              if args.rules else None)
-
-    cache = None
-    if not args.no_cache:
-        cache = FactCache(Path(args.cache_dir),
-                          config_fingerprint=config.fingerprint())
     try:
-        defer = cache.cached_hashes() if cache is not None else frozenset()
-        project = Project.load([Path(path) for path in args.paths],
-                               defer_parse_for=defer)
+        project = Project.load([Path(path) for path in args.paths])
     except OSError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
 
-    run = run_analysis(project, config, rules, cache=cache)
+    run = run_analysis(project, AnalysisConfig(), rules)
     findings = run.findings
-
-    if args.fix:
-        outcome = apply_fixes(project, findings, dry_run=args.dry_run)
-        if args.dry_run:
-            sys.stdout.write(outcome.combined_diff())
-            print(f"would fix {len(outcome.applied)} finding(s) in "
-                  f"{len(outcome.diffs)} file(s); "
-                  f"{len(outcome.skipped)} not auto-fixable")
-            return 0
-        for line in outcome.applied:
-            print(f"fixed: {line}")
-        print(f"fixed {len(outcome.applied)} finding(s) in "
-              f"{len(outcome.diffs)} file(s); "
-              f"{len(outcome.skipped)} not auto-fixable")
-        return 0 if not outcome.skipped else 1
-
-    if args.update_baseline:
-        target = (Path(args.baseline) if args.baseline
-                  else Path(DEFAULT_BASELINE))
-        save_baseline(target, findings)
-        print(f"baseline updated: {target} ({len(findings)} finding(s))")
-        return 0
-
-    baseline_path = _resolve_baseline(args)
-    new, baselined, stale = apply_baseline(findings, baseline_path)
 
     rule_docs = [{"name": name, "description": description}
                  for name, description in available_checkers()
@@ -161,32 +71,20 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         files_analyzed=len(project.modules),
         rules=rule_docs,
         findings=findings,
-        new_findings=new,
-        baselined=baselined,
         suppressed_count=run.suppressed,
-        baseline_path=str(baseline_path) if baseline_path else None,
-        stale_baseline=stale,
-        timing=run.timing,
-        cache_stats=run.cache_stats)
+        timing=run.timing)
 
     if args.json_path:
         report.save(args.json_path)
 
     if not args.quiet:
-        for finding in new:
+        for finding in findings:
             print(finding.format())
-    summary = (f"{len(findings)} finding(s): {len(new)} new, "
-               f"{len(baselined)} baselined, {run.suppressed} suppressed "
-               f"({report.files_analyzed} files)")
-    print(summary)
-    if stale:
-        print(f"note: {len(stale)} stale baseline entr"
-              f"{'y' if len(stale) == 1 else 'ies'} no longer match; "
-              f"run --update-baseline to shrink the baseline")
-    if new:
-        print("new findings fail the gate; fix them with --fix, add a "
-              "'# repro: allow[rule]' pragma with a reason, or (for "
-              "pre-existing debt only) re-baseline", file=sys.stderr)
+    print(f"{len(findings)} finding(s), {run.suppressed} suppressed "
+          f"({report.files_analyzed} files)")
+    if findings:
+        print("findings fail the gate; fix them, or add a "
+              "'# repro: allow[rule] -- reason' pragma", file=sys.stderr)
     return report.exit_code
 
 

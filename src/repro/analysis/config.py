@@ -1,10 +1,10 @@
 """Repo-specific configuration of the analysis pass.
 
 The checkers are generic AST machinery; everything this repository *means*
-by determinism, purity and shim compatibility lives here: which modules are
-declared virtual-time, which modules are sanctioned storage boundaries,
-which dataclass fields are presentation-only, which legacy entry points
-shadow which replacements.
+by determinism, purity and dispatch discipline lives here: which modules
+are declared virtual-time, which modules are sanctioned storage
+boundaries, which functions run on worker threads, which modules must
+route their GEMMs through the compute backend.
 
 All module lists are fnmatch globs over the path relative to the ``repro``
 package (``serving/pool.py``, ``serving/cluster/*.py``).
@@ -12,36 +12,13 @@ package (``serving/pool.py``, ``serving/cluster/*.py``).
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass
 from fnmatch import fnmatch
-from pathlib import Path
-from typing import Dict, Sequence, Tuple
+from typing import Sequence, Tuple
 
 
 def _matches(pkg_path: str, globs: Sequence[str]) -> bool:
     return any(fnmatch(pkg_path, pattern) for pattern in globs)
-
-
-@dataclass
-class ShimPair:
-    """A legacy entry point and the replacement whose keywords it must carry."""
-
-    shim: str         # dotted path inside repro, e.g. "...DiffusionPipeline.generate"
-    replacement: str  # dotted path of the replacement callable
-    #: Replacement parameters the shim legitimately does not expose
-    #: (derived internally, or meaningless for the legacy call shape).
-    exempt: Tuple[str, ...] = ()
-
-    def to_dict(self) -> Dict:
-        return {"shim": self.shim, "replacement": self.replacement,
-                "exempt": list(self.exempt)}
-
-    @classmethod
-    def from_dict(cls, data: Dict) -> "ShimPair":
-        return cls(shim=data["shim"], replacement=data["replacement"],
-                   exempt=tuple(data.get("exempt", ())))
 
 
 @dataclass
@@ -138,23 +115,6 @@ class AnalysisConfig:
     #: Modules scanned for tracing call sites.
     tracer_modules: Tuple[str, ...] = ("*.py",)
 
-    # -- shim drift ----------------------------------------------------
-    shim_pairs: Tuple[ShimPair, ...] = (
-        # The legacy use_ddpm spellings must keep accepting everything the
-        # plan-based core path takes.  (The experiments.harness table shims
-        # were retired in PR 10 — callers build ExperimentSpec directly.)
-        ShimPair("diffusion.pipeline.DiffusionPipeline.generate",
-                 "diffusion.pipeline.DiffusionPipeline._run",
-                 exempt=("context_batches",)),
-        ShimPair("diffusion.pipeline.DiffusionPipeline.generate_from_prompts",
-                 "diffusion.pipeline.DiffusionPipeline._run",
-                 exempt=("context_batches", "num_images")),
-        # Pre-cluster spelling of the batch-execution path.
-        ShimPair("serving.engine.ServingEngine._process_batch",
-                 "serving.engine.ServingEngine.complete_batch",
-                 exempt=("started", "finished")),
-    )
-
     # ------------------------------------------------------------------
     def is_virtual_time(self, pkg_path: str) -> bool:
         return (_matches(pkg_path, self.virtual_time_modules)
@@ -166,54 +126,9 @@ class AnalysisConfig:
     def is_stage_pure_root(self, pkg_path: str) -> bool:
         return _matches(pkg_path, self.stage_pure_roots)
 
-    # ------------------------------------------------------------------
-    def to_dict(self) -> Dict:
-        return {
-            "virtual_time_modules": list(self.virtual_time_modules),
-            "clock_boundaries": list(self.clock_boundaries),
-            "stage_pure_roots": list(self.stage_pure_roots),
-            "purity_boundaries": list(self.purity_boundaries),
-            "worker_entries": list(self.worker_entries),
-            "hot_modules": list(self.hot_modules),
-            "gemm_dispatch_modules": list(self.gemm_dispatch_modules),
-            "gemm_backend_modules": list(self.gemm_backend_modules),
-            "schema_registry_module": self.schema_registry_module,
-            "schema_exempt_tags": list(self.schema_exempt_tags),
-            "fingerprint_modules": list(self.fingerprint_modules),
-            "tracer_modules": list(self.tracer_modules),
-            "shim_pairs": [pair.to_dict() for pair in self.shim_pairs],
-        }
-
-    def fingerprint(self) -> str:
-        """Stable hash of the config; part of every fact-cache key."""
-        canonical = json.dumps(self.to_dict(), sort_keys=True)
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
-
-    @classmethod
-    def from_dict(cls, data: Dict) -> "AnalysisConfig":
-        kwargs = {}
-        for key in ("virtual_time_modules", "clock_boundaries",
-                    "stage_pure_roots", "purity_boundaries",
-                    "worker_entries", "hot_modules",
-                    "gemm_dispatch_modules", "gemm_backend_modules",
-                    "schema_exempt_tags",
-                    "fingerprint_modules", "tracer_modules"):
-            if key in data:
-                kwargs[key] = tuple(data[key])
-        if "schema_registry_module" in data:
-            kwargs["schema_registry_module"] = data["schema_registry_module"]
-        if "shim_pairs" in data:
-            kwargs["shim_pairs"] = tuple(ShimPair.from_dict(pair)
-                                         for pair in data["shim_pairs"])
-        return cls(**kwargs)
-
-    @classmethod
-    def from_file(cls, path) -> "AnalysisConfig":
-        return cls.from_dict(json.loads(Path(path).read_text()))
-
 
 DEFAULT_CONFIG = AnalysisConfig()
 
 
 #: Names that may appear in rule configuration (documented in README).
-__all__ = ["AnalysisConfig", "ShimPair", "DEFAULT_CONFIG"]
+__all__ = ["AnalysisConfig", "DEFAULT_CONFIG"]

@@ -1,10 +1,7 @@
 """Findings: what a checker reports, and the JSON report around them.
 
-A :class:`Finding` pins one rule violation to a file, line and symbol.  Its
-:meth:`Finding.identity` deliberately excludes the line/column so findings
-stay matched against the committed baseline while unrelated edits move code
-around — the same stability property the experiment store gets from content
-keys instead of file paths.
+A :class:`Finding` pins one rule violation to a file, line and symbol.
+Every finding that no pragma suppresses fails the gate.
 """
 
 from __future__ import annotations
@@ -12,12 +9,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from .. import schemas
 
-#: Schema tag written into every JSON report (registered centrally; v2
-#: added the per-rule ``timing`` and fact-``cache`` blocks).
+#: Schema tag written into every JSON report (registered centrally).
 REPORT_SCHEMA = schemas.ANALYSIS_REPORT
 
 
@@ -32,10 +28,6 @@ class Finding:
     message: str
     symbol: Optional[str] = None  # enclosing function/class qualname
 
-    def identity(self) -> Tuple[str, str, str, str]:
-        """Line-independent identity used for baseline matching."""
-        return (self.rule, self.path, self.symbol or "", self.message)
-
     def location(self) -> str:
         return f"{self.path}:{self.line}:{self.col}"
 
@@ -44,12 +36,6 @@ class Finding:
             "rule": self.rule, "path": self.path, "line": self.line,
             "col": self.col, "symbol": self.symbol, "message": self.message,
         }
-
-    @classmethod
-    def from_dict(cls, data: Dict) -> "Finding":
-        return cls(rule=data["rule"], path=data["path"],
-                   line=data.get("line", 0), col=data.get("col", 0),
-                   message=data["message"], symbol=data.get("symbol"))
 
     def format(self) -> str:
         where = f" [{self.symbol}]" if self.symbol else ""
@@ -64,22 +50,13 @@ class AnalysisReport:
     files_analyzed: int
     rules: List[Dict]                      # [{"name", "description"}]
     findings: List[Finding] = field(default_factory=list)
-    new_findings: List[Finding] = field(default_factory=list)
-    baselined: List[Finding] = field(default_factory=list)
     suppressed_count: int = 0
-    baseline_path: Optional[str] = None
-    #: Baseline entries that no longer match any finding — candidates for
-    #: removal so the grandfathered set only ever shrinks.
-    stale_baseline: List[Dict] = field(default_factory=list)
-    #: Per-rule wall time in seconds (plus "total"), v2 addition.
+    #: Per-rule wall time in seconds (plus "total").
     timing: Dict[str, float] = field(default_factory=dict)
-    #: Fact-cache statistics for this run, v2 addition.  ``enabled`` is
-    #: False when the run went cold on purpose (--no-cache).
-    cache_stats: Dict = field(default_factory=lambda: {"enabled": False})
 
     @property
     def exit_code(self) -> int:
-        return 1 if self.new_findings else 0
+        return 1 if self.findings else 0
 
     def per_rule_counts(self) -> Dict[str, int]:
         counts: Dict[str, int] = {}
@@ -94,20 +71,10 @@ class AnalysisReport:
             "files_analyzed": self.files_analyzed,
             "rules": list(self.rules),
             "findings": [finding.to_dict() for finding in self.findings],
-            "new_findings": [finding.to_dict()
-                             for finding in self.new_findings],
-            "baseline": {
-                "path": self.baseline_path,
-                "matched": [finding.to_dict() for finding in self.baselined],
-                "stale": list(self.stale_baseline),
-            },
             "timing": {key: round(value, 6)
                        for key, value in sorted(self.timing.items())},
-            "cache": dict(self.cache_stats),
             "summary": {
                 "total": len(self.findings),
-                "new": len(self.new_findings),
-                "baselined": len(self.baselined),
                 "suppressed": self.suppressed_count,
                 "per_rule": self.per_rule_counts(),
             },

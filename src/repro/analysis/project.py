@@ -5,12 +5,6 @@ metadata checkers keep re-deriving — the repo-relative path, the path
 *relative to the repro package* (what config globs match against), the
 dotted module name, and the ``# repro: allow[rule]`` pragma map.
 
-Every module also carries the sha256 of its source bytes, which is the key
-of the incremental fact cache (:mod:`repro.analysis.cache`): when a warm
-run finds a cache entry for a file's hash, the file's AST is not needed for
-the summary-driven rules, so parsing is *lazy* — ``Module.tree`` parses on
-first access and only the checkers that genuinely walk syntax pay for it.
-
 Pragmas
 -------
 A finding is suppressed when the flagged line carries a trailing pragma::
@@ -33,7 +27,6 @@ declares the function perf-critical and opts it into the
 from __future__ import annotations
 
 import ast
-import hashlib
 import re
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Set
@@ -62,44 +55,19 @@ def parse_hot_markers(source: str) -> Set[int]:
             if _HOT_RE.search(line)}
 
 
-def content_sha256(source: str) -> str:
-    return hashlib.sha256(source.encode("utf-8")).hexdigest()
-
-
 class Module:
-    """One source file plus the lookups checkers need.
-
-    ``tree`` is parsed lazily: construct with ``tree=None`` (cache hit) and
-    the first checker that touches syntax triggers the parse.  Files that
-    fail to parse are never turned into modules (see :meth:`Project.load`),
-    so the lazy parse can only fail if the file changed mid-run.
-    """
+    """One parsed source file plus the lookups checkers need."""
 
     def __init__(self, path: Path, rel_path: str, pkg_path: str,
-                 module_name: str, source: str,
-                 tree: Optional[ast.Module] = None,
-                 pragmas: Optional[Dict[int, Set[str]]] = None,
-                 sha256: str = ""):
+                 module_name: str, source: str, tree: ast.Module):
         self.path = path
         self.rel_path = rel_path
         self.pkg_path = pkg_path
         self.module_name = module_name
         self.source = source
-        self.pragmas = parse_pragmas(source) if pragmas is None else pragmas
-        self.sha256 = sha256 or content_sha256(source)
+        self.tree = tree
+        self.pragmas = parse_pragmas(source)
         self.hot_lines = parse_hot_markers(source)
-        self._tree = tree
-
-    @property
-    def tree(self) -> ast.Module:
-        if self._tree is None:
-            self._tree = ast.parse(self.source, filename=str(self.path))
-        return self._tree
-
-    @property
-    def parsed(self) -> bool:
-        """Whether the AST has been materialized (cache-hit files defer it)."""
-        return self._tree is not None
 
     @property
     def lines(self) -> List[str]:
@@ -128,39 +96,24 @@ class Module:
 
 
 class Project:
-    """Every parsed module of one analysis run, indexed for checkers."""
+    """Every parsed module of one analysis run."""
 
     def __init__(self, modules: Sequence[Module], roots: Sequence[Path]):
         self.modules = list(modules)
         self.roots = [Path(root) for root in roots]
-        self._by_name = {module.module_name: module for module in self.modules}
-        self._by_pkg_path = {module.pkg_path: module for module in self.modules}
         #: Files that failed to parse, reported as findings by the runner.
         self.errors: List[Finding] = []
         #: Lazily-built interprocedural context (see analysis.callgraph).
         self._context = None
 
-    # ------------------------------------------------------------------
-    def module(self, name: str) -> Optional[Module]:
-        """Look up a module by dotted name (``repro.serving.pool``)."""
-        return self._by_name.get(name)
-
-    def by_pkg_path(self, pkg_path: str) -> Optional[Module]:
-        return self._by_pkg_path.get(pkg_path)
-
-    # ------------------------------------------------------------------
     @classmethod
     def load(cls, paths: Sequence[Path],
-             repo_root: Optional[Path] = None,
-             defer_parse_for: Optional[Set[str]] = None) -> "Project":
+             repo_root: Optional[Path] = None) -> "Project":
         """Parse every ``.py`` file under ``paths`` into a project.
 
         ``repo_root`` anchors the repo-relative paths findings report;
         it defaults to the common parent that contains a ``src`` dir, else
-        the current directory.  ``defer_parse_for`` is a set of content
-        sha256 hashes known to the fact cache: files matching one are
-        loaded without parsing (their AST materializes lazily if a
-        syntax-walking checker needs it).
+        the current directory.
         """
         paths = [Path(path).resolve() for path in paths]
         if repo_root is None:
@@ -180,22 +133,19 @@ class Project:
             seen.add(file_path)
             rel_path = _relative_posix(file_path, repo_root)
             source = file_path.read_text(encoding="utf-8")
-            sha256 = content_sha256(source)
-            tree: Optional[ast.Module] = None
-            if not (defer_parse_for and sha256 in defer_parse_for):
-                try:
-                    tree = ast.parse(source, filename=str(file_path))
-                except SyntaxError as error:
-                    errors.append(Finding(
-                        rule="syntax", path=rel_path,
-                        line=error.lineno or 0, col=error.offset or 0,
-                        message=f"file does not parse: {error.msg}"))
-                    continue
+            try:
+                tree = ast.parse(source, filename=str(file_path))
+            except SyntaxError as error:
+                errors.append(Finding(
+                    rule="syntax", path=rel_path,
+                    line=error.lineno or 0, col=error.offset or 0,
+                    message=f"file does not parse: {error.msg}"))
+                continue
             modules.append(Module(
                 path=file_path, rel_path=rel_path,
                 pkg_path=_package_relative(rel_path),
                 module_name=_dotted_name(rel_path),
-                source=source, tree=tree, sha256=sha256))
+                source=source, tree=tree))
         project = cls(modules, roots=paths)
         project.errors = errors
         return project

@@ -8,16 +8,13 @@ elsewhere in the repo).
 Checkers come in two execution shapes:
 
 * **project checkers** implement ``check`` and see the whole project —
-  the interprocedural rules (determinism, race-discipline, stage-purity,
-  shim-drift) live here;
-* **cacheable checkers** set ``cacheable = True`` and implement
-  ``check_module(module, config)`` instead: their findings are a pure
-  function of one file's content plus the config, so the driver can serve
-  them from the fact cache on warm runs and only re-run changed files.
+  the interprocedural rules (determinism, race-discipline, stage-purity)
+  live here;
+* **per-file checkers** implement ``check_module(module, config)``
+  instead; the base ``check`` runs it over every module.
 
-:func:`run_analysis` is the full driver — cache-aware, per-rule timed.
-:func:`run_checkers` is the original thin entry point, kept because tests
-and external callers use its ``(findings, suppressed)`` shape.
+:func:`run_analysis` is the driver: it runs the selected rules, times
+each one and applies the pragma suppressions.
 """
 
 from __future__ import annotations
@@ -38,18 +35,9 @@ class Checker:
 
     name: str = ""
     description: str = ""
-    #: True when findings are a pure function of (one file's content,
-    #: config) — lets the driver cache them per file.
-    cacheable: bool = False
-    #: True when ``check`` reads the interprocedural context (module
-    #: summaries + call graph); the driver then builds it up front so the
-    #: fact cache can serve the summaries.
-    needs_context: bool = False
 
     def check(self, project: Project,
               config: AnalysisConfig) -> List[Finding]:
-        if not self.cacheable:
-            raise NotImplementedError
         findings: List[Finding] = []
         for module in project.modules:
             findings.extend(self.check_module(module, config))
@@ -94,27 +82,22 @@ def _ensure_builtin_checkers() -> None:
 
 @dataclass
 class AnalysisRun:
-    """Everything one driver pass produced, pre-baseline."""
+    """Everything one driver pass produced."""
 
     findings: List[Finding]
     suppressed: int
     #: rule name -> seconds (plus "total").
     timing: Dict[str, float] = field(default_factory=dict)
-    cache_stats: Dict = field(default_factory=lambda: {"enabled": False})
 
 
 def run_analysis(project: Project,
                  config: Optional[AnalysisConfig] = None,
-                 rules: Optional[Sequence[str]] = None,
-                 cache=None) -> AnalysisRun:
-    """Run checkers over ``project`` with timing and optional fact cache.
+                 rules: Optional[Sequence[str]] = None) -> AnalysisRun:
+    """Run checkers over ``project``, timing each rule.
 
     ``rules=None`` runs every registered checker.  Pragma-suppressed
     findings are dropped (counted), parse errors from project loading are
-    prepended as ``syntax`` findings (never suppressible).  With a
-    :class:`~repro.analysis.cache.FactCache`, cacheable rules are served
-    per file from the cache and re-run only for changed files; the
-    interprocedural rules run off (possibly cached) module summaries.
+    prepended as ``syntax`` findings (never suppressible).
     """
     _ensure_builtin_checkers()
     config = config or AnalysisConfig()
@@ -123,24 +106,10 @@ def run_analysis(project: Project,
     started = time.perf_counter()
     timing: Dict[str, float] = {}
     checkers = [get_checker(name) for name in names]
-    if any(checker.needs_context for checker in checkers):
-        from .callgraph import get_context
-        get_context(project, cache)  # built once, with cached summaries
-        timing["callgraph"] = time.perf_counter() - started
     raw: List[Finding] = []
     for name, checker in zip(names, checkers):
         rule_started = time.perf_counter()
-        if checker.cacheable and cache is not None:
-            for module in project.modules:
-                cached = cache.load_findings(module, name)
-                if cached is not None:
-                    raw.extend(cached)
-                    continue
-                fresh = checker.check_module(module, config)
-                cache.store_findings(module, name, fresh)
-                raw.extend(fresh)
-        else:
-            raw.extend(checker.check(project, config))
+        raw.extend(checker.check(project, config))
         timing[name] = time.perf_counter() - rule_started
     timing["total"] = time.perf_counter() - started
 
@@ -154,21 +123,5 @@ def run_analysis(project: Project,
             continue
         findings.append(finding)
     findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule, f.message))
-
-    cache_stats: Dict = {"enabled": cache is not None}
-    if cache is not None:
-        cache_stats.update(cache.stats())
-        context = project._context
-        if context is not None:
-            cache_stats["summary_hits"] = context.cache_hits
-            cache_stats["summary_misses"] = context.cache_misses
     return AnalysisRun(findings=findings, suppressed=suppressed,
-                       timing=timing, cache_stats=cache_stats)
-
-
-def run_checkers(project: Project, config: Optional[AnalysisConfig] = None,
-                 rules: Optional[Sequence[str]] = None
-                 ) -> Tuple[List[Finding], int]:
-    """Compatibility entry point: (findings, suppressed count)."""
-    run = run_analysis(project, config, rules)
-    return run.findings, run.suppressed
+                       timing=timing)

@@ -6,9 +6,8 @@ region, so model construction, quantization and calibration never pollute
 the samples.  Workloads declare which suites they belong to (``ci`` is
 what the CI perf gate runs; ``micro``/``macro`` slice it by granularity;
 ``full`` is everything) and optionally pair up as the two *arms* of a
-before/after
-comparison: ``pair="sampler_loop.ddim", arm="pre"`` and ``arm="fast"``
-produce a speedup entry in the report.
+before/after comparison: ``pair="kernel.conv2d", arm="pre"`` and
+``arm="fast"`` produce a speedup entry in the report.
 """
 
 from __future__ import annotations

@@ -13,9 +13,7 @@ Coverage matches what the serving stack actually executes:
 * ``quant.<scheme>.*`` — quantize (and packed dequantize) throughput per
   registered quantization scheme.
 * ``sampler_loop.<plan>`` — one full sampler trajectory per registered
-  solver, as a ``pre``/``fast`` pair: the *pre* arm replays the pre-PR
-  execution (grad-enabled model, allocation-per-step update math), the
-  *fast* arm is the shipped path (``inference_mode`` + buffer reuse).
+  solver on the shipped path (``inference_mode`` + buffer reuse).
   Workload metadata carries the :class:`~repro.diffusion.GenerationPlan`
   fingerprint, so bench rows and experiment-store generate stages describing
   the same trajectory share an identity.
@@ -27,10 +25,14 @@ Coverage matches what the serving stack actually executes:
   fingerprint and the MAC count of one forward.
 * ``serving.throughput`` — end-to-end dynamic-batched serving of a small
   deterministic workload through the real engine.
+* ``cluster.sim`` — one fleet-simulator run on the virtual clock.
+* ``telemetry.overhead`` — a sampler trajectory with tracing on (*pre*)
+  against the same trajectory with tracing off (*fast*).
 * ``calibration.reference`` — a fixed numpy matmul loop used to normalize
   medians across machines when comparing against a committed baseline.
 
-Both arms of every pair are verified at setup time, so a reported speedup
+Both arms of every pair (``kernel.conv2d``, ``qforward.<scheme>``,
+``telemetry.overhead``) are verified at setup time, so a reported speedup
 can never come from computing less: arms that compute the same thing must
 be bit-identical, and the ``qforward`` pairs — whose arms legitimately
 differ by quantization error — are checked against the reference backend
@@ -293,7 +295,7 @@ for _scheme, _bits in (("int8", 8), ("int4", 4)):
 
 
 # ----------------------------------------------------------------------
-# sampler loops, pre (grad-enabled, allocating) vs fast (shipped path)
+# sampler loops (shipped path: inference_mode + buffer reuse)
 # ----------------------------------------------------------------------
 _SAMPLER_PLANS = {
     "ddim": GenerationPlan(sampler="ddim", num_steps=4),
@@ -303,77 +305,19 @@ _SAMPLER_PLANS = {
 _SAMPLE_SHAPE = (1, 3, 8, 8)
 
 
-def _legacy_ddim_step(x, eps, alpha_bar, alpha_bar_prev):
-    x0_pred = (x - np.sqrt(1.0 - alpha_bar) * eps) / np.sqrt(alpha_bar)
-    direction = np.sqrt(max(1.0 - alpha_bar_prev, 0.0)) * eps
-    return (np.sqrt(alpha_bar_prev) * x0_pred + direction).astype(np.float32)
-
-
-def _legacy_sampler_loop(plan: GenerationPlan, model, schedule, noise):
-    """The pre-PR trajectory: grad-enabled forwards, fresh arrays per step."""
-    shape = noise.shape
-    x = noise.copy()
-    rng = np.random.default_rng(1)
-    if plan.sampler == "ddpm":
-        for t in reversed(range(schedule.num_timesteps)):
-            t_batch = np.full((shape[0],), t, dtype=np.int64)
-            eps = model(Tensor(x), t_batch, context=None).data
-            alpha = schedule.alphas[t]
-            alpha_bar = schedule.alphas_bar[t]
-            beta = schedule.betas[t]
-            mean = (x - beta / np.sqrt(1.0 - alpha_bar) * eps) / np.sqrt(alpha)
-            if t > 0:
-                step_noise = rng.standard_normal(shape).astype(np.float32)
-                x = mean + np.sqrt(beta) * step_noise
-            else:
-                x = mean
-            x = x.astype(np.float32)
-        return x
-    sampler = plan.build_sampler(schedule, plan.num_steps)
-    timesteps = sampler.timesteps
-    for index, t in enumerate(timesteps):
-        t_batch = np.full((shape[0],), t, dtype=np.int64)
-        eps = model(Tensor(x), t_batch, context=None).data
-        alpha_bar = schedule.alphas_bar[t]
-        prev_t = timesteps[index + 1] if index + 1 < len(timesteps) else -1
-        if plan.sampler == "dpm2" and prev_t >= 0:
-            alpha_bar_prev = schedule.alphas_bar[prev_t]
-            midpoint = _legacy_ddim_step(x, eps, alpha_bar, alpha_bar_prev)
-            prev_batch = np.full((shape[0],), prev_t, dtype=np.int64)
-            eps_prev = model(Tensor(midpoint), prev_batch, context=None).data
-            eps = (0.5 * (eps + eps_prev)).astype(np.float32)
-            x = _legacy_ddim_step(x, eps, alpha_bar, alpha_bar_prev)
-        else:
-            alpha_bar_prev = schedule.alphas_bar[prev_t] if prev_t >= 0 else 1.0
-            x = _legacy_ddim_step(x, eps, alpha_bar, alpha_bar_prev)
-    return x
-
-
-def _setup_sampler(plan_name: str, arm: str):
+def _setup_sampler(plan_name: str):
     def setup():
         plan = _SAMPLER_PLANS[plan_name]
         pipeline = _bench_pipeline()
         model = _bench_model()
         noise = pipeline.initial_noise(_SAMPLE_SHAPE[0], seed=11)
-        schedule = pipeline.schedule
 
-        def run_fast():
-            sampler = plan.build_sampler(schedule, pipeline.num_steps)
+        def run():
+            sampler = plan.build_sampler(pipeline.schedule, pipeline.num_steps)
             return sampler.sample(model, _SAMPLE_SHAPE,
                                   np.random.default_rng(1),
                                   initial_noise=noise.copy())
 
-        def run_pre():
-            return _legacy_sampler_loop(plan, model, schedule, noise)
-
-        # Both arms must compute the same trajectory — a speedup that came
-        # from computing something else would be meaningless.  Verified in
-        # one arm's setup only (run_suite always builds both arms of a
-        # pair), so the two trajectories are not recomputed per arm.
-        if arm == FAST_ARM and not np.array_equal(run_fast(), run_pre()):
-            raise AssertionError(
-                f"sampler arms diverged for plan {plan.describe()}")
-        run = run_fast if arm == FAST_ARM else run_pre
         return run, {"plan": plan.to_dict(),
                      "plan_fingerprint": plan.fingerprint()}
 
@@ -381,13 +325,8 @@ def _setup_sampler(plan_name: str, arm: str):
 
 
 for _name in _SAMPLER_PLANS:
-    register_workload(f"sampler_loop.{_name}.pre", _setup_sampler(_name, PRE_ARM),
-                      suites=_MACRO, pair=f"sampler_loop.{_name}", arm=PRE_ARM,
-                      repeats=9)
-    register_workload(f"sampler_loop.{_name}.fast",
-                      _setup_sampler(_name, FAST_ARM),
-                      suites=_MACRO, pair=f"sampler_loop.{_name}", arm=FAST_ARM,
-                      repeats=9)
+    register_workload(f"sampler_loop.{_name}", _setup_sampler(_name),
+                      suites=_MACRO, repeats=9)
 
 
 # ----------------------------------------------------------------------
@@ -600,55 +539,3 @@ register_workload("telemetry.overhead.fast", _setup_telemetry(FAST_ARM),
                   suites=_MACRO, pair="telemetry.overhead", arm=FAST_ARM,
                   repeats=9)
 
-
-# ----------------------------------------------------------------------
-# static analysis: cold fact cache (pre) vs warm content-addressed cache
-# ----------------------------------------------------------------------
-def _setup_analysis(arm: str):
-    def setup():
-        import shutil
-        import tempfile
-        from pathlib import Path
-
-        from ..analysis.cache import FactCache
-        from ..analysis.config import AnalysisConfig
-        from ..analysis.project import Project
-        from ..analysis.registry import run_analysis
-
-        src_root = Path(__file__).resolve().parents[2]  # .../src
-        config = AnalysisConfig()
-        cache_dir = Path(tempfile.mkdtemp(prefix="repro-bench-analysis-"))
-
-        def analyze(cold: bool):
-            if cold:
-                shutil.rmtree(cache_dir, ignore_errors=True)
-            cache = FactCache(cache_dir,
-                              config_fingerprint=config.fingerprint())
-            project = Project.load([src_root],
-                                   defer_parse_for=cache.cached_hashes())
-            run = run_analysis(project, config, cache=cache)
-            return sorted(f.identity() for f in run.findings)
-
-        def run_cold():
-            return analyze(cold=True)
-
-        def run_warm():
-            return analyze(cold=False)
-
-        # Both arms must report the identical finding set: the warm arm
-        # may only skip work, never skip findings.  run_cold() also leaves
-        # the cache populated, so the timed warm runs start warm.
-        if arm == FAST_ARM and run_cold() != run_warm():
-            raise AssertionError("cached analysis changed the findings")
-        run = run_warm if arm == FAST_ARM else run_cold
-        return run, {"root": str(src_root), "cached": arm == FAST_ARM}
-
-    return setup
-
-
-register_workload("analysis.full.pre", _setup_analysis(PRE_ARM),
-                  suites=("ci", "full"), pair="analysis.full", arm=PRE_ARM,
-                  repeats=3, warmup=1)
-register_workload("analysis.full.fast", _setup_analysis(FAST_ARM),
-                  suites=("ci", "full"), pair="analysis.full", arm=FAST_ARM,
-                  repeats=3, warmup=1)

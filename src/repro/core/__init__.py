@@ -121,7 +121,6 @@ from .policy import (
 )
 from .quantizer import (
     PAPER_CONFIGS,
-    VALID_DTYPES,
     LayerQuantizationRecord,
     QuantizationConfig,
     QuantizationReport,
@@ -174,7 +173,7 @@ __all__ = [
     "boundary_interior_policy", "layer_paths_matching",
     # orchestration
     "QuantizationConfig", "QuantizationReport", "LayerQuantizationRecord",
-    "PAPER_CONFIGS", "VALID_DTYPES", "quantize_pipeline", "quantize_model",
+    "PAPER_CONFIGS", "quantize_pipeline", "quantize_model",
     "clone_model", "full_precision_config", "fp8_fp8_config", "fp4_fp8_config",
     "int8_int8_config", "int4_int8_config", "mixed_precision_config",
     # sparsity

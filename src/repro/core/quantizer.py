@@ -52,10 +52,6 @@ from .rounding import RoundingLearningConfig
 from .schemes import QuantScheme, SchemeLike, get_scheme
 from .search import DEFAULT_NUM_BIAS_CANDIDATES
 
-#: Dtype strings of the original string-based API.  Kept for backwards
-#: compatibility; the authoritative list is ``schemes.available_schemes()``.
-VALID_DTYPES = ("fp32", "fp8", "fp4", "int8", "int4")
-
 
 @dataclass
 class QuantizationConfig:

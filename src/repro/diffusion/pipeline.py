@@ -8,10 +8,8 @@ float arrays in ``[-1, 1]``.
 
 *How* to sample — which registered sampler, how many steps, what guidance
 scale — is data, not code: every generation entry point accepts a
-``plan=`` override and the legacy spellings (``use_ddpm=True``, bare
-``num_steps``) are thin shims that resolve to plans.  The default plan is
-bit-exact with the historical behaviour (deterministic DDIM at the
-pipeline's step count, no guidance).
+``plan=`` override.  The default plan is deterministic DDIM at the
+pipeline's step count, with no guidance.
 
 Pipelines are the unit the quantizer operates on: quantizing a pipeline
 replaces the Conv2d/Linear layers of its U-Net with quantized wrappers while
@@ -84,29 +82,21 @@ class DiffusionPipeline:
             images = self.model.autoencoder.decode(Tensor(latents))
         return images.data
 
-    def resolve_plan(self, plan: Optional[GenerationPlan] = None,
-                     use_ddpm: bool = False) -> GenerationPlan:
-        """The plan a generation call will follow (``None`` -> the pipeline's).
-
-        ``use_ddpm`` is the legacy boolean spelling; it rewrites the sampler
-        on whatever plan is in effect so old call sites keep working.
-        """
-        plan = plan if plan is not None else self.plan
-        if use_ddpm and plan.sampler != "ddpm":
-            plan = plan.with_(sampler="ddpm")
-        return plan
+    def resolve_plan(self,
+                     plan: Optional[GenerationPlan] = None) -> GenerationPlan:
+        """The plan a generation call will follow (``None`` -> the pipeline's)."""
+        return plan if plan is not None else self.plan
 
     # ------------------------------------------------------------------
     # generation
     # ------------------------------------------------------------------
     def generate(self, num_images: int, seed: int = 0, batch_size: int = 8,
-                 use_ddpm: bool = False, trace=None,
-                 plan: Optional[GenerationPlan] = None) -> np.ndarray:
+                 trace=None, plan: Optional[GenerationPlan] = None) -> np.ndarray:
         """Unconditional generation of ``num_images`` images."""
         if self.is_text_to_image:
             raise ValueError(
                 "use generate_from_prompts for text-to-image pipelines")
-        plan = self.resolve_plan(plan, use_ddpm=use_ddpm)
+        plan = self.resolve_plan(plan)
         plan.validate_for_model(self.spec.task, self.spec.name)
         return self._run(num_images, seed, batch_size, context_batches=None,
                          plan=plan, trace=trace)

@@ -7,8 +7,8 @@ scale — in one JSON-round-trippable, content-fingerprinted value.  It plays
 the same role for generation that :class:`~repro.core.QuantizationConfig`
 plays for quantization:
 
-* pipelines accept a plan everywhere they used to take ad-hoc flags
-  (``DiffusionPipeline.generate(plan=...)`` replaces ``use_ddpm``),
+* pipelines accept a plan on every generation entry point
+  (``DiffusionPipeline.generate(plan=...)``),
 * experiment rows carry a plan, so sampler x steps x guidance sweeps key
   their generate stages by plan fingerprint and cache correctly,
 * the serving router emits a (scheme, plan) decision per request and the
@@ -188,6 +188,6 @@ class GenerationPlan:
         return cls.from_dict(json.loads(text))
 
 
-#: The plan every legacy call path resolves to: deterministic DDIM at the
+#: The plan a pipeline follows when none is given: deterministic DDIM at the
 #: pipeline's step count, no guidance.
 DEFAULT_PLAN = GenerationPlan()

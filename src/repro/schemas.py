@@ -16,13 +16,8 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, Mapping, NamedTuple
 
-#: Static-analysis report (``python -m repro.analysis --json``).  v2 adds
-#: the ``timing`` (per-rule seconds) and ``cache`` (hit/miss) blocks.
-ANALYSIS_REPORT = "repro.analysis/v2"
-#: Grandfathered-findings baseline consumed by the analysis CLI.
-ANALYSIS_BASELINE = "repro.analysis.baseline/v1"
-#: Per-file fact-cache entries under ``--cache-dir``.
-ANALYSIS_CACHE = "repro.analysis.cache/v1"
+#: Static-analysis report (``python -m repro.analysis --json``).
+ANALYSIS_REPORT = "repro.analysis/v3"
 #: ``MetricsRegistry.snapshot()`` documents (telemetry smoke artifact).
 OBS_METRICS = "repro.obs.metrics/v1"
 #: Cost-model calibration report (``CalibrationReport.to_dict()``).
@@ -78,11 +73,7 @@ def validate_document(doc: Mapping, expect: str = "") -> None:
 
 
 register_schema(ANALYSIS_REPORT, "static-analysis findings report",
-                ("schema", "findings", "summary", "timing", "cache"))
-register_schema(ANALYSIS_BASELINE, "grandfathered static-analysis findings",
-                ("schema", "findings"))
-register_schema(ANALYSIS_CACHE, "per-file static-analysis fact cache entry",
-                ("schema", "content_sha256", "summary"))
+                ("schema", "findings", "summary", "timing"))
 register_schema(OBS_METRICS, "metrics registry snapshot",
                 ("schema", "metrics"))
 register_schema(OBS_CALIBRATION, "latency cost-model calibration report",

@@ -37,11 +37,6 @@ class BatchKey(NamedTuple):
     scheme: str
     plan: GenerationPlan
 
-    @property
-    def num_steps(self) -> Optional[int]:
-        """The routed plan's step budget (legacy accessor)."""
-        return self.plan.num_steps
-
 
 @dataclass
 class Batch:

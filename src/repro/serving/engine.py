@@ -365,10 +365,6 @@ class ServingEngine:
                 self.stats.record_completion(batch.key.scheme, slo_met)
         return responses
 
-    # Backwards-compatible spelling used by pre-cluster callers/tests.
-    def _process_batch(self, batch: Batch) -> List[Response]:
-        return self.complete_batch(batch)
-
     def _drain_queue_batches(self) -> Iterator[Batch]:
         """Move queued requests into the batcher, yielding batches that fill."""
         while len(self.queue):

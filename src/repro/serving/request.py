@@ -35,9 +35,9 @@ class Request:
     SLO router chooses one from ``latency_slo`` (seconds).  ``plan``
     requests a generation trajectory (sampler, step budget, guidance); the
     router treats its step budget as a ceiling it may reduce under a tight
-    SLO.  ``num_steps`` is the legacy spelling of a bare step budget and is
-    folded into the plan; both default to the model's standard
-    sampling-step count.  ``seed`` makes the request's image deterministic
+    SLO.  ``num_steps`` is a bare step budget, folded into the plan when
+    the plan sets none; both default to the model's standard sampling-step
+    count.  ``seed`` makes the request's image deterministic
     regardless of how it is batched.
 
     ``tenant`` identifies the account the request bills to (the unit of

@@ -23,9 +23,8 @@ reduced step budgets.  When nothing fits, it degrades to the cheapest
 candidate — an overloaded system serves *something* rather than nothing.
 Requests without an SLO get the best-quality scheme at the full plan.
 
-:meth:`SLORouter.route` keeps the legacy scheme-string contract as a shim
-over :meth:`SLORouter.decide`, which returns the full
-:class:`RoutingDecision` (scheme + concrete plan + predicted latency).
+:meth:`SLORouter.decide` returns the full :class:`RoutingDecision`
+(scheme + concrete plan + predicted latency).
 """
 
 from __future__ import annotations
@@ -156,22 +155,20 @@ class SLORouter:
                 for scheme in self.schemes}
 
     # ------------------------------------------------------------------
-    def resolve_plan(self, request: Request,
-                     num_steps: Optional[int] = None) -> GenerationPlan:
+    def resolve_plan(self, request: Request) -> GenerationPlan:
         """The request's plan with a concrete step count.
 
         Precedence for the step budget: the plan's own ``num_steps``, the
-        request's legacy ``num_steps`` field, an explicit ``num_steps``
-        argument, then the model's ``default_sampling_steps`` (samplers that
-        walk the full training grid resolve to ``train_timesteps``).
+        request's ``num_steps`` field, then the model's
+        ``default_sampling_steps`` (samplers that walk the full training
+        grid resolve to ``train_timesteps``).
         """
         plan = request.plan or GenerationPlan()
         if plan.num_steps is None and request.num_steps is not None:
             plan = plan.with_(num_steps=request.num_steps)
         spec = get_model_spec(request.model)
-        default_steps = num_steps or spec.default_sampling_steps
-        return plan.with_(num_steps=plan.resolve_steps(default_steps,
-                                                       spec.train_timesteps))
+        return plan.with_(num_steps=plan.resolve_steps(
+            spec.default_sampling_steps, spec.train_timesteps))
 
     def _candidate_plans(self, plan: GenerationPlan) -> List[GenerationPlan]:
         """Step-degraded variants of ``plan``, best quality first."""
@@ -182,9 +179,7 @@ class SLORouter:
             for fraction in self.step_fractions)
         return [plan.with_(num_steps=steps) for steps in budgets]
 
-    def decide(self, request: Request,
-               num_steps: Optional[int] = None,
-               allow_step_reduction: bool = True) -> RoutingDecision:
+    def decide(self, request: Request) -> RoutingDecision:
         """Pick the (scheme, plan) to serve ``request`` with.
 
         An explicitly requested scheme always wins the scheme dimension.
@@ -193,12 +188,9 @@ class SLORouter:
         steps, so cheaper schemes absorb tight budgets first and the
         trajectory is only truncated when no precision can save it.  With no
         feasible candidate, the cheapest one; with no SLO, best quality at
-        the full budget.  ``allow_step_reduction=False`` restricts the
-        search to the requested budget (the one-dimensional legacy policy —
-        a caller that will generate at full steps regardless must not be
-        handed a scheme that was only feasible at fewer).
+        the full budget.
         """
-        plan = self.resolve_plan(request, num_steps=num_steps)
+        plan = self.resolve_plan(request)
         schemes = ([request.scheme] if request.scheme is not None
                    else self.schemes)
         if request.latency_slo is None:
@@ -207,10 +199,8 @@ class SLORouter:
                 scheme=scheme, plan=plan,
                 predicted_latency=self.predicted_plan_latency(
                     request.model, scheme, plan))
-        plans = (self._candidate_plans(plan) if allow_step_reduction
-                 else [plan])
         candidates = [(scheme, candidate)
-                      for candidate in plans
+                      for candidate in self._candidate_plans(plan)
                       for scheme in schemes]
         predicted = {
             (scheme, candidate): self.predicted_plan_latency(
@@ -224,14 +214,3 @@ class SLORouter:
         scheme, candidate = min(predicted, key=predicted.get)
         return RoutingDecision(scheme=scheme, plan=candidate,
                                predicted_latency=predicted[(scheme, candidate)])
-
-    def route(self, request: Request, num_steps: Optional[int] = None) -> str:
-        """Legacy shim: the best scheme *at the requested step budget*.
-
-        Step reduction is disabled because callers of the string-returning
-        API generate at the request's own step count — handing them a
-        scheme that only fit the SLO at fewer steps would serve the worst
-        of both dimensions.
-        """
-        return self.decide(request, num_steps=num_steps,
-                           allow_step_reduction=False).scheme

@@ -30,7 +30,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .backend import PackedLevelsView, active_backend, reference_backend
-from .tensor import Tensor, is_grad_enabled, is_inference_mode
+from .tensor import Tensor, _no_graph, is_grad_enabled, is_inference_mode
 
 #: Per-thread workspace cache (thread-local: the parallel experiment runner
 #: forwards independent models on worker threads).  Bounded so long-running
@@ -266,6 +266,8 @@ def avg_pool2d(x: Tensor, kernel: int = 2) -> Tensor:
     view = x.data[:, :, :out_h * kernel, :out_w * kernel]
     view = view.reshape(n, c, out_h, kernel, out_w, kernel)
     out = view.mean(axis=(3, 5))
+    if _no_graph(x):
+        return Tensor._from_data(out)
 
     def backward(grad):
         expanded = np.repeat(np.repeat(grad, kernel, axis=2), kernel, axis=3)
@@ -273,19 +275,21 @@ def avg_pool2d(x: Tensor, kernel: int = 2) -> Tensor:
         full[:, :, :out_h * kernel, :out_w * kernel] = expanded / (kernel * kernel)
         x._accumulate(full)
 
-    return Tensor._make(out, (x,), backward)
+    return Tensor._wire(out, (x,), backward)
 
 
 def upsample_nearest(x: Tensor, scale: int = 2) -> Tensor:
     """Nearest-neighbour spatial upsampling by an integer factor."""
     out = np.repeat(np.repeat(x.data, scale, axis=2), scale, axis=3)
+    if _no_graph(x):
+        return Tensor._from_data(out)
 
     def backward(grad):
         n, c, h, w = x.shape
         grad = grad.reshape(n, c, h, scale, w, scale).sum(axis=(3, 5))
         x._accumulate(grad)
 
-    return Tensor._make(out, (x,), backward)
+    return Tensor._wire(out, (x,), backward)
 
 
 def scaled_dot_product_attention(query: Tensor, key: Tensor,

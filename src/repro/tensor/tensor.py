@@ -215,20 +215,6 @@ class Tensor:
         out._backward = backward
         return out
 
-    @staticmethod
-    def _make(data: np.ndarray, parents: Sequence["Tensor"], backward) -> "Tensor":
-        """Create a result tensor and wire it into the autograd graph.
-
-        Kept as the compatibility entry point for operations (e.g. in
-        :mod:`repro.tensor.functional`) that build the backward closure
-        before knowing whether the result needs one; operations defined in
-        this module check :func:`_no_graph` first and skip closure
-        construction entirely on the fast path.
-        """
-        if is_grad_enabled() and any(p.requires_grad for p in parents):
-            return Tensor._wire(data, parents, backward)
-        return Tensor._from_data(data)
-
     def _accumulate(self, grad: np.ndarray) -> None:
         if not self.requires_grad:
             return

@@ -2,8 +2,8 @@
 
 Each rule gets a fixture tree with a planted violation (mirroring the
 ``src/repro`` layout so the path-glob config applies), plus tests for
-pragma suppression, baseline round-trips, the CLI contract, and a
-self-check that the shipped source tree is gate-clean.
+pragma suppression, the CLI contract, and a self-check that the shipped
+source tree is gate-clean.
 """
 
 import json
@@ -20,10 +20,7 @@ from repro.analysis import (
     Finding,
     Project,
     available_checkers,
-    diff_against_baseline,
-    load_baseline,
-    run_checkers,
-    save_baseline,
+    run_analysis,
 )
 from repro.analysis.findings import REPORT_SCHEMA
 
@@ -49,8 +46,8 @@ def write_tree(root: Path, files) -> Path:
 def analyze(root: Path, files, rules=None):
     src = write_tree(root, files)
     project = Project.load([src], repo_root=root)
-    findings, suppressed = run_checkers(project, AnalysisConfig(), rules)
-    return findings, suppressed
+    run = run_analysis(project, AnalysisConfig(), rules)
+    return run.findings, run.suppressed
 
 
 def rules_of(findings):
@@ -397,83 +394,6 @@ class TestTracerDisciplineRule:
 
 
 # ----------------------------------------------------------------------
-# rule: shim-drift
-# ----------------------------------------------------------------------
-class TestShimDriftRule:
-    @staticmethod
-    def _config():
-        from repro.analysis.config import ShimPair
-        return AnalysisConfig(shim_pairs=(
-            ShimPair("experiments.harness.legacy_run",
-                     "experiments.runner.modern_run", exempt=("spec",)),
-        ))
-
-    def _run(self, tmp_path, files):
-        src = write_tree(tmp_path, files)
-        project = Project.load([src], repo_root=tmp_path)
-        findings, _ = run_checkers(project, self._config(), ["shim-drift"])
-        return findings
-
-    def test_missing_replacement_keyword_is_flagged(self, tmp_path):
-        findings = self._run(tmp_path, {
-            "experiments/harness.py": """
-                from .runner import modern_run
-
-                def legacy_run(model, store=None):
-                    return modern_run(model, store=store)
-            """,
-            "experiments/runner.py": """
-                def modern_run(spec, store=None, tracer=None):
-                    return (spec, store, tracer)
-            """,
-        })
-        assert len(findings) == 1
-        assert "'tracer'" in findings[0].message
-
-    def test_forwarding_every_keyword_passes(self, tmp_path):
-        findings = self._run(tmp_path, {
-            "experiments/harness.py": """
-                from .runner import modern_run
-
-                def legacy_run(model, store=None, tracer=None):
-                    return modern_run(model, store=store, tracer=tracer)
-            """,
-            "experiments/runner.py": """
-                def modern_run(spec, store=None, tracer=None):
-                    return (spec, store, tracer)
-            """,
-        })
-        assert findings == []
-
-    def test_kwargs_forwarding_passes_but_dead_param_fails(self, tmp_path):
-        findings = self._run(tmp_path, {
-            "experiments/harness.py": """
-                from .runner import modern_run
-
-                def legacy_run(model, dead=None, **kwargs):
-                    return modern_run(model, **kwargs)
-            """,
-            "experiments/runner.py": """
-                def modern_run(spec, store=None, tracer=None):
-                    return (spec, store, tracer)
-            """,
-        })
-        assert len(findings) == 1
-        assert "'dead'" in findings[0].message
-        assert "never forwards" in findings[0].message
-
-    def test_unresolvable_pair_is_reported(self, tmp_path):
-        findings = self._run(tmp_path, {
-            "experiments/runner.py": """
-                def modern_run(spec, store=None):
-                    return (spec, store)
-            """,
-        })
-        assert len(findings) == 1
-        assert "does not resolve" in findings[0].message
-
-
-# ----------------------------------------------------------------------
 # rule: gemm-dispatch
 # ----------------------------------------------------------------------
 class TestGemmDispatchRule:
@@ -564,7 +484,7 @@ class TestGemmDispatchRule:
 
 
 # ----------------------------------------------------------------------
-# pragmas and baseline
+# pragmas
 # ----------------------------------------------------------------------
 class TestSuppression:
     def test_trailing_pragma_suppresses_and_is_counted(self, tmp_path):
@@ -617,61 +537,6 @@ class TestSuppression:
         assert suppressed == 1
 
 
-class TestBaseline:
-    def _findings(self):
-        return [
-            Finding("determinism", "src/repro/serving/a.py", 10, 4,
-                    "wall-clock 'time.time' used", symbol="tick"),
-            Finding("stage-purity", "src/repro/metrics/b.py", 20, 0,
-                    "'global' rebinding", symbol="default_extractor"),
-        ]
-
-    def test_round_trip(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        save_baseline(path, self._findings())
-        assert load_baseline(path) == sorted(
-            self._findings(), key=lambda f: f.path)
-
-    def test_matching_ignores_line_numbers(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        save_baseline(path, self._findings())
-        moved = [Finding("determinism", "src/repro/serving/a.py", 99, 8,
-                         "wall-clock 'time.time' used", symbol="tick")]
-        new, matched, stale = diff_against_baseline(
-            moved, load_baseline(path))
-        assert new == []
-        assert len(matched) == 1
-        assert len(stale) == 1  # the stage-purity entry no longer occurs
-
-    def test_new_findings_are_not_absolved(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        save_baseline(path, self._findings()[:1])
-        current = self._findings() + [
-            Finding("determinism", "src/repro/serving/c.py", 1, 0,
-                    "wall-clock 'time.monotonic' used", symbol="other")]
-        new, matched, _ = diff_against_baseline(current, load_baseline(path))
-        assert len(matched) == 1
-        assert len(new) == 2
-
-    def test_multiset_matching(self, tmp_path):
-        duplicate = Finding("determinism", "src/repro/serving/a.py", 10, 4,
-                            "wall-clock 'time.time' used", symbol="tick")
-        path = tmp_path / "baseline.json"
-        save_baseline(path, [duplicate])
-        new, matched, _ = diff_against_baseline(
-            [duplicate, duplicate], load_baseline(path))
-        assert len(matched) == 1 and len(new) == 1
-
-    def test_missing_baseline_file_is_empty(self, tmp_path):
-        assert load_baseline(tmp_path / "missing.json") == []
-
-    def test_schema_mismatch_raises(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        path.write_text(json.dumps({"schema": "bogus/v9", "findings": []}))
-        with pytest.raises(ValueError, match="bogus/v9"):
-            load_baseline(path)
-
-
 # ----------------------------------------------------------------------
 # CLI contract
 # ----------------------------------------------------------------------
@@ -693,13 +558,12 @@ class TestCli:
             """,
         })
         report_path = tmp_path / "report.json"
-        result = run_cli(["src", "--no-baseline",
-                          "--json", str(report_path)], cwd=tmp_path)
+        result = run_cli(["src", "--json", str(report_path)], cwd=tmp_path)
         assert result.returncode == 1
         assert "determinism" in result.stdout
         report = json.loads(report_path.read_text())
         assert report["schema"] == REPORT_SCHEMA
-        assert report["summary"]["new"] == 1
+        assert report["summary"]["total"] == 1
         assert report["summary"]["per_rule"]["determinism"] == 1
         assert report["findings"][0]["path"].endswith("sim.py")
 
@@ -710,40 +574,17 @@ class TestCli:
                     return clock()
             """,
         })
-        result = run_cli(["src", "--no-baseline"], cwd=tmp_path)
+        result = run_cli(["src"], cwd=tmp_path)
         assert result.returncode == 0
-
-    def test_baseline_workflow_grandfathers_then_blocks(self, tmp_path):
-        write_tree(tmp_path, {
-            "serving/cluster/sim.py": """
-                import time
-
-                def tick():
-                    return time.time()
-            """,
-        })
-        baseline = tmp_path / "baseline.json"
-        update = run_cli(["src", "--update-baseline",
-                          "--baseline", str(baseline)], cwd=tmp_path)
-        assert update.returncode == 0
-        gated = run_cli(["src", "--baseline", str(baseline)], cwd=tmp_path)
-        assert gated.returncode == 0
-        # A *second* violation is new even with the baseline in place.
-        extra = tmp_path / "src" / "repro" / "serving" / "cluster" / "sim.py"
-        extra.write_text(extra.read_text()
-                         + "\n\ndef tock():\n    return time.monotonic()\n")
-        blocked = run_cli(["src", "--baseline", str(baseline)], cwd=tmp_path)
-        assert blocked.returncode == 1
-        assert "time.monotonic" in blocked.stdout
 
     def test_list_rules_names_all_nine(self, tmp_path):
         result = run_cli(["--list-rules"], cwd=tmp_path)
         assert result.returncode == 0
-        for rule in ("determinism", "stage-purity", "fingerprint-coverage",
-                     "tracer-discipline", "shim-drift", "race-discipline",
-                     "hot-path-alloc", "schema-discipline",
-                     "gemm-dispatch"):
-            assert rule in result.stdout
+        listed = [line.split()[0] for line in result.stdout.splitlines()]
+        assert listed == ["determinism", "fingerprint-coverage",
+                          "gemm-dispatch", "hot-path-alloc",
+                          "race-discipline", "schema-discipline",
+                          "stage-purity", "tracer-discipline"]
 
     def test_syntax_error_fails_the_gate(self, tmp_path):
         write_tree(tmp_path, {
@@ -751,7 +592,7 @@ class TestCli:
                 def tick(:
             """,
         })
-        result = run_cli(["src", "--no-baseline"], cwd=tmp_path)
+        result = run_cli(["src"], cwd=tmp_path)
         assert result.returncode == 1
         assert "syntax" in result.stdout
 
@@ -765,20 +606,19 @@ class TestRegistryAndReport:
         assert names == sorted(names)
         assert set(names) == {"determinism", "stage-purity",
                               "fingerprint-coverage", "tracer-discipline",
-                              "shim-drift", "race-discipline",
-                              "hot-path-alloc", "schema-discipline",
-                              "gemm-dispatch"}
+                              "race-discipline", "hot-path-alloc",
+                              "schema-discipline", "gemm-dispatch"}
 
     def test_unknown_rule_raises(self, tmp_path):
         src = write_tree(tmp_path, {"core/x.py": "VALUE = 1\n"})
         project = Project.load([src], repo_root=tmp_path)
         with pytest.raises(KeyError, match="unknown checker"):
-            run_checkers(project, rules=["nonexistent"])
+            run_analysis(project, rules=["nonexistent"])
 
     def test_report_exit_code_tracks_new_findings(self):
         report = AnalysisReport(roots=["src"], files_analyzed=1, rules=[])
         assert report.exit_code == 0
-        report.new_findings = [Finding("determinism", "a.py", 1, 0, "m")]
+        report.findings = [Finding("determinism", "a.py", 1, 0, "m")]
         assert report.exit_code == 1
 
     def test_report_json_shape(self, tmp_path):
@@ -786,14 +626,14 @@ class TestRegistryAndReport:
         report = AnalysisReport(
             roots=["src"], files_analyzed=3,
             rules=[{"name": "determinism", "description": "d"}],
-            findings=[finding], new_findings=[finding])
+            findings=[finding])
         path = report.save(tmp_path / "out" / "report.json")
         data = json.loads(path.read_text())
         assert data["schema"] == REPORT_SCHEMA
         assert data["summary"] == {
-            "total": 1, "new": 1, "baselined": 0, "suppressed": 0,
-            "per_rule": {"determinism": 1}}
-        assert data["baseline"] == {"path": None, "matched": [], "stale": []}
+            "total": 1, "suppressed": 0, "per_rule": {"determinism": 1}}
+        assert set(data) == {"schema", "roots", "files_analyzed", "rules",
+                             "findings", "timing", "summary"}
 
 
 # ----------------------------------------------------------------------
@@ -801,21 +641,8 @@ class TestRegistryAndReport:
 # ----------------------------------------------------------------------
 class TestSelfCheck:
     def test_src_is_clean_against_committed_baseline(self):
+        # Every finding fails the gate; pragmas are the only way to accept
+        # one, so the shipped tree must come out with no findings at all.
         project = Project.load([REPO_ROOT / "src"], repo_root=REPO_ROOT)
-        findings, _ = run_checkers(project)
-        baseline = load_baseline(
-            REPO_ROOT / "benchmarks" / "baselines" / "analysis_baseline.json")
-        new, _, stale = diff_against_baseline(findings, baseline)
-        assert new == [], "\n".join(f.format() for f in new)
-        assert stale == [], (
-            "baseline entries no longer match any finding; shrink the "
-            f"baseline: {stale}")
-
-    def test_known_shim_pairs_resolve(self):
-        # Guards against renames silently emptying the shim-drift rule.
-        from repro.analysis.checkers.shims import _resolve
-        project = Project.load([REPO_ROOT / "src"], repo_root=REPO_ROOT)
-        for pair in AnalysisConfig().shim_pairs:
-            assert _resolve(project, pair.shim) is not None, pair.shim
-            assert _resolve(project, pair.replacement) is not None, \
-                pair.replacement
+        findings = run_analysis(project).findings
+        assert findings == [], "\n".join(f.format() for f in findings)

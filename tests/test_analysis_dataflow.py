@@ -1,24 +1,14 @@
 """Tests for the interprocedural analysis layer.
 
-Covers the call-graph/taint engine (2-hop determinism chains), the three
-new rules (``race-discipline``, ``hot-path-alloc``, ``schema-discipline``)
-on planted violations, the content-addressed fact cache (invalidation on
-change, hits on touch-without-change), and the ``--fix`` mode (dry-run
-diff, applied rewrites, idempotence).
+Covers the call-graph/taint engine (2-hop determinism chains) and the
+interprocedural rules (``race-discipline``, ``hot-path-alloc``,
+``schema-discipline``) on planted violations.
 """
 
-import json
-import shutil
-import subprocess
-import sys
 import textwrap
 from pathlib import Path
 
-from repro.analysis import AnalysisConfig, Project, run_checkers
-from repro.analysis.cache import FactCache
-from repro.analysis.registry import run_analysis
-
-REPO_ROOT = Path(__file__).resolve().parents[1]
+from repro.analysis import AnalysisConfig, Project, run_analysis
 
 
 def write_tree(root: Path, files) -> Path:
@@ -39,15 +29,8 @@ def write_tree(root: Path, files) -> Path:
 def analyze(root: Path, files, rules=None):
     src = write_tree(root, files)
     project = Project.load([src], repo_root=root)
-    findings, suppressed = run_checkers(project, AnalysisConfig(), rules)
-    return findings, suppressed
-
-
-def run_cli(args, cwd):
-    return subprocess.run(
-        [sys.executable, "-m", "repro.analysis", *args],
-        capture_output=True, text=True, cwd=cwd,
-        env={"PYTHONPATH": str(REPO_ROOT / "src"), "PATH": "/usr/bin:/bin"})
+    run = run_analysis(project, AnalysisConfig(), rules)
+    return run.findings, run.suppressed
 
 
 # ----------------------------------------------------------------------
@@ -339,180 +322,3 @@ class TestInterproceduralDeterminism:
         assert findings[0].message == (
             "wall-clock 'time.time' used in a virtual-time module; "
             "inject a clock parameter instead")
-
-
-# ----------------------------------------------------------------------
-# content-addressed fact cache
-# ----------------------------------------------------------------------
-class TestFactCache:
-    FILES = {
-        "serving/loop.py": """
-            import time
-
-            def tick():
-                return time.time()
-        """,
-        "core/math.py": """
-            def add(a, b):
-                return a + b
-        """,
-    }
-
-    def _run(self, root: Path, cache_dir: Path):
-        config = AnalysisConfig()
-        cache = FactCache(cache_dir, config_fingerprint=config.fingerprint())
-        project = Project.load([root / "src"], repo_root=root,
-                               defer_parse_for=cache.cached_hashes())
-        return run_analysis(project, config, cache=cache)
-
-    def test_cold_then_warm(self, tmp_path):
-        write_tree(tmp_path, self.FILES)
-        cache_dir = tmp_path / "cache"
-        cold = self._run(tmp_path, cache_dir)
-        assert cold.cache_stats["misses"] > 0
-        assert cold.cache_stats["writes"] > 0
-        warm = self._run(tmp_path, cache_dir)
-        assert warm.cache_stats["misses"] == 0
-        assert warm.cache_stats["hits"] > 0
-        assert ([f.identity() for f in warm.findings]
-                == [f.identity() for f in cold.findings])
-
-    def test_touch_without_change_still_hits(self, tmp_path):
-        write_tree(tmp_path, self.FILES)
-        cache_dir = tmp_path / "cache"
-        self._run(tmp_path, cache_dir)
-        target = tmp_path / "src" / "repro" / "core" / "math.py"
-        target.write_text(target.read_text())  # same bytes, new mtime
-        warm = self._run(tmp_path, cache_dir)
-        assert warm.cache_stats["misses"] == 0
-
-    def test_content_change_invalidates_one_file(self, tmp_path):
-        write_tree(tmp_path, self.FILES)
-        cache_dir = tmp_path / "cache"
-        cold = self._run(tmp_path, cache_dir)
-        target = tmp_path / "src" / "repro" / "core" / "math.py"
-        target.write_text(target.read_text()
-                          + "\n\ndef sub(a, b):\n    return a - b\n")
-        warm = self._run(tmp_path, cache_dir)
-        # Exactly the edited file re-analyzes; every other blob hits.
-        assert warm.cache_stats["misses"] == 1
-        assert warm.cache_stats["hits"] > 0
-        assert ([f.identity() for f in warm.findings]
-                == [f.identity() for f in cold.findings])
-
-    def test_config_change_invalidates_everything(self, tmp_path):
-        write_tree(tmp_path, self.FILES)
-        cache_dir = tmp_path / "cache"
-        cold = self._run(tmp_path, cache_dir)
-        changed = AnalysisConfig(virtual_time_modules=("nowhere/*.py",))
-        assert changed.fingerprint() != AnalysisConfig().fingerprint()
-        cache = FactCache(cache_dir,
-                          config_fingerprint=changed.fingerprint())
-        project = Project.load([tmp_path / "src"], repo_root=tmp_path,
-                               defer_parse_for=cache.cached_hashes())
-        run = run_analysis(project, changed, cache=cache)
-        # No entry written under the old fingerprint is served: every
-        # unique content blob misses again, exactly like a cold run.
-        assert run.cache_stats["misses"] == cold.cache_stats["misses"]
-
-
-# ----------------------------------------------------------------------
-# --fix
-# ----------------------------------------------------------------------
-class TestFixMode:
-    RACE_TREE = {
-        "serving/jobs.py": """
-            from concurrent.futures import ThreadPoolExecutor
-
-            RESULTS = {}
-
-            def worker(item):
-                RESULTS[item] = item * 2
-
-            def fan_out(items):
-                with ThreadPoolExecutor() as pool:
-                    for item in items:
-                        pool.submit(worker, item)
-        """,
-    }
-
-    def test_dry_run_prints_diff_and_writes_nothing(self, tmp_path):
-        write_tree(tmp_path, self.RACE_TREE)
-        target = tmp_path / "src" / "repro" / "serving" / "jobs.py"
-        before = target.read_text()
-        result = run_cli(["src", "--no-baseline", "--fix", "--dry-run"],
-                         cwd=tmp_path)
-        assert result.returncode == 0
-        assert "--- a/" in result.stdout and "+++ b/" in result.stdout
-        assert "allow[race-discipline]" in result.stdout
-        assert "would fix 1 finding(s)" in result.stdout
-        assert target.read_text() == before
-
-    def test_fix_inserts_pragma_and_is_idempotent(self, tmp_path):
-        write_tree(tmp_path, self.RACE_TREE)
-        gate = run_cli(["src", "--no-baseline", "--no-cache"], cwd=tmp_path)
-        assert gate.returncode == 1
-        fixed = run_cli(["src", "--no-baseline", "--fix"], cwd=tmp_path)
-        assert fixed.returncode == 0
-        target = tmp_path / "src" / "repro" / "serving" / "jobs.py"
-        assert "# repro: allow[race-discipline] -- TODO" in target.read_text()
-        regate = run_cli(["src", "--no-baseline", "--no-cache"], cwd=tmp_path)
-        assert regate.returncode == 0
-        again = run_cli(["src", "--no-baseline", "--fix"], cwd=tmp_path)
-        assert "fixed 0 finding(s)" in again.stdout
-        assert "# repro: allow[race-discipline] -- TODO" in target.read_text()
-
-    def test_fix_rewrites_schema_literal_to_constant(self, tmp_path):
-        write_tree(tmp_path, {
-            "obs/export.py": """
-                def dump():
-                    return {"schema": "repro.obs.metrics/v1", "rows": []}
-            """,
-        })
-        result = run_cli(["src", "--no-baseline", "--fix"], cwd=tmp_path)
-        assert result.returncode == 0
-        text = (tmp_path / "src" / "repro" / "obs" / "export.py").read_text()
-        assert '"repro.obs.metrics/v1"' not in text
-        assert "schemas.OBS_METRICS" in text
-        assert "from repro import schemas" in text
-        regate = run_cli(["src", "--no-baseline", "--no-cache"], cwd=tmp_path)
-        assert regate.returncode == 0
-
-    def test_fix_removes_dead_shim_parameter(self, tmp_path):
-        # shim-drift's "accepts X but never forwards it" finding: the shim
-        # takes keep_images but drops it on the floor.
-        write_tree(tmp_path, {
-            "experiments/harness.py": """
-                from .runner import run_experiment
-
-                def legacy_table(model_name, config_labels=None,
-                                 keep_images=False, store=None):
-                    return run_experiment(model_name, config_labels,
-                                          store=store)
-            """,
-            "experiments/runner.py": """
-                def run_experiment(model_name, config_labels=None,
-                                   store=None):
-                    return (model_name, config_labels, store)
-            """,
-        })
-        config = tmp_path / "analysis.json"
-        config.write_text(json.dumps({"shim_pairs": [
-            {"shim": "experiments.harness.legacy_table",
-             "replacement": "experiments.runner.run_experiment",
-             "exempt": []},
-        ]}))
-        gate = run_cli(["src", "--no-baseline", "--rules", "shim-drift",
-                        "--config", str(config)], cwd=tmp_path)
-        assert gate.returncode == 1
-        assert "never forwards it" in gate.stdout
-        result = run_cli(["src", "--no-baseline", "--rules", "shim-drift",
-                          "--config", str(config), "--fix"], cwd=tmp_path)
-        assert result.returncode == 0
-        text = (tmp_path / "src" / "repro" / "experiments"
-                / "harness.py").read_text()
-        assert "keep_images" not in text.split("def legacy_table")[1] \
-            .split(")")[0]
-        regate = run_cli(["src", "--no-baseline", "--rules", "shim-drift",
-                          "--config", str(config)], cwd=tmp_path)
-        assert regate.returncode == 0

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -31,6 +34,8 @@ from repro.models import DiffusionModel
 from repro.tensor import Tensor, inference_mode, is_grad_enabled, is_inference_mode
 
 from tiny_factories import make_tiny_spec
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
 
 
 class FakeClock:
@@ -121,6 +126,21 @@ def test_registry_pair_validation():
     with pytest.raises(ValueError):
         register_workload("test.badarm", lambda: (lambda: 0), pair="p",
                           arm="sideways")
+
+
+def test_ci_suite_matches_committed_baseline():
+    """Every ``ci`` workload has a baseline entry and vice versa.
+
+    The comparison labels a renamed or deleted workload ``new``/``missing``
+    without failing, so a drift here would otherwise go unnoticed.
+    """
+    import repro.bench.workloads  # noqa: F401  (registers the built-ins)
+
+    baseline = json.loads(
+        (REPO_ROOT / "benchmarks" / "baselines" / "bench_baseline.json")
+        .read_text())
+    suite = {workload.name for workload in workloads_for_suite("ci")}
+    assert suite == set(baseline["workloads"])
 
 
 # ----------------------------------------------------------------------
@@ -295,6 +315,52 @@ def test_inference_mode_outputs_bit_identical_to_grad_path():
     assert np.array_equal(grad_out, fast_out)
 
 
+def _reference_ddim_step(x, eps, alpha_bar, alpha_bar_prev):
+    x0_pred = (x - np.sqrt(1.0 - alpha_bar) * eps) / np.sqrt(alpha_bar)
+    direction = np.sqrt(max(1.0 - alpha_bar_prev, 0.0)) * eps
+    return (np.sqrt(alpha_bar_prev) * x0_pred + direction).astype(np.float32)
+
+
+def _reference_sampler_loop(plan: GenerationPlan, model, schedule, noise):
+    """Reference trajectory: grad-enabled forwards, fresh arrays per step."""
+    shape = noise.shape
+    x = noise.copy()
+    rng = np.random.default_rng(1)
+    if plan.sampler == "ddpm":
+        for t in reversed(range(schedule.num_timesteps)):
+            t_batch = np.full((shape[0],), t, dtype=np.int64)
+            eps = model(Tensor(x), t_batch, context=None).data
+            alpha = schedule.alphas[t]
+            alpha_bar = schedule.alphas_bar[t]
+            beta = schedule.betas[t]
+            mean = (x - beta / np.sqrt(1.0 - alpha_bar) * eps) / np.sqrt(alpha)
+            if t > 0:
+                step_noise = rng.standard_normal(shape).astype(np.float32)
+                x = mean + np.sqrt(beta) * step_noise
+            else:
+                x = mean
+            x = x.astype(np.float32)
+        return x
+    sampler = plan.build_sampler(schedule, plan.num_steps)
+    timesteps = sampler.timesteps
+    for index, t in enumerate(timesteps):
+        t_batch = np.full((shape[0],), t, dtype=np.int64)
+        eps = model(Tensor(x), t_batch, context=None).data
+        alpha_bar = schedule.alphas_bar[t]
+        prev_t = timesteps[index + 1] if index + 1 < len(timesteps) else -1
+        if plan.sampler == "dpm2" and prev_t >= 0:
+            alpha_bar_prev = schedule.alphas_bar[prev_t]
+            midpoint = _reference_ddim_step(x, eps, alpha_bar, alpha_bar_prev)
+            prev_batch = np.full((shape[0],), prev_t, dtype=np.int64)
+            eps_prev = model(Tensor(midpoint), prev_batch, context=None).data
+            eps = (0.5 * (eps + eps_prev)).astype(np.float32)
+            x = _reference_ddim_step(x, eps, alpha_bar, alpha_bar_prev)
+        else:
+            alpha_bar_prev = schedule.alphas_bar[prev_t] if prev_t >= 0 else 1.0
+            x = _reference_ddim_step(x, eps, alpha_bar, alpha_bar_prev)
+    return x
+
+
 @pytest.mark.parametrize("plan", [
     GenerationPlan(sampler="ddim", num_steps=4),
     GenerationPlan(sampler="ddpm"),
@@ -303,8 +369,6 @@ def test_inference_mode_outputs_bit_identical_to_grad_path():
 def test_sampler_trajectories_bit_identical_to_grad_path(plan):
     """The shipped samplers (inference_mode + buffer reuse) match a
     grad-enabled, allocation-per-step replay of the same trajectory."""
-    from repro.bench.workloads import _legacy_sampler_loop
-
     spec = make_tiny_spec()
     model = DiffusionModel(spec, rng=np.random.default_rng(5))
     pipeline = DiffusionPipeline(model, num_steps=4)
@@ -312,8 +376,8 @@ def test_sampler_trajectories_bit_identical_to_grad_path(plan):
     sampler = plan.build_sampler(pipeline.schedule, pipeline.num_steps)
     fast = sampler.sample(model, noise.shape, np.random.default_rng(1),
                           initial_noise=noise.copy())
-    legacy = _legacy_sampler_loop(plan, model, pipeline.schedule, noise)
-    assert np.array_equal(fast, legacy)
+    reference = _reference_sampler_loop(plan, model, pipeline.schedule, noise)
+    assert np.array_equal(fast, reference)
 
 
 @pytest.mark.parametrize("plan", [

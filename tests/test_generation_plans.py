@@ -227,13 +227,10 @@ class TestDefaultPlanBitExact:
 class TestPlanSampling:
     def test_ddpm_reproducible_from_seed(self, uncond_pipeline):
         """The DDPM branch uses the per-batch initial noise (satellite fix)."""
-        a = uncond_pipeline.generate(2, seed=3, batch_size=2, use_ddpm=True)
-        b = uncond_pipeline.generate(2, seed=3, batch_size=2, use_ddpm=True)
+        plan = GenerationPlan(sampler="ddpm")
+        a = uncond_pipeline.generate(2, seed=3, batch_size=2, plan=plan)
+        b = uncond_pipeline.generate(2, seed=3, batch_size=2, plan=plan)
         np.testing.assert_array_equal(a, b)
-        # the boolean shim and the declarative plan agree
-        c = uncond_pipeline.generate(2, seed=3, batch_size=2,
-                                     plan=GenerationPlan(sampler="ddpm"))
-        np.testing.assert_array_equal(a, c)
 
     def test_ddpm_sampler_honors_initial_noise(self, uncond_pipeline):
         schedule = NoiseSchedule.create(uncond_pipeline.spec.train_timesteps)
@@ -514,25 +511,6 @@ class TestPlanAwareServing:
             Request(model="stable-diffusion", num_steps=50, latency_slo=slo))
         assert decision.plan.num_steps < 50
         assert decision.predicted_latency <= slo
-
-    def test_router_legacy_route_shim(self, paper_router):
-        predictions = paper_router.predictions("stable-diffusion", 50)
-        tight = 0.5 * (predictions["fp4"] + predictions["fp8"])
-        assert paper_router.route(Request(model="stable-diffusion",
-                                          num_steps=50,
-                                          latency_slo=tight)) == "fp4"
-
-    def test_route_shim_never_relies_on_step_reduction(self, paper_router):
-        """route() callers generate at full steps, so the shim must answer
-        for the requested budget even when decide() would cut steps."""
-        predictions = paper_router.predictions("stable-diffusion", 50)
-        slo = 0.9 * min(predictions.values())   # nothing fits at full budget
-        request = Request(model="stable-diffusion", num_steps=50,
-                          latency_slo=slo)
-        assert paper_router.route(request) == \
-            min(predictions, key=predictions.get)
-        decision = paper_router.decide(request)
-        assert decision.plan.num_steps < 50     # 2D policy still cuts steps
 
     def test_engine_serves_and_batches_by_plan(self, text_pipeline,
                                                paper_router):

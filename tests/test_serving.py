@@ -225,32 +225,32 @@ def test_scheme_latency_predictions_order_by_precision(paper_costs_router):
 
 def test_router_serves_best_quality_with_headroom(paper_costs_router):
     request = _request(latency_slo=None, num_steps=50)
-    assert paper_costs_router.route(request) == "fp32"
+    assert paper_costs_router.decide(request).scheme == "fp32"
     loose = slo_for_tier(paper_costs_router, "stable-diffusion", 50, "loose")
-    assert paper_costs_router.route(_request(latency_slo=loose,
-                                             num_steps=50)) == "fp32"
+    assert paper_costs_router.decide(_request(
+        latency_slo=loose, num_steps=50)).scheme == "fp32"
 
 
 def test_router_picks_cheapest_feasible_scheme_under_tight_slo(paper_costs_router):
     predictions = paper_costs_router.predictions("stable-diffusion", 50)
     # an SLO only the cheapest scheme can meet
     tight = 0.5 * (predictions["fp4"] + predictions["fp8"])
-    assert paper_costs_router.route(_request(latency_slo=tight,
-                                             num_steps=50)) == "fp4"
+    assert paper_costs_router.decide(_request(
+        latency_slo=tight, num_steps=50)).scheme == "fp4"
     # between fp8 and fp32: fp8 is the best quality that fits
     medium = 0.5 * (predictions["fp8"] + predictions["fp32"])
-    assert paper_costs_router.route(_request(latency_slo=medium,
-                                             num_steps=50)) == "fp8"
+    assert paper_costs_router.decide(_request(
+        latency_slo=medium, num_steps=50)).scheme == "fp8"
 
 
 def test_router_degrades_to_fastest_when_infeasible(paper_costs_router):
     impossible = _request(latency_slo=1e-12, num_steps=50)
-    assert paper_costs_router.route(impossible) == "fp4"
+    assert paper_costs_router.decide(impossible).scheme == "fp4"
 
 
 def test_router_respects_explicit_scheme(paper_costs_router):
     pinned = _request(scheme="int8", latency_slo=1e-12, num_steps=50)
-    assert paper_costs_router.route(pinned) == "int8"
+    assert paper_costs_router.decide(pinned).scheme == "int8"
 
 
 # ----------------------------------------------------------------------
