@@ -10,7 +10,8 @@ Examples::
 Writes ``BENCH_<suite>.json`` (override with ``--output``), prints a
 markdown summary (also appended to ``$GITHUB_STEP_SUMMARY`` when set, so CI
 surfaces the table on the run page), and exits non-zero when any workload
-regresses more than the threshold against the baseline.
+regresses more than the threshold against the baseline or any pair's
+speedup falls below the ``min_speedup`` it declares.
 """
 
 from __future__ import annotations
@@ -134,10 +135,14 @@ def main(argv=None) -> int:
         with open(step_summary, "a", encoding="utf-8") as handle:
             handle.write(summary)
 
-    status = report["comparison"]["status"]
-    if status == "regression":
-        regressions = ", ".join(report["comparison"]["regressions"])
-        print(f"perf regression(s): {regressions}", file=sys.stderr)
+    comparison = report["comparison"]
+    if comparison["status"] == "regression":
+        if comparison["regressions"]:
+            print(f"perf regression(s): {', '.join(comparison['regressions'])}",
+                  file=sys.stderr)
+        if comparison["slow_pairs"]:
+            print(f"speedup below its floor: "
+                  f"{', '.join(comparison['slow_pairs'])}", file=sys.stderr)
         return 0 if args.no_fail else 1
     return 0
 

@@ -12,6 +12,11 @@ unregressed workloads.  The deliberate trade-off: a change that slows
 machine — which is why the report also carries the pre/fast ``speedups``
 block, an absolute same-run guard on the optimized paths, and why
 ``--no-normalize`` exists for same-machine comparisons.
+
+That guard is a gate of its own: a pair whose same-run speedup falls below
+the ``min_speedup`` it declares is listed in ``slow_pairs`` and fails the
+run, with or without a baseline — a baseline can drift along with a slow
+path, a same-run ratio of the two arms cannot.
 """
 
 from __future__ import annotations
@@ -51,9 +56,14 @@ def compare_reports(current: Dict, baseline: Optional[Dict],
     """
     if threshold < 0:
         raise ValueError(f"threshold must be >= 0, got {threshold}")
+    slow_pairs = sorted(
+        pair for pair, entry in current.get("speedups", {}).items()
+        if entry.get("min_speedup") is not None
+        and entry["speedup"] < entry["min_speedup"])
     if baseline is None:
-        return {"status": "no-baseline", "threshold": threshold,
-                "normalized": False, "verdicts": {}, "regressions": []}
+        return {"status": "regression" if slow_pairs else "no-baseline",
+                "threshold": threshold, "normalized": False, "verdicts": {},
+                "regressions": [], "slow_pairs": slow_pairs}
 
     scale = 1.0
     normalized = False
@@ -103,10 +113,11 @@ def compare_reports(current: Dict, baseline: Optional[Dict],
             verdicts[name] = {"verdict": VERDICT_MISSING}
 
     return {
-        "status": "regression" if regressions else "pass",
+        "status": "regression" if regressions or slow_pairs else "pass",
         "threshold": threshold,
         "normalized": normalized,
         "machine_scale": scale,
         "verdicts": verdicts,
         "regressions": sorted(regressions),
+        "slow_pairs": slow_pairs,
     }

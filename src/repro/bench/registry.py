@@ -7,7 +7,10 @@ the samples.  Workloads declare which suites they belong to (``ci`` is
 what the CI perf gate runs; ``micro``/``macro`` slice it by granularity;
 ``full`` is everything) and optionally pair up as the two *arms* of a
 before/after comparison: ``pair="kernel.conv2d", arm="pre"`` and
-``arm="fast"`` produce a speedup entry in the report.
+``arm="fast"`` produce a speedup entry in the report.  A pair may also
+declare the smallest speedup it must show (``min_speedup``, on either
+arm); the comparison fails a run whose same-run speedup falls below it,
+whatever the baseline says.
 """
 
 from __future__ import annotations
@@ -36,6 +39,8 @@ class Workload:
     repeats: Optional[int] = None        # per-workload override
     warmup: Optional[int] = None
     metadata: Dict = field(default_factory=dict)
+    #: Smallest pre/fast speedup of the pair this workload is an arm of.
+    min_speedup: Optional[float] = None
 
     def build(self) -> Tuple[Callable[[], object], Dict]:
         """Run setup; returns ``(timed_callable, metadata)``."""
@@ -57,6 +62,7 @@ def register_workload(name: str, setup: SetupFn,
                       repeats: Optional[int] = None,
                       warmup: Optional[int] = None,
                       metadata: Optional[Dict] = None,
+                      min_speedup: Optional[float] = None,
                       override: bool = False) -> Workload:
     """Register a workload under ``name``; duplicate names raise."""
     if not name:
@@ -68,9 +74,12 @@ def register_workload(name: str, setup: SetupFn,
         raise ValueError("pair and arm must be given together")
     if arm is not None and arm not in (PRE_ARM, FAST_ARM):
         raise ValueError(f"arm must be '{PRE_ARM}' or '{FAST_ARM}', got {arm!r}")
+    if min_speedup is not None and pair is None:
+        raise ValueError("min_speedup needs a pair to measure a speedup")
     workload = Workload(name=name, setup=setup, suites=tuple(suites),
                         pair=pair, arm=arm, repeats=repeats, warmup=warmup,
-                        metadata=dict(metadata or {}))
+                        metadata=dict(metadata or {}),
+                        min_speedup=min_speedup)
     WORKLOAD_REGISTRY[name] = workload
     return workload
 

@@ -9,7 +9,8 @@ The report is the machine-readable contract of the benchmarking subsystem:
   samples, plus metadata (generation-plan and quantization-config
   fingerprints where applicable);
 * ``speedups`` — one entry per registered pre/fast pair: the before/after
-  delta every optimization in this subsystem is obligated to show up in;
+  delta every optimization in this subsystem is obligated to show up in,
+  next to the ``min_speedup`` the pair declares (if any);
 * ``comparison`` — verdicts against a baseline report (see
   :mod:`repro.bench.compare`).
 """
@@ -176,9 +177,13 @@ def confirm_regressions(results: List[Tuple[Workload, Measurement]],
 def _speedups(results: List[Tuple[Workload, Measurement]]) -> Dict:
     """Pair up pre/fast arms into before/after speedup entries."""
     arms: Dict[str, Dict[str, Measurement]] = {}
+    floors: Dict[str, float] = {}
     for workload, measurement in results:
         if workload.pair is not None:
             arms.setdefault(workload.pair, {})[workload.arm] = measurement
+            if workload.min_speedup is not None:
+                floors[workload.pair] = max(workload.min_speedup,
+                                            floors.get(workload.pair, 0.0))
     speedups: Dict[str, Dict] = {}
     for pair in sorted(arms):
         pre = arms[pair].get(PRE_ARM)
@@ -193,6 +198,8 @@ def _speedups(results: List[Tuple[Workload, Measurement]]) -> Dict:
         macs = fast.metadata.get("macs")
         if macs is not None:
             speedups[pair]["macs"] = macs
+        if pair in floors:
+            speedups[pair]["min_speedup"] = floors[pair]
     return speedups
 
 
@@ -268,14 +275,19 @@ def markdown_summary(report: Dict) -> str:
                      f"| {ratio_text} | {label} |")
     speedups = report.get("speedups", {})
     if speedups:
+        slow = set(comparison.get("slow_pairs", []))
         lines += ["", "### Optimization deltas (pre vs fast path)", "",
-                  "| pair | pre | fast | speedup | MACs |",
-                  "|---|---|---|---|---|"]
+                  "| pair | pre | fast | speedup | min | MACs |",
+                  "|---|---|---|---|---|---|"]
         for pair in sorted(speedups):
             entry = speedups[pair]
             macs = entry.get("macs")
             macs_text = f"{macs / 1e6:.1f}M" if macs is not None else "-"
+            floor = entry.get("min_speedup")
+            floor_text = "-" if floor is None else (
+                f"{floor:.2f}x{' **below**' if pair in slow else ''}")
             lines.append(f"| {pair} | {_format_seconds(entry['pre_s'])} "
                          f"| {_format_seconds(entry['fast_s'])} "
-                         f"| {entry['speedup']:.2f}x | {macs_text} |")
+                         f"| {entry['speedup']:.2f}x | {floor_text} "
+                         f"| {macs_text} |")
     return "\n".join(lines) + "\n"

@@ -21,8 +21,11 @@ Coverage matches what the serving stack actually executes:
   against full precision: the *pre* arm runs the FP32 model, the *fast*
   arm runs the quantized model with packed weights on the accelerated
   backend, where the deep layers run on the integer GEMM kernels.
-  Metadata carries the :class:`~repro.core.QuantizationConfig`
-  fingerprint and the MAC count of one forward.
+  ``int8`` and ``int4`` weights take INT8 activations, ``fp4`` weights
+  the paper's FP8 activations (no rounding learning).  Each pair declares
+  the smallest speedup it must show (``min_speedup``).  Metadata carries
+  the :class:`~repro.core.QuantizationConfig` fingerprint and the MAC
+  count of one forward.
 * ``serving.throughput`` — end-to-end dynamic-batched serving of a small
   deterministic workload through the real engine.
 * ``cluster.sim`` — one fleet-simulator run on the virtual clock.
@@ -91,7 +94,11 @@ def _bench_pipeline() -> DiffusionPipeline:
 
 
 def _quantization_config(scheme: str) -> QuantizationConfig:
-    return QuantizationConfig(weight_dtype=scheme, activation_dtype="int8",
+    """``scheme`` weights with INT8 activations, or with the paper's FP8
+    activations for FP weights (no rounding learning)."""
+    activations = "fp8" if scheme.startswith("fp") else "int8"
+    return QuantizationConfig(weight_dtype=scheme,
+                              activation_dtype=activations,
                               rounding_learning=False).scaled_for_speed()
 
 
@@ -416,14 +423,16 @@ def _setup_qforward(scheme: str, arm: str):
     return setup
 
 
-for _scheme in ("int8", "int4"):
+#: (weight scheme, smallest speedup over FP32 the pair must show).
+_QFORWARD_FLOORS = (("int8", 1.3), ("int4", 1.2), ("fp4", 1.2))
+for _scheme, _floor in _QFORWARD_FLOORS:
     register_workload(f"qforward.{_scheme}.pre", _setup_qforward(_scheme, PRE_ARM),
                       suites=_MACRO, pair=f"qforward.{_scheme}", arm=PRE_ARM,
                       repeats=9)
     register_workload(f"qforward.{_scheme}.fast",
                       _setup_qforward(_scheme, FAST_ARM),
                       suites=_MACRO, pair=f"qforward.{_scheme}", arm=FAST_ARM,
-                      repeats=9)
+                      repeats=9, min_speedup=_floor)
 
 
 # ----------------------------------------------------------------------

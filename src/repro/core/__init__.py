@@ -52,6 +52,7 @@ from .formats import (
 )
 from .fp import (
     calibrate_block_biases,
+    fp_levels,
     fp_scales,
     quantization_mse,
     quantize_fp,
@@ -144,7 +145,8 @@ from .sparsity import (
 __all__ = [
     # formats / fp / int
     "FPFormat", "FP8_ENCODINGS", "FP4_ENCODINGS", "ENCODING_CANDIDATES",
-    "encoding_candidates", "fp_scales", "quantize_fp", "quantize_fp_with_rounding",
+    "encoding_candidates", "fp_levels", "fp_scales", "quantize_fp",
+    "quantize_fp_with_rounding",
     "quantize_fp_blockwise", "calibrate_block_biases",
     "quantization_mse", "IntFormat", "PerChannelIntFormat",
     "calibrate_int_format", "calibrate_int_format_per_channel",

@@ -54,6 +54,20 @@ class FPFormat:
         """Smallest positive representable magnitude (a subnormal step)."""
         return 2.0 ** (1 - self.bias - self.mantissa_bits)
 
+    @property
+    def max_level(self) -> int:
+        """``max_value`` in units of ``min_subnormal``: every grid point is
+        an integer multiple of the subnormal step, at most this many."""
+        return (2 ** (self.mantissa_bits + 1) - 1) * 2 ** (2 ** self.exponent_bits - 2)
+
+    @property
+    def bias_split(self) -> Tuple[int, float]:
+        """``(floor(b), 2**(b - floor(b)))``: the binade of a magnitude
+        ``a`` (``floor(log2 a + b)``) is the binary exponent of
+        ``a * 2**(b - floor(b))`` plus ``floor(b)``."""
+        floor = int(np.floor(self.bias))
+        return floor, 2.0 ** (self.bias - floor)
+
     def with_bias(self, bias: float) -> "FPFormat":
         """Return a copy of this format with a different exponent bias."""
         return replace(self, bias=bias)

@@ -44,6 +44,31 @@ def quantize_fp(values: np.ndarray, fmt: FPFormat) -> np.ndarray:
     return quantized.astype(np.float32)
 
 
+def fp_levels(values: np.ndarray, fmt: FPFormat) -> np.ndarray:
+    """Signed grid levels of :func:`quantize_fp`, in units of the subnormal
+    step ``u = fmt.min_subnormal`` (float64, integer-valued).
+
+    Binade ``e`` has step ``u * 2**(e - 1)`` (the subnormals share ``u``),
+    so every grid point is an integer multiple of ``u`` within
+    ``±fmt.max_level``.  The binade is read from the exponent bits of
+    ``|x| * 2**frac(b)`` rather than from ``log2``, so the integer kernels
+    in :mod:`repro.tensor._ckernels` reproduce these levels bit for bit;
+    where the two binade rules disagree (within float64 rounding of a
+    power of two) both land on the power of two itself.  ``float32(levels
+    * u)`` equals :func:`quantize_fp` of the same values.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    c = fmt.max_value
+    clipped = np.clip(values, -c, c)
+    bias_floor, frac_scale = fmt.bias_split
+    # frexp's exponent is floor(log2 t) + 1 for t > 0; zero gets step u.
+    _, exponent = np.frexp(np.abs(clipped) * frac_scale)
+    shift = np.maximum(exponent + (bias_floor - 2), 0)
+    levels = np.ldexp(np.rint(np.ldexp(clipped / fmt.min_subnormal, -shift)),
+                      shift)
+    return np.clip(levels, -fmt.max_level, fmt.max_level)
+
+
 def quantize_fp_with_rounding(values: np.ndarray, fmt: FPFormat,
                               round_up: np.ndarray) -> np.ndarray:
     """Floating-point quantization with an explicit per-element rounding choice.

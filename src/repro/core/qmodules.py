@@ -17,7 +17,7 @@ differ.
 
 from __future__ import annotations
 
-from typing import Optional, Protocol, runtime_checkable
+from typing import Optional, Protocol, Union, runtime_checkable
 
 import numpy as np
 
@@ -90,18 +90,21 @@ class PackedIntWeight:
     """Integer weight levels in packed byte storage + a memoized float form.
 
     The levels of a uniform-integer-quantized weight tensor fit in one byte
-    each (one nibble at <= 4 bits), so this is the storage the quantized
-    layer wrappers keep and the pickled quantize-stage artifacts ship — an
-    int8 weight costs 1/4 and an int4 weight 1/8 of its float32 simulation
-    (the artifacts still carry the layer's pre-quantization
-    ``original_weight`` for the sparsity analysis, which packing cannot
-    replace).
-    :meth:`dequantize` materializes (and memoizes) the float32 grid values,
+    each (one nibble at <= 4 bits), and so do those of an FP4 weight,
+    whose grid points are signed multiples of its subnormal step (stored
+    on ``IntFormat(scale=step, zero_point=max_level)``).  This is the
+    storage the quantized layer wrappers keep and the pickled
+    quantize-stage artifacts ship — an int8 or E2M1 weight costs 1/4 and
+    an int4 or E1M2 weight 1/8 of its float32 simulation (the artifacts
+    still carry the layer's pre-quantization ``original_weight`` for the
+    sparsity analysis, which packing cannot replace).
+    :meth:`dequantize` materializes (and memoizes) the float32 grid values:
     bit-identical to :func:`~repro.core.integer.quantize_int` /
     :func:`~repro.core.integer.quantize_int_per_channel` of the original
-    weights, so a served variant pays the dequantization once on first
-    forward instead of re-simulating quantization per forward.  The memo is
-    dropped on pickling.
+    weights, and equal to the served FP4 weight (see
+    :meth:`FPTensorQuantizer.pack_weights`), so a served variant pays the
+    dequantization once on first forward instead of re-simulating
+    quantization per forward.  The memo is dropped on pickling.
     """
 
     def __init__(self, packed: np.ndarray, shape, fmt):
@@ -148,14 +151,23 @@ class PackedIntWeight:
 
     # repro: hot -- weight-only layers dequantize on every forward until memoized
     def dequantize(self) -> np.ndarray:
-        """Memoized float32 grid values of the packed levels."""
+        """Memoized float32 grid values of the packed levels.
+
+        Each of the format's levels is dequantized once, with the
+        arithmetic of ``dequantize_int_levels*``, and the weight gathers
+        its values from that table.
+        """
         if self._dequantized is None:
-            levels = self.levels().astype(np.float64)
+            levels = self.levels()
+            grid = np.arange(self.fmt.num_levels, dtype=np.float64)
             if isinstance(self.fmt, PerChannelIntFormat):
-                dequantized = dequantize_int_levels_per_channel(
-                    levels.reshape(self.shape[0], -1), self.fmt)
+                table = dequantize_int_levels_per_channel(
+                    np.broadcast_to(grid, (self.fmt.num_channels, grid.size)),
+                    self.fmt)
+                dequantized = np.take_along_axis(
+                    table, levels.reshape(self.shape[0], -1), axis=1)
             else:
-                dequantized = dequantize_int_levels(levels, self.fmt)
+                dequantized = dequantize_int_levels(grid, self.fmt)[levels]
             self._dequantized = dequantized.reshape(self.shape)
         return self._dequantized
 
@@ -230,12 +242,14 @@ class TensorQuantizer:
         raise NotImplementedError
 
     def pack_weights(self, values: np.ndarray) -> Optional[PackedIntWeight]:
-        """Packed storage for a weight tensor, when the format supports it.
+        """Packed storage for a quantized weight tensor, when the format
+        supports it.
 
-        Returns ``None`` for formats without an integer level grid (the
-        float schemes keep their float32 simulation); integer quantizers
-        return a :class:`PackedIntWeight` whose ``dequantize()`` is
-        bit-identical to :meth:`quantize` of the same values.
+        ``values`` is the weight the layer serves (already on this
+        quantizer's grid).  Returns ``None`` for formats without a level
+        grid of at most 8 bits (FP8, block FP and FP32 keep their float32
+        simulation); the others return a :class:`PackedIntWeight` whose
+        ``dequantize()`` reproduces ``values``.
         """
         return None
 
@@ -261,6 +275,33 @@ class FPTensorQuantizer(TensorQuantizer):
 
     def quantize(self, values: np.ndarray) -> np.ndarray:
         return quantize_fp(values, self.fmt)
+
+    def pack_weights(self, values: np.ndarray) -> Optional[PackedIntWeight]:
+        # The grid points are signed multiples of the subnormal step u, so
+        # they pack as integer levels on IntFormat(scale=u, zero_point=L)
+        # with L = max_level: E1M2 (L = 7) as nibbles, E2M1 (L = 12) as
+        # bytes; FP8's levels need more than 8 bits.  ``values`` is on the
+        # grid, so its levels are values / u rounded, which float32 gets
+        # right for levels this small (fp_levels' binade search would find
+        # the same ones at several times the cost).
+        max_level = self.fmt.max_level
+        bitwidth = (2 * max_level).bit_length()
+        if bitwidth > 8:
+            return None
+        unit = self.fmt.min_subnormal
+        levels = np.rint(np.asarray(values, dtype=np.float32) / np.float32(unit))
+        np.clip(levels + np.float32(max_level), 0, 2 * max_level, out=levels)
+        packed = PackedIntWeight(_pack_levels(levels, bitwidth),
+                                 np.shape(values),
+                                 IntFormat(bitwidth, unit, max_level))
+        # Keep only storage that serves the same weight: equal element for
+        # element (a -0.0 comes back as +0.0, which can only flip the sign
+        # of a zero sum).  Off-grid values, or float rounding of u * level
+        # against the grid's own step, would break that; such a weight
+        # stays unpacked.
+        if not np.array_equal(packed.dequantize(), values):
+            return None
+        return packed
 
     def describe(self) -> str:
         return f"FP{self.fmt.bitwidth}({self.fmt.name}, bias={self.fmt.bias:.2f})"
@@ -342,13 +383,13 @@ class BlockFPTensorQuantizer(TensorQuantizer):
 class _QuantizedLayerBase(nn.Module):
     """Shared weight storage of the quantized Conv2d/Linear wrappers.
 
-    With integer schemes the wrapper keeps the weight as a
+    With integer and FP4 schemes the wrapper keeps the weight as a
     :class:`PackedIntWeight` and materializes the float32 simulation from
     it as a memo — at quantization time, and again when an artifact is
     unpickled (the pickle ships only the packed bytes; rebuilding in
     ``__setstate__`` keeps ``named_parameters``/``state_dict`` complete
-    without waiting for a forward).  Float schemes keep the eager float32
-    parameter.
+    without waiting for a forward).  FP8 and block-FP schemes keep the
+    eager float32 parameter.
     """
 
     #: Class-level default so artifacts pickled before packed storage
@@ -375,12 +416,15 @@ class _QuantizedLayerBase(nn.Module):
             self._parameters["weight"] = param
         return param
 
-    def _integer_activations(self) -> Optional[IntFormat]:
-        """The per-tensor integer activation grid, or ``None`` when the
-        activations are not integer-quantized (the integer kernels then
-        decline and the layer takes the float path)."""
+    def _integer_activations(self) -> Union[IntFormat, FPFormat, None]:
+        """The per-tensor activation grid the integer kernels can take —
+        an integer grid, or a floating-point one whose points are integer
+        multiples of its subnormal step — or ``None`` for identity and
+        block-FP activations (the layer then takes the float path)."""
         quantizer = self.activation_quantizer
-        return quantizer.fmt if isinstance(quantizer, IntTensorQuantizer) else None
+        if isinstance(quantizer, (IntTensorQuantizer, FPTensorQuantizer)):
+            return quantizer.fmt
+        return None
 
     def packed_nbytes(self) -> Optional[int]:
         """Bytes of packed weight storage, or None for float schemes."""

@@ -401,9 +401,11 @@ def quantize_model(model: DiffusionModel, pipeline: DiffusionPipeline,
         activation_quantizer = activation_scheme.build_activation_quantizer(
             calibration.concatenated(path), config)
         record.activation_format = activation_quantizer.describe()
-        # Integer formats store the weight as packed levels; the float32
-        # simulation is a memo dequantized from them (bit-identical).
-        packed_weight = weight_quantizer.pack_weights(layer.weight.data)
+        # Integer and FP4 formats store the weight the layer serves as
+        # packed levels; the float32 simulation is a memo dequantized from
+        # them.  Packing the quantized weight (not the original) keeps
+        # learned rounding.
+        packed_weight = weight_quantizer.pack_weights(quantized_weight)
         if packed_weight is not None:
             record.packed_bytes = packed_weight.nbytes
 

@@ -1,44 +1,62 @@
 """Integer GEMM kernels for the accelerated backend, compiled at runtime.
 
-A quantized layer whose weight is stored as packed integer levels and
-whose activations use a per-tensor integer grid of at most 8 bits runs in
-the integer domain on the accelerated backend, as two C calls:
+A quantized layer whose weight is stored as packed levels and whose
+activations use a per-tensor integer grid of at most 8 bits, or a
+floating-point grid whose levels fit int16, runs in the integer domain on
+the accelerated backend, as two C calls:
 
-1. ``quantize_patches`` maps the float32 input to uint8 activation levels
-   with the arithmetic of :func:`repro.core.integer.int_levels` (Eq. 4:
-   ``clip(rint(x / s_a) + z_a, 0, 2^b - 1)`` in float64, so the levels
-   match it bit for bit) and gathers them into the im2col patch matrix in
-   the layout of :func:`repro.tensor.functional._im2col`.  Padding taps
-   get the zero-point level, which stands for the 0.0 the float path pads
-   with.  A linear layer is the 1x1 case.
+1. The input is quantized straight into the im2col patch matrix, in the
+   layout of :func:`repro.tensor.functional._im2col` (a linear layer is
+   the 1x1 case):
+
+   * ``quantize_patches`` maps it to uint8 levels on an integer grid with
+     the arithmetic of :func:`repro.core.integer.int_levels` (Eq. 4:
+     ``clip(rint(x / s_a) + z_a, 0, 2^b - 1)`` in float64, so the levels
+     match it bit for bit).  Padding taps get the zero-point level, which
+     stands for the 0.0 the float path pads with.
+   * ``quantize_fp_patches`` maps it to signed int16 levels on an FP grid
+     (the paper's FP8 E2M5/E3M4, or FP4) with the arithmetic of
+     :func:`repro.core.fp.fp_levels`: every grid point is an integer
+     multiple of the subnormal step ``u = 2^(1-b-M)``, at most 252 (E2M5)
+     or 1984 (E3M4) of them.  The binade comes from the exponent bits of
+     ``|x| * 2^frac(b)`` and the powers of two are built from bits, so
+     the loop vectorizes without a libm call.  Padding is level 0.
+
 2. ``int_gemm`` computes exact int32 dot products of the activation levels
-   against the packed weight levels (uint8, or two nibbles per byte) and
-   applies the affine epilogue
+   against the packed weight levels (uint8, or two nibbles per byte; FP4
+   weights are stored as levels of their own ``u``) and applies the
+   affine epilogue
 
        ``y[m, n] = s_a s_w[n] (sum q_a q_w - z_w[n] sum q_a
                               - z_a sum q_w[n] + K z_a z_w[n]) + bias[n]``
 
    in float64, rounding once to float32.  ``sum q_w[n]`` comes
-   precomputed with the packed weight view.
+   precomputed with the packed weight view; FP activations have
+   ``s_a = u`` and ``z_a = 0``.
 
 The source is plain C that gcc vectorizes: no intrinsics and no threads.
 Weight rows are converted four at a time into a signed-byte buffer —
 uint8 levels as ``(int8_t)(w ^ 0x80)``, with ``128 * sum q_a`` added back
-in the epilogue, and nibbles unpacked — so the inner loop is an
-unsigned-by-signed byte dot product with four independent accumulators,
-which ``gcc -O3 -march=native`` emits as ``vpdpbusd`` on AVX-VNNI CPUs.
+in the epilogue, and nibbles unpacked — and four activation rows at a
+time are dotted against them with sixteen independent accumulators, so
+each weight load serves four rows.  ``gcc -O3 -march=native`` emits the
+uint8 loop as ``vpdpbusd`` and the int16 loop as ``vpdpwssd`` on
+AVX-VNNI CPUs.
 
 Measured with ``python3 perfbench/run.py --workload generate --seed 1``
 on a 2-vCPU AVX-512/VNNI VM (gcc 12, OpenBLAS): p50 wall time of one
 batch-1, 4-step DDIM image of that benchmark's 167 MB U-Net, on the
 accelerated backend.
 
-===========================  =========  =========  =======
-BLAS threads                 INT8/INT8  INT4/INT8  FP32
-===========================  =========  =========  =======
-``OPENBLAS_NUM_THREADS=2``   89 ms      83 ms      191 ms
-``OPENBLAS_NUM_THREADS=1``   85 ms      79 ms      252 ms
-===========================  =========  =========  =======
+===========================  =========  =========  =======  =======
+BLAS threads                 INT8/INT8  INT4/INT8  FP4/FP8  FP32
+===========================  =========  =========  =======  =======
+``OPENBLAS_NUM_THREADS=2``   72 ms      66 ms      82 ms    157 ms
+``OPENBLAS_NUM_THREADS=1``   78 ms      71 ms      88 ms    230 ms
+===========================  =========  =========  =======  =======
+
+(Before the FP path, FP4/FP8 took 203 ms and 279 ms: float32 weights
+through BLAS plus numpy's FP fake-quantization of every activation.)
 
 The shared object is compiled once per machine with the system C compiler
 (``cc``/``gcc``/``clang``, override with ``REPRO_CC``) and cached under
@@ -61,7 +79,7 @@ import subprocess
 import tempfile
 import threading
 from pathlib import Path
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -73,9 +91,9 @@ C_SOURCE = r"""
 #include <string.h>
 
 /* Eq. 4 levels of a contiguous run, in double like int_levels. */
-static void quantize_run(const float *restrict x, uint8_t *restrict q,
-                         ptrdiff_t len, double scale, double zero_point,
-                         double qmax) {
+static void int_levels_run(const float *restrict x, uint8_t *restrict q,
+                           ptrdiff_t len, double scale, double zero_point,
+                           double qmax) {
     for (ptrdiff_t i = 0; i < len; ++i) {
         double v = nearbyint((double)x[i] / scale) + zero_point;
         v = v < 0.0 ? 0.0 : v;
@@ -84,17 +102,51 @@ static void quantize_run(const float *restrict x, uint8_t *restrict q,
     }
 }
 
+/* Signed FP grid levels of a contiguous run in units of the subnormal
+ * step, the arithmetic of fp_levels: clip to the largest magnitude, take
+ * the binade from the exponent bits of |v| * 2^frac(b), round v / unit
+ * to that binade's step.  The powers of two are built from bits too, so
+ * the loop has no libm call and vectorizes. */
+static void fp_levels_run(const float *restrict x, int16_t *restrict q,
+                          ptrdiff_t len, double max_value, double unit,
+                          int64_t bias_floor, double frac_scale,
+                          double max_level) {
+    for (ptrdiff_t i = 0; i < len; ++i) {
+        double v = (double)x[i];
+        v = v > -max_value ? v : -max_value;
+        v = v < max_value ? v : max_value;
+        double t = fabs(v) * frac_scale;
+        uint64_t bits;
+        memcpy(&bits, &t, sizeof bits);
+        /* step = unit * 2^shift, shift = max(binade - 1, 0) */
+        int64_t shift = (int64_t)(bits >> 52) - 1024 + bias_floor;
+        shift = shift > 0 ? shift : 0;
+        uint64_t down_bits = (uint64_t)(1023 - shift) << 52;
+        uint64_t up_bits = (uint64_t)(1023 + shift) << 52;
+        double down, up;
+        memcpy(&down, &down_bits, sizeof down);
+        memcpy(&up, &up_bits, sizeof up);
+        double level = nearbyint(v / unit * down) * up;
+        level = level > -max_level ? level : -max_level;
+        level = level < max_level ? level : max_level;
+        q[i] = (int16_t)(int32_t)level;
+    }
+}
+
 /* One patch row per output position: the levels of every channel's
- * ks x ks window, or the zero-point level where the window overhangs the
- * image.  Inlined per kernel size so the tap loop unrolls. */
+ * ks x ks window, or the padding level where the window overhangs the
+ * image.  Levels are uint8, or int16 when `wide`; inlined per kernel size
+ * and level type so the tap loop unrolls. */
 static inline __attribute__((always_inline)) void gather_patches(
-        const uint8_t *restrict image, uint8_t *restrict cols,
+        const void *restrict image, void *restrict cols,
         ptrdiff_t n, ptrdiff_t c, ptrdiff_t h, ptrdiff_t w,
-        const ptrdiff_t ks, ptrdiff_t stride, ptrdiff_t pad, uint8_t zero) {
+        const ptrdiff_t ks, ptrdiff_t stride, ptrdiff_t pad,
+        const int wide, int32_t pad_level) {
     ptrdiff_t oh = (h + 2 * pad - ks) / stride + 1;
     ptrdiff_t ow = (w + 2 * pad - ks) / stride + 1;
     ptrdiff_t taps[ks * ks];
-    uint8_t *restrict dst = cols;
+    uint8_t *restrict dst8 = cols;
+    int16_t *restrict dst16 = cols;
     for (ptrdiff_t b = 0; b < n; ++b)
         for (ptrdiff_t oy = 0; oy < oh; ++oy)
             for (ptrdiff_t ox = 0; ox < ow; ++ox) {
@@ -105,52 +157,197 @@ static inline __attribute__((always_inline)) void gather_patches(
                         taps[ky * ks + kx] = (iy >= 0 && iy < h && ix >= 0
                                               && ix < w) ? iy * w + ix : -1;
                     }
-                const uint8_t *restrict plane = image + b * c * h * w;
-                for (ptrdiff_t ci = 0; ci < c; ++ci, plane += h * w)
-                    for (ptrdiff_t t = 0; t < ks * ks; ++t)
-                        *dst++ = taps[t] >= 0 ? plane[taps[t]] : zero;
+                if (wide) {
+                    const int16_t *restrict plane =
+                        (const int16_t *)image + b * c * h * w;
+                    for (ptrdiff_t ci = 0; ci < c; ++ci, plane += h * w)
+                        for (ptrdiff_t t = 0; t < ks * ks; ++t)
+                            *dst16++ = taps[t] >= 0 ? plane[taps[t]]
+                                                    : (int16_t)pad_level;
+                } else {
+                    const uint8_t *restrict plane =
+                        (const uint8_t *)image + b * c * h * w;
+                    for (ptrdiff_t ci = 0; ci < c; ++ci, plane += h * w)
+                        for (ptrdiff_t t = 0; t < ks * ks; ++t)
+                            *dst8++ = taps[t] >= 0 ? plane[taps[t]]
+                                                   : (uint8_t)pad_level;
+                }
             }
+}
+
+static inline __attribute__((always_inline)) void gather(
+        const void *image, void *cols,
+        ptrdiff_t n, ptrdiff_t c, ptrdiff_t h, ptrdiff_t w,
+        ptrdiff_t ks, ptrdiff_t stride, ptrdiff_t pad,
+        const int wide, int32_t pad_level) {
+    if (ks == 3)
+        gather_patches(image, cols, n, c, h, w, 3, stride, pad, wide, pad_level);
+    else if (ks == 1)
+        gather_patches(image, cols, n, c, h, w, 1, stride, pad, wide, pad_level);
+    else
+        gather_patches(image, cols, n, c, h, w, ks, stride, pad, wide, pad_level);
 }
 
 /* x: (n, c, h, w) float32.  cols: (n * oh * ow, c * ks * ks) levels, rows
  * ordered (image, oy, ox) and columns (channel, ky, kx).  image: scratch
- * of n * c * h * w bytes for the levels of x.  Padding taps get the
- * zero-point level. */
+ * of n * c * h * w levels of x.  A linear layer's input (h = w = 1) is
+ * its own patch matrix. */
 void quantize_patches(const float *restrict x, uint8_t *restrict image,
                       uint8_t *restrict cols,
                       ptrdiff_t n, ptrdiff_t c, ptrdiff_t h, ptrdiff_t w,
                       ptrdiff_t ks, ptrdiff_t stride, ptrdiff_t pad,
                       double scale, double zero_point, double qmax) {
     if (ks == 1 && stride == 1 && pad == 0 && h * w == 1) {
-        quantize_run(x, cols, n * c, scale, zero_point, qmax);
+        int_levels_run(x, cols, n * c, scale, zero_point, qmax);
         return;
     }
-    quantize_run(x, image, n * c * h * w, scale, zero_point, qmax);
-    /* Only read where pad > 0, which the caller admits only for a zero
-     * point in [0, qmax]; the int32 step keeps other values defined. */
-    uint8_t zero = (uint8_t)(int32_t)zero_point;
-    if (ks == 3)
-        gather_patches(image, cols, n, c, h, w, 3, stride, pad, zero);
-    else if (ks == 1)
-        gather_patches(image, cols, n, c, h, w, 1, stride, pad, zero);
-    else
-        gather_patches(image, cols, n, c, h, w, ks, stride, pad, zero);
+    int_levels_run(x, image, n * c * h * w, scale, zero_point, qmax);
+    /* Padding taps get the zero-point level, which stands for the 0.0 the
+     * float path pads with.  Only read where pad > 0, which the caller
+     * admits only for a zero point in [0, qmax]; the int32 step keeps
+     * other values defined. */
+    gather(image, cols, n, c, h, w, ks, stride, pad, 0, (int32_t)zero_point);
 }
 
-#define ROWS 4
+/* The same for a floating-point grid: int16 levels, padding level 0. */
+void quantize_fp_patches(const float *restrict x, int16_t *restrict image,
+                         int16_t *restrict cols,
+                         ptrdiff_t n, ptrdiff_t c, ptrdiff_t h, ptrdiff_t w,
+                         ptrdiff_t ks, ptrdiff_t stride, ptrdiff_t pad,
+                         double max_value, double unit, int64_t bias_floor,
+                         double frac_scale, double max_level) {
+    if (ks == 1 && stride == 1 && pad == 0 && h * w == 1) {
+        fp_levels_run(x, cols, n * c, max_value, unit, bias_floor,
+                      frac_scale, max_level);
+        return;
+    }
+    fp_levels_run(x, image, n * c * h * w, max_value, unit, bias_floor,
+                  frac_scale, max_level);
+    gather(image, cols, n, c, h, w, ks, stride, pad, 1, 0);
+}
 
-/* a: (m_rows, k) activation levels.  w: (n_rows, k) uint8 levels, or
- * (n_rows, k / 2) nibbles (element 2j low, 2j + 1 high) when `nibbles`.
- * out: (m_rows / spatial, n_rows, spatial) float32 — NCHW for a conv
- * whose patch row m is image m / spatial, position m % spatial.
- * Returns -1 when the scratch buffers cannot be allocated. */
-int int_gemm(const uint8_t *restrict a, const uint8_t *restrict w,
-             float *restrict out,
-             ptrdiff_t m_rows, ptrdiff_t n_rows, ptrdiff_t k,
-             ptrdiff_t spatial, int nibbles,
-             const int64_t *restrict w_sums, const double *restrict w_zps,
-             const double *restrict w_scales,
-             double a_scale, double a_zp, const float *restrict bias) {
+/* Weight rows per block, and activation rows per register tile. */
+#define ROWS 4
+#define TILE 4
+
+static inline __attribute__((always_inline)) int32_t level(
+        const void *restrict a, ptrdiff_t i, const int wide) {
+    return wide ? ((const int16_t *)a)[i] : ((const uint8_t *)a)[i];
+}
+
+/* A weight byte, widened through int16 against int16 levels (gcc then
+ * pairs it with them in vpdpwssd) and directly against bytes
+ * (vpdpbusd). */
+static inline __attribute__((always_inline)) int32_t weight(
+        const int8_t *restrict b, ptrdiff_t i, const int wide) {
+    return wide ? (int16_t)b[i] : b[i];
+}
+
+/* Exact dots of TILE activation rows against the ROWS converted weight
+ * rows: sixteen independent int32 accumulators, so every weight load
+ * serves TILE rows and every activation load ROWS rows.  Specialized
+ * per activation type (wide: int16) by inlining. */
+static inline __attribute__((always_inline)) void dots_tile(
+        const void *restrict a, ptrdiff_t k, const int8_t *restrict b,
+        const int wide, int32_t dots[TILE][ROWS]) {
+    const char *restrict base = a;
+    size_t stride = (size_t)k * (wide ? 2 : 1);
+    const void *restrict a0 = base, *restrict a1 = base + stride,
+               *restrict a2 = base + 2 * stride, *restrict a3 = base + 3 * stride;
+    const int8_t *restrict b0 = b, *restrict b1 = b + k,
+                 *restrict b2 = b + 2 * k, *restrict b3 = b + 3 * k;
+    int32_t c00 = 0, c01 = 0, c02 = 0, c03 = 0, c10 = 0, c11 = 0, c12 = 0,
+            c13 = 0, c20 = 0, c21 = 0, c22 = 0, c23 = 0, c30 = 0, c31 = 0,
+            c32 = 0, c33 = 0;
+    for (ptrdiff_t i = 0; i < k; ++i) {
+        int32_t x0 = level(a0, i, wide), x1 = level(a1, i, wide),
+                x2 = level(a2, i, wide), x3 = level(a3, i, wide);
+        int32_t y0 = weight(b0, i, wide), y1 = weight(b1, i, wide),
+                y2 = weight(b2, i, wide), y3 = weight(b3, i, wide);
+        c00 += x0 * y0; c01 += x0 * y1; c02 += x0 * y2; c03 += x0 * y3;
+        c10 += x1 * y0; c11 += x1 * y1; c12 += x1 * y2; c13 += x1 * y3;
+        c20 += x2 * y0; c21 += x2 * y1; c22 += x2 * y2; c23 += x2 * y3;
+        c30 += x3 * y0; c31 += x3 * y1; c32 += x3 * y2; c33 += x3 * y3;
+    }
+    int32_t tile[TILE][ROWS] = {{c00, c01, c02, c03}, {c10, c11, c12, c13},
+                                {c20, c21, c22, c23}, {c30, c31, c32, c33}};
+    memcpy(dots, tile, sizeof tile);
+}
+
+/* The same for one activation row (the rows past the last full tile). */
+static inline __attribute__((always_inline)) void dots_row(
+        const void *restrict a, ptrdiff_t k, const int8_t *restrict b,
+        const int wide, int32_t dots[ROWS]) {
+    const int8_t *restrict b0 = b, *restrict b1 = b + k,
+                 *restrict b2 = b + 2 * k, *restrict b3 = b + 3 * k;
+    int32_t c0 = 0, c1 = 0, c2 = 0, c3 = 0;
+    for (ptrdiff_t i = 0; i < k; ++i) {
+        int32_t x = level(a, i, wide);
+        c0 += x * weight(b0, i, wide);
+        c1 += x * weight(b1, i, wide);
+        c2 += x * weight(b2, i, wide);
+        c3 += x * weight(b3, i, wide);
+    }
+    dots[0] = c0, dots[1] = c1, dots[2] = c2, dots[3] = c3;
+}
+
+/* Weight rows n0 .. n0 + rows - 1 into the ROWS x k signed-byte buffer,
+ * unused rows zeroed: uint8 levels as w - 128, nibbles as they are. */
+static void load_rows(const uint8_t *restrict w, int8_t *restrict buf,
+                      ptrdiff_t n0, ptrdiff_t rows, ptrdiff_t k,
+                      int nibbles) {
+    ptrdiff_t row_bytes = nibbles ? k / 2 : k;
+    for (ptrdiff_t r = 0; r < ROWS; ++r) {
+        int8_t *restrict row = buf + r * k;
+        if (r >= rows) {
+            memset(row, 0, (size_t)k);
+            continue;
+        }
+        const uint8_t *restrict src = w + (n0 + r) * row_bytes;
+        if (nibbles)
+            for (ptrdiff_t j = 0; j < k / 2; ++j) {
+                row[2 * j] = (int8_t)(src[j] & 0x0F);
+                row[2 * j + 1] = (int8_t)(src[j] >> 4);
+            }
+        else
+            for (ptrdiff_t i = 0; i < k; ++i)
+                row[i] = (int8_t)(src[i] ^ 0x80);
+    }
+}
+
+/* The affine epilogue of patch row m against weight rows n0 .. n0 + rows
+ * - 1, in double, rounded once to float32:
+ *   y = s_a s_w[n] (dot + (shift - z_w[n]) sum q_a - z_a sum q_w[n]
+ *                   + k z_a z_w[n]) + bias[n]
+ * where shift is what load_rows took off the weight levels (128 for
+ * bytes, 0 for nibbles).  Output row m is image m / spatial, position
+ * m % spatial of the NCHW output. */
+static inline __attribute__((always_inline)) void epilogue(
+        const int32_t dots[ROWS], ptrdiff_t m, ptrdiff_t n0, ptrdiff_t rows,
+        float *restrict out, ptrdiff_t n_rows, ptrdiff_t k, ptrdiff_t spatial,
+        double shift, double a_sum, const int64_t *restrict w_sums,
+        const double *restrict w_zps, const double *restrict w_scales,
+        double a_scale, double a_zp, const float *restrict bias) {
+    float *restrict dst = out + (m / spatial * n_rows + n0) * spatial
+                          + m % spatial;
+    for (ptrdiff_t r = 0; r < rows; ++r) {
+        ptrdiff_t n = n0 + r;
+        double zw = w_zps[n];
+        double t = (double)dots[r] + (shift - zw) * a_sum
+                   - a_zp * (double)w_sums[n] + (double)k * a_zp * zw;
+        double y = a_scale * w_scales[n] * t;
+        if (bias != NULL)
+            y += (double)bias[n];
+        dst[r * spatial] = (float)y;
+    }
+}
+
+static inline __attribute__((always_inline)) int gemm(
+        const void *restrict a, const int wide, const uint8_t *restrict w,
+        float *restrict out, ptrdiff_t m_rows, ptrdiff_t n_rows, ptrdiff_t k,
+        ptrdiff_t spatial, int nibbles, const int64_t *restrict w_sums,
+        const double *restrict w_zps, const double *restrict w_scales,
+        double a_scale, double a_zp, const float *restrict bias) {
     int8_t *buf = malloc((size_t)(ROWS * k));
     int32_t *a_sums = malloc((size_t)m_rows * sizeof *a_sums);
     if (buf == NULL || a_sums == NULL) {
@@ -158,69 +355,58 @@ int int_gemm(const uint8_t *restrict a, const uint8_t *restrict w,
         free(a_sums);
         return -1;
     }
+    size_t a_row = (size_t)k * (wide ? 2 : 1);
     for (ptrdiff_t m = 0; m < m_rows; ++m) {
-        const uint8_t *restrict ar = a + m * k;
+        const char *restrict ar = (const char *)a + m * a_row;
         int32_t sum = 0;
         for (ptrdiff_t i = 0; i < k; ++i)
-            sum += ar[i];
+            sum += level(ar, i, wide);
         a_sums[m] = sum;
     }
     double shift = nibbles ? 0.0 : 128.0;
-    ptrdiff_t row_bytes = nibbles ? k / 2 : k;
-    const int8_t *restrict b0 = buf, *restrict b1 = buf + k,
-                 *restrict b2 = buf + 2 * k, *restrict b3 = buf + 3 * k;
     for (ptrdiff_t n0 = 0; n0 < n_rows; n0 += ROWS) {
         ptrdiff_t rows = n_rows - n0 < ROWS ? n_rows - n0 : ROWS;
-        for (ptrdiff_t r = 0; r < ROWS; ++r) {
-            int8_t *restrict row = buf + r * k;
-            if (r >= rows) {
-                memset(row, 0, (size_t)k);
-                continue;
-            }
-            const uint8_t *restrict src = w + (n0 + r) * row_bytes;
-            if (nibbles)
-                for (ptrdiff_t j = 0; j < k / 2; ++j) {
-                    row[2 * j] = (int8_t)(src[j] & 0x0F);
-                    row[2 * j + 1] = (int8_t)(src[j] >> 4);
-                }
-            else
-                for (ptrdiff_t i = 0; i < k; ++i)
-                    row[i] = (int8_t)(src[i] ^ 0x80);
+        load_rows(w, buf, n0, rows, k, nibbles);
+        ptrdiff_t m = 0;
+        for (; m + TILE <= m_rows; m += TILE) {
+            int32_t dots[TILE][ROWS];
+            dots_tile((const char *)a + m * a_row, k, buf, wide, dots);
+            for (ptrdiff_t q = 0; q < TILE; ++q)
+                epilogue(dots[q], m + q, n0, rows, out, n_rows, k, spatial,
+                         shift, a_sums[m + q], w_sums, w_zps, w_scales,
+                         a_scale, a_zp, bias);
         }
-        /* Output row m is image m / spatial, position m % spatial. */
-        float *restrict dst = out + n0 * spatial;
-        ptrdiff_t p = 0;
-        for (ptrdiff_t m = 0; m < m_rows; ++m) {
-            const uint8_t *restrict ar = a + m * k;
-            int32_t c0 = 0, c1 = 0, c2 = 0, c3 = 0;
-            for (ptrdiff_t i = 0; i < k; ++i) {
-                int32_t ai = ar[i];
-                c0 += ai * b0[i];
-                c1 += ai * b1[i];
-                c2 += ai * b2[i];
-                c3 += ai * b3[i];
-            }
-            int32_t dots[ROWS] = {c0, c1, c2, c3};
-            double a_sum = (double)a_sums[m];
-            for (ptrdiff_t r = 0; r < rows; ++r) {
-                ptrdiff_t n = n0 + r;
-                double zw = w_zps[n];
-                double t = (double)dots[r] + (shift - zw) * a_sum
-                           - a_zp * (double)w_sums[n] + (double)k * a_zp * zw;
-                double y = a_scale * w_scales[n] * t;
-                if (bias != NULL)
-                    y += (double)bias[n];
-                dst[r * spatial + p] = (float)y;
-            }
-            if (++p == spatial) {
-                p = 0;
-                dst += n_rows * spatial;
-            }
+        for (; m < m_rows; ++m) {
+            int32_t dots[ROWS];
+            dots_row((const char *)a + m * a_row, k, buf, wide, dots);
+            epilogue(dots, m, n0, rows, out, n_rows, k, spatial, shift,
+                     a_sums[m], w_sums, w_zps, w_scales, a_scale, a_zp, bias);
         }
     }
     free(buf);
     free(a_sums);
     return 0;
+}
+
+/* a: (m_rows, k) activation levels: uint8 on an integer grid, or (wide)
+ * int16 on a floating-point grid, in units of its subnormal step, with
+ * zero point 0.  w: (n_rows, k) uint8 levels, or (n_rows, k / 2) nibbles
+ * (element 2j low, 2j + 1 high) when `nibbles`.  out: (m_rows / spatial,
+ * n_rows, spatial) float32 — NCHW for a conv whose patch row m is image
+ * m / spatial, position m % spatial.  Returns -1 when the scratch buffers
+ * cannot be allocated. */
+int int_gemm(const void *restrict a, int wide, const uint8_t *restrict w,
+             float *restrict out,
+             ptrdiff_t m_rows, ptrdiff_t n_rows, ptrdiff_t k,
+             ptrdiff_t spatial, int nibbles,
+             const int64_t *restrict w_sums, const double *restrict w_zps,
+             const double *restrict w_scales,
+             double a_scale, double a_zp, const float *restrict bias) {
+    if (wide)
+        return gemm(a, 1, w, out, m_rows, n_rows, k, spatial, nibbles,
+                    w_sums, w_zps, w_scales, a_scale, a_zp, bias);
+    return gemm(a, 0, w, out, m_rows, n_rows, k, spatial, nibbles, w_sums,
+                w_zps, w_scales, a_scale, a_zp, bias);
 }
 """
 
@@ -240,7 +426,7 @@ class KernelUnavailable(Exception):
 
 
 class IntKernels:
-    """The two integer kernels of the compiled shared object."""
+    """The integer kernels of the compiled shared object."""
 
     def __init__(self, lib: ctypes.CDLL):
         self._quantize = lib.quantize_patches
@@ -248,8 +434,16 @@ class IntKernels:
                                    + [ctypes.c_ssize_t] * 7
                                    + [ctypes.c_double] * 3)
         self._quantize.restype = None
+        self._quantize_fp = lib.quantize_fp_patches
+        self._quantize_fp.argtypes = ([ctypes.c_void_p] * 3
+                                      + [ctypes.c_ssize_t] * 7
+                                      + [ctypes.c_double] * 2
+                                      + [ctypes.c_int64]
+                                      + [ctypes.c_double] * 2)
+        self._quantize_fp.restype = None
         self._gemm = lib.int_gemm
-        self._gemm.argtypes = ([ctypes.c_void_p] * 3
+        self._gemm.argtypes = ([ctypes.c_void_p, ctypes.c_int]
+                               + [ctypes.c_void_p] * 2
                                + [ctypes.c_ssize_t] * 4 + [ctypes.c_int]
                                + [ctypes.c_void_p] * 3
                                + [ctypes.c_double] * 2 + [ctypes.c_void_p])
@@ -259,38 +453,53 @@ class IntKernels:
                          cols: np.ndarray, kernel_size: int, stride: int,
                          padding: int, scale: float, zero_point: int,
                          bitwidth: int) -> None:
-        """Levels of ``x`` (``(N, C, H, W)`` float32) gathered into the
-        uint8 patch matrix ``cols``; ``image`` is ``x``-shaped uint8
-        scratch."""
-        n, c, h, w = x.shape
-        out_h = (h + 2 * padding - kernel_size) // stride + 1
-        out_w = (w + 2 * padding - kernel_size) // stride + 1
-        if kernel_size < 1 or stride < 1 or padding < 0 or min(out_h, out_w) < 1:
-            raise ValueError(f"no {kernel_size}x{kernel_size} patches of a "
-                             f"{h}x{w} image at stride {stride}, "
-                             f"padding {padding}")
-        _require(x, np.float32, x.shape)
-        _require(image, np.uint8, x.shape)
-        _require(cols, np.uint8, (n * out_h * out_w, c * kernel_size ** 2))
+        """Integer-grid levels of ``x`` (``(N, C, H, W)`` float32) gathered
+        into the uint8 patch matrix ``cols``; ``image`` is ``x``-shaped
+        uint8 scratch."""
+        _require_patches(x, image, cols, np.uint8, kernel_size, stride,
+                         padding)
         self._quantize(x.ctypes.data, image.ctypes.data, cols.ctypes.data,
-                       n, c, h, w, kernel_size, stride, padding,
+                       *x.shape, kernel_size, stride, padding,
                        scale, float(zero_point), float(2 ** bitwidth - 1))
+
+    def quantize_fp_patches(self, x: np.ndarray, image: np.ndarray,
+                            cols: np.ndarray, kernel_size: int, stride: int,
+                            padding: int, max_value: float, unit: float,
+                            bias_split: Tuple[int, float],
+                            max_level: int) -> None:
+        """Floating-point-grid levels of ``x`` in units of ``unit`` (the
+        format's subnormal step; ``bias_split`` and ``max_level`` as on
+        :class:`repro.core.formats.FPFormat`) gathered into the int16
+        patch matrix ``cols``; ``image`` is ``x``-shaped int16 scratch."""
+        if not 0 < max_level < 2 ** 15:
+            raise ValueError(f"FP levels up to {max_level} do not fit int16")
+        _require_patches(x, image, cols, np.int16, kernel_size, stride,
+                         padding)
+        bias_floor, frac_scale = bias_split
+        self._quantize_fp(x.ctypes.data, image.ctypes.data, cols.ctypes.data,
+                          *x.shape, kernel_size, stride, padding,
+                          max_value, unit, bias_floor, frac_scale,
+                          float(max_level))
 
     def int_gemm(self, cols: np.ndarray, packed: np.ndarray, nibbles: bool,
                  level_sums: np.ndarray, zero_points: np.ndarray,
                  scales: np.ndarray, act_scale: float, act_zero_point: int,
                  bias: Optional[np.ndarray], out: np.ndarray) -> None:
         """``out`` (``(N, C_out, L)`` float32, ``L`` patch rows per image)
-        from the ``(M, K)`` levels ``cols`` and packed ``(C_out, ·)``
-        weight levels with per-row ``level_sums`` (int64), ``zero_points``
-        and ``scales`` (float64)."""
+        from the ``(M, K)`` levels ``cols`` — uint8 integer-grid levels, or
+        int16 FP-grid levels, which have no zero point — and packed
+        ``(C_out, ·)`` weight levels with per-row ``level_sums`` (int64),
+        ``zero_points`` and ``scales`` (float64)."""
         m_rows, k = cols.shape
         n_rows, spatial = packed.shape[0], out.shape[-1]
+        wide = cols.dtype == np.int16
         if (nibbles and k % 2) or spatial < 1 or m_rows % spatial:
             raise ValueError(f"int_gemm cannot take K={k} "
                              f"{'nibbles' if nibbles else 'bytes'} into "
                              f"{m_rows} rows of {spatial} positions")
-        _require(cols, np.uint8, (m_rows, k))
+        if wide and act_zero_point:
+            raise ValueError("int16 activation levels have no zero point")
+        _require(cols, np.int16 if wide else np.uint8, (m_rows, k))
         _require(packed, np.uint8, (n_rows, k // 2 if nibbles else k))
         _require(out, np.float32, (m_rows // spatial, n_rows, spatial))
         for per_row, dtype in ((level_sums, np.int64), (zero_points, np.float64),
@@ -298,13 +507,30 @@ class IntKernels:
             if per_row is not None:
                 _require(per_row, dtype, (n_rows,))
         status = self._gemm(
-            cols.ctypes.data, packed.ctypes.data, out.ctypes.data,
+            cols.ctypes.data, int(wide), packed.ctypes.data, out.ctypes.data,
             m_rows, n_rows, k, spatial, int(nibbles),
             level_sums.ctypes.data, zero_points.ctypes.data,
             scales.ctypes.data, act_scale, float(act_zero_point),
             None if bias is None else bias.ctypes.data)
         if status:
             raise MemoryError("int_gemm could not allocate its scratch buffers")
+
+
+def _require_patches(x: np.ndarray, image: np.ndarray, cols: np.ndarray,
+                     dtype, kernel_size: int, stride: int,
+                     padding: int) -> None:
+    """Refuse a patch geometry with no output, or buffers that do not fit
+    it."""
+    n, c, h, w = x.shape
+    out_h = (h + 2 * padding - kernel_size) // stride + 1
+    out_w = (w + 2 * padding - kernel_size) // stride + 1
+    if kernel_size < 1 or stride < 1 or padding < 0 or min(out_h, out_w) < 1:
+        raise ValueError(f"no {kernel_size}x{kernel_size} patches of a "
+                         f"{h}x{w} image at stride {stride}, "
+                         f"padding {padding}")
+    _require(x, np.float32, x.shape)
+    _require(image, dtype, x.shape)
+    _require(cols, dtype, (n * out_h * out_w, c * kernel_size ** 2))
 
 
 def _require(array: np.ndarray, dtype, shape: tuple) -> None:

@@ -15,15 +15,17 @@ ship:
 ``accelerated`` (opt-in)
     Inherits the reference arithmetic for float GEMMs — numpy's BLAS
     (OpenBLAS) is already a blocked, cache-tiled GEMM, which no pure-
-    Python tiling can beat — and runs **integer-quantized layers on
-    integer arithmetic**: a layer whose weight is a
-    :class:`PackedLevelsView` of integer levels and whose activations use
-    a per-tensor integer grid quantizes its input straight into a uint8
-    patch matrix and takes exact int32 dot products against the packed
-    levels, so int8 reads 1/4 and int4 1/8 of the float weight's bytes
-    and does byte arithmetic instead of float arithmetic.  Engages only
-    in inference mode, within measured gates on the output rows and the
-    weight size; everything else declines to the reference path.
+    Python tiling can beat — and runs **quantized layers on integer
+    arithmetic**: a layer whose weight is a :class:`PackedLevelsView` of
+    integer levels (INT8/INT4, or FP4 as levels of its subnormal step)
+    and whose activations use a per-tensor integer grid, or an FP grid
+    whose levels fit int16 (the paper's FP8), quantizes its input straight
+    into a uint8 or int16 patch matrix and takes exact int32 dot products
+    against the packed levels, so int8 and E2M1 weights read 1/4 and int4
+    and E1M2 weights 1/8 of the float weight's bytes, and it does integer
+    arithmetic instead of float arithmetic.  Engages only in inference
+    mode, within measured gates on the output rows and the weight size;
+    everything else declines to the reference path.
     Outputs accumulate exactly and round once to float32, and are
     therefore **tolerance-bounded** against the reference (float32
     fake-quantize, then BLAS), not bit-identical — see the kernel table
@@ -193,8 +195,10 @@ class ComputeBackend:
         ``x`` is the unquantized ``(N, C, H, W)`` float32 input (a linear
         layer passes ``(M, K, 1, 1)``), ``view`` the packed ``(C_out, K)``
         weight levels with ``K = C * kernel_size**2``, and ``act_format``
-        the per-tensor integer activation grid (``bitwidth``, ``scale``,
-        ``zero_point``, as :class:`repro.core.integer.IntFormat`).
+        the per-tensor activation grid: an integer grid (``bitwidth``,
+        ``scale``, ``zero_point``, as :class:`repro.core.integer.IntFormat`)
+        or a floating-point one (as :class:`repro.core.formats.FPFormat`,
+        whose grid points are integer multiples of its subnormal step).
         Returns the ``(N, C_out, H_out, W_out)`` float32 output of
         quantizing ``x`` onto that grid and convolving it with the
         dequantized weight, or ``None`` when the backend declines (the
@@ -259,21 +263,28 @@ class AcceleratedBackend(ComputeBackend):
     its own packing workspaces, and a Python-level re-tiling of it only
     loses.  What this backend adds is :meth:`fused_int_gemm`: when a
     product with at most ``_FUSED_MAX_M`` output rows hits a packed
-    integer weight of at least ``_FUSED_MIN_WEIGHT`` elements and the
-    activations use an integer grid, two kernels from
+    weight of at least ``_FUSED_MIN_WEIGHT`` elements, two kernels from
     :mod:`repro.tensor._ckernels` quantize the input straight into a
-    uint8 patch matrix and take exact int32 dot products against the
-    packed levels, with the affine correction and the bias applied in
-    the kernel.  Neither the float32 weight nor the fake-quantized float
-    input is materialized.
+    patch matrix of activation levels and take exact int32 dot products
+    against the packed levels, with the affine correction and the bias
+    applied in the kernel.  Integer activation grids give a uint8 patch
+    matrix; floating-point grids (the paper's FP8, or FP4) give signed
+    int16 levels in units of the format's subnormal step.  Packed weights
+    are integer levels, or FP4 levels in that unit.  Neither the float32
+    weight nor the fake-quantized float input is materialized.
 
-    Declined (``None``, reference path): activation grids wider than 8
-    bits; reduction depths whose int32 accumulator could overflow
-    (``K * 255 * 128 >= 2**31`` for byte levels, ``K * 255 * 15`` for
-    nibbles); padded convolutions whose activation zero point has no
-    level (the padded 0.0 could not be represented, which happens when
-    calibration saw only positive or only negative values); and any
-    product when the kernels are unavailable.
+    Declined (``None``, reference path): integer activation grids wider
+    than 8 bits; FP activation formats whose levels exceed int16 (E4M3,
+    E5M2); reduction depths whose int32 accumulator could overflow
+    (``K * max|q_a| * 128 >= 2**31`` for byte weight levels and
+    ``K * max|q_a| * 15`` for nibbles, with ``max|q_a|`` 255 for uint8
+    levels and the format's ``max_level`` for FP ones — E2M5 252, E3M4
+    1984); padded convolutions whose integer activation zero point has
+    no level (the padded 0.0 could not be represented, which happens when
+    calibration saw only positive or only negative values; an FP grid
+    always has level 0); and any product when the kernels are
+    unavailable.  Layers without a packed weight — FP8 and block-FP
+    weights — never reach this method.
 
     Tolerance: exact integer accumulation and one float32 rounding,
     against the reference's float32 fake-quantized operands and BLAS
@@ -284,49 +295,63 @@ class AcceleratedBackend(ComputeBackend):
 
     #: The gates, measured per product through the full layer call on a
     #: 2-vCPU AVX-512/VNNI VM: integer-path time over declined-path time
-    #: (fake-quantize, then BLAS on the float weight memo), int8 and int4
-    #: weights; below 1 the integer path wins.
+    #: (fake-quantize, then BLAS on the float weight memo) for INT8/INT8,
+    #: INT4/INT8 and FP4/FP8 (E1M2 weights, E2M5 activations) layers;
+    #: below 1 the integer path wins.
     #:
-    #:   =====================  ===========  ===========
-    #:   product: M, N x K      1 thread     2 threads
-    #:   =====================  ===========  ===========
-    #:   1, 512 x 4608          0.31  0.21   0.04* 0.36
-    #:   4, 512 x 4608          0.16  0.13   0.25  0.08*
-    #:   16, 512 x 4608         0.27  0.24   0.08* 0.26
-    #:   64, 512 x 4608         0.44  0.41   0.54  0.45
-    #:   256, 512 x 4608        0.55  0.52   0.47  0.32
-    #:   1024, 128 x 1152       0.40  0.42   0.18  0.44
-    #:   64, 64 x 27            1.64  --     1.93  --
-    #:   64, 64 x 144           0.94  0.98   0.94  1.03
-    #:   1, 64 x 256            1.25  1.32   1.25  1.23
-    #:   64, 64 x 288           0.54  0.61   0.59  0.55
-    #:   4, 64 x 576            0.62  0.63   0.67  0.62
-    #:   64, 64 x 576           0.33  0.37   0.39  0.33
-    #:   1, 512 x 256           0.90  0.70   1.01  0.82
-    #:   =====================  ===========  ===========
+    #:   =====================  ================  ================
+    #:   product: M, N x K      1 thread          2 threads
+    #:                          int8 int4 fp4     int8 int4 fp4
+    #:   =====================  ================  ================
+    #:   1, 512 x 4608          0.40 0.29 0.34    0.61 0.50 0.52
+    #:   4, 512 x 4608          0.13 0.10 0.11    0.20 0.16 0.19
+    #:   16, 512 x 4608         0.19 0.18 0.26    0.30 0.22 0.37
+    #:   64, 512 x 4608         0.25 0.27 0.38    0.38 0.43 0.53
+    #:   256, 512 x 4608        0.29 0.28 0.60    0.49 0.53 0.77
+    #:   1024, 128 x 1152       0.33 0.38 0.50    0.41 0.42 0.61
+    #:   64, 64 x 27            2.01 --   --      2.19 --   --
+    #:   64, 64 x 144           1.12 1.08 0.91    0.88 1.05 0.91
+    #:   1, 64 x 256            1.69 1.65 1.08    1.56 1.61 1.06
+    #:   64, 64 x 288           0.57 0.60 0.56    0.52 0.59 0.55
+    #:   4, 64 x 576            1.08 0.82 0.63    0.83 0.84 0.68
+    #:   64, 64 x 576           0.38 0.40 0.47    0.41 0.53 0.36
+    #:   1, 512 x 256           1.28 1.42 0.98    1.25 1.31 0.93
+    #:   =====================  ================  ================
     #:
-    #: (* the declined 2-thread BLAS call stalled waking its second
-    #: thread; -- odd K has no nibble view.)  The integer path wins at
-    #: every M measured, so the row gate is the largest M measured.  Below
-    #: one 64-channel 3x3 conv's weight (64 x 576) the fixed cost of the
-    #: two kernel calls ties or loses against a cache-resident BLAS
-    #: product.
+    #: (-- odd K has no nibble view.)  On large weights the integer path
+    #: wins at every M measured, so the row gate is the largest M
+    #: measured.  Below one 64-channel 3x3 conv's weight (64 x 576) the
+    #: fixed cost of the two kernel calls ties or loses against a
+    #: cache-resident BLAS product.  Just above it, skinny products still
+    #: tie or lose for integer activations (4, 64 x 576 and the GEMV of a
+    #: 512 x 256 linear layer): the fixed Python cost of the fused call
+    #: outweighs the weight bytes saved.  The FP path loses less on small
+    #: products, because its declined path pays numpy's FP
+    #: fake-quantization, but no product below the weight gate wins
+    #: clearly enough to give it gates of its own.
     _FUSED_MAX_M = 1024
     _FUSED_MIN_WEIGHT = 36864
 
-    _WORKSPACE_LIMIT = 32
+    #: Scratch buffers kept per thread.  One image of the ``generate``
+    #: benchmark's U-Net touches 33 of them (level images and patch
+    #: matrices) per activation dtype, 1.8 MB for both dtypes, so 80 keeps
+    #: an integer and an FP variant resident side by side with room to
+    #: spare; fewer would evict in a cycle and miss on every call.
+    _WORKSPACE_LIMIT = 80
 
     def __init__(self):
         self._workspaces = threading.local()
 
     def _workspace(self, key: tuple, shape: tuple, dtype) -> np.ndarray:
-        """Bounded per-thread scratch cache (mirrors functional's)."""
+        """Bounded per-thread scratch cache (mirrors functional's), keyed
+        by dtype as well, so uint8 and int16 levels of one shape coexist."""
         cache = getattr(self._workspaces, "arrays", None)
         if cache is None:
             cache = OrderedDict()
             self._workspaces.arrays = cache
+        key = key + (np.dtype(dtype).char,)
         array = cache.get(key)
-        if array is None or array.shape != shape or array.dtype != dtype:
+        if array is None or array.shape != shape:
             array = np.empty(shape, dtype=dtype)
             cache[key] = array
             while len(cache) > self._WORKSPACE_LIMIT:
@@ -338,12 +363,18 @@ class AcceleratedBackend(ComputeBackend):
     def _engages(self, m_rows: int, view: PackedLevelsView, act_format,
                  padding: int) -> bool:
         n_rows, k = view.shape
-        levels = 2 ** act_format.bitwidth
+        if m_rows > self._FUSED_MAX_M or n_rows * k < self._FUSED_MIN_WEIGHT:
+            return False
+        # The int32 accumulator holds K * max|q_a| * max|q_w| (bytes enter
+        # the dots as w - 128, nibbles as they are).
         weight_max = 128 if view.bitwidth > 4 else 15
-        return (m_rows <= self._FUSED_MAX_M
-                and n_rows * k >= self._FUSED_MIN_WEIGHT
-                and levels <= 256
-                and k * 255 * weight_max < 2 ** 31  # int32 accumulator
+        if _is_fp_grid(act_format):
+            max_level = act_format.max_level  # int16 levels, zero point 0
+            return (max_level < 2 ** 15
+                    and k * max_level * weight_max < 2 ** 31)
+        levels = 2 ** act_format.bitwidth
+        return (levels <= 256
+                and k * 255 * weight_max < 2 ** 31
                 and (not padding or 0 <= act_format.zero_point < levels))
 
     # repro: hot -- the quantized-layer product of every integer forward
@@ -362,20 +393,36 @@ class AcceleratedBackend(ComputeBackend):
             return None
         n_rows, k = view.shape
         x = np.ascontiguousarray(x, dtype=np.float32)
-        image = self._workspace(("image", n, c, h, w), (n, c, h, w), np.uint8)
-        cols = self._workspace(("cols", m_rows, k), (m_rows, k), np.uint8)
-        kernels.quantize_patches(x, image, cols, kernel_size, stride, padding,
-                                 act_format.scale, act_format.zero_point,
-                                 act_format.bitwidth)
+        fp_grid = _is_fp_grid(act_format)
+        dtype = np.int16 if fp_grid else np.uint8
+        image = self._workspace(("image", n, c, h, w), (n, c, h, w), dtype)
+        cols = self._workspace(("cols", m_rows, k), (m_rows, k), dtype)
+        if fp_grid:
+            act_scale, act_zero_point = act_format.min_subnormal, 0
+            kernels.quantize_fp_patches(
+                x, image, cols, kernel_size, stride, padding,
+                act_format.max_value, act_scale, act_format.bias_split,
+                act_format.max_level)
+        else:
+            act_scale, act_zero_point = act_format.scale, act_format.zero_point
+            kernels.quantize_patches(x, image, cols, kernel_size, stride,
+                                     padding, act_scale, act_zero_point,
+                                     act_format.bitwidth)
         out = np.empty((n, n_rows, out_h, out_w), dtype=np.float32)
         if bias is not None:
             bias = np.ascontiguousarray(bias, dtype=np.float32)
         kernels.int_gemm(cols, view.packed, view.bitwidth <= 4,
                          view.level_sums, view.zero_points, view.scales,
-                         act_format.scale, act_format.zero_point, bias,
+                         act_scale, act_zero_point, bias,
                          out.reshape(n, n_rows, out_h * out_w))
         _add_macs(m_rows * n_rows * k)
         return out
+
+
+def _is_fp_grid(act_format) -> bool:
+    """Whether an activation grid is floating point (an ``FPFormat``;
+    duck-typed, the tensor layer does not import :mod:`repro.core`)."""
+    return hasattr(act_format, "mantissa_bits")
 
 
 # ----------------------------------------------------------------------

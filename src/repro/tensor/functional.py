@@ -210,14 +210,15 @@ def fused_linear(x: Tensor, storage, bias: Optional[Tensor] = None,
     """Integer-domain linear layer straight from packed weight storage.
 
     ``x`` is the *unquantized* input and ``act_format`` its per-tensor
-    integer grid (``None`` when the activations are not integer);
-    ``storage`` is a ``QuantizedStorage`` (see :mod:`repro.core.qmodules`)
-    whose :meth:`packed_view` levels go to the active backend's integer
-    GEMM as the 1x1 case of :func:`fused_conv2d`.  Returns ``None``
-    whenever that path does not apply — outside inference mode, without
-    an integer activation grid, when the storage has no row-aligned view,
-    or when the backend declines — and the caller falls back to
-    fake-quantizing ``x`` and the dequantized :func:`linear` path.
+    integer or floating-point grid (``None`` when the activations have
+    neither); ``storage`` is a ``QuantizedStorage`` (see
+    :mod:`repro.core.qmodules`) whose :meth:`packed_view` levels go to the
+    active backend's integer GEMM as the 1x1 case of
+    :func:`fused_conv2d`.  Returns ``None`` whenever that path does not
+    apply — outside inference mode, without an activation grid, when the
+    storage has no row-aligned view, or when the backend declines — and
+    the caller falls back to fake-quantizing ``x`` and the dequantized
+    :func:`linear` path.
     """
     if act_format is None or not is_inference_mode():
         return None

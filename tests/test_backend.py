@@ -5,9 +5,10 @@ The contract under test (see ``src/repro/tensor/backend.py``):
 * the ``reference`` backend is bit-identical to the plain numpy
   spellings it replaced, for every kernel of the contract;
 * the ``accelerated`` backend's integer GEMM quantizes activations with
-  the exact arithmetic of ``int_levels``, accumulates exact integer dot
-  products, and matches the reference fake-quantize-then-GEMM within its
-  documented tolerance (one float32 rounding against float32 operands
+  the exact arithmetic of ``int_levels`` (integer grids) or ``fp_levels``
+  (FP grids, in units of the subnormal step), accumulates exact integer
+  dot products, and matches the reference fake-quantize-then-GEMM within
+  its documented tolerance (one float32 rounding against float32 operands
   and BLAS order), across schemes and shapes;
 * every product the integer kernels cannot take — guards, gates,
   weight-only layers, no kernels — declines to the reference path, and
@@ -27,7 +28,19 @@ import threading
 import numpy as np
 import pytest
 
-from repro.core import IdentityQuantizer, QuantizedConv2d, QuantizedLinear
+from repro.core import (
+    CalibrationConfig,
+    FPFormat,
+    IdentityQuantizer,
+    QuantizedConv2d,
+    QuantizedLinear,
+    fp4_fp8_config,
+    fp_levels,
+    int4_int8_config,
+    int8_int8_config,
+    quantize_fp,
+    quantize_pipeline,
+)
 from repro.core.integer import (
     IntFormat,
     calibrate_int_format,
@@ -35,11 +48,15 @@ from repro.core.integer import (
     quantize_int,
 )
 from repro.core.qmodules import (
+    BlockFPTensorQuantizer,
+    FPTensorQuantizer,
     IntTensorQuantizer,
     PackedIntWeight,
     PerChannelIntTensorQuantizer,
     _pack_levels,
 )
+from repro.diffusion import DiffusionPipeline
+from repro.models import DiffusionModel, ModelSpec, UNetConfig
 from repro.nn import Conv2d, Linear
 from repro.tensor import (
     Tensor,
@@ -55,6 +72,8 @@ from repro.tensor import functional as F
 from repro.tensor import _ckernels
 from repro.tensor.backend import AcceleratedBackend, reference_backend
 from repro.tensor.functional import _im2col
+
+from tiny_factories import fp_probe_values
 
 #: A fused-eligible weight: N * K >= _FUSED_MIN_WEIGHT elements.
 ELIGIBLE_N, ELIGIBLE_K = 512, 1024
@@ -404,6 +423,368 @@ class TestIntegerGuards:
 
 
 # ----------------------------------------------------------------------
+# the FP path: FP4 weights as packed levels, FP activations as int16
+# ----------------------------------------------------------------------
+#: The FP encodings whose levels fit the integer kernels (FP4 weights and
+#: FP4/FP8 activations); E4M3/E5M2 levels exceed int16.
+KERNEL_FP_FORMATS = ("E1M2", "E2M1", "E2M5", "E3M4")
+
+
+def _fp_format(name: str, max_value: float) -> FPFormat:
+    """``name`` with the bias that makes ``max_value`` its largest value."""
+    fmt = FPFormat.from_name(name)
+    return fmt.with_bias(float(FPFormat.bias_for_max_value(
+        fmt.exponent_bits, fmt.mantissa_bits, max_value)))
+
+
+def _fp_quantized(cls, layer, weight_name: str, act_name: str):
+    """(module, served weight): ``weight_name`` weights packed when the
+    format allows it, ``act_name`` activations with range 3."""
+    weight = layer.weight.data
+    quantizer = FPTensorQuantizer(_fp_format(weight_name,
+                                             float(np.abs(weight).max())))
+    served = quantizer.quantize(weight)
+    module = cls(layer, served, FPTensorQuantizer(_fp_format(act_name, 3.0)),
+                 quantizer, packed_weight=quantizer.pack_weights(served))
+    return module, served
+
+
+def _fp_linear(weight_name="E1M2", act_name="E2M5"):
+    layer = Linear(ELIGIBLE_K, ELIGIBLE_N, rng=np.random.default_rng(5))
+    return _fp_quantized(QuantizedLinear, layer, weight_name, act_name)
+
+
+def _fp_conv(weight_name="E1M2", act_name="E2M5"):
+    layer = Conv2d(64, 512, kernel_size=3, padding=1,
+                   rng=np.random.default_rng(6))
+    return _fp_quantized(QuantizedConv2d, layer, weight_name, act_name)
+
+
+def _parent_output(module, served, x: np.ndarray) -> np.ndarray:
+    """What the layer computes without a packed weight: fake-quantize the
+    input, then GEMM the served float weight on the reference backend."""
+    quantized = Tensor(module.activation_quantizer.quantize(x))
+    weight = Tensor(served)
+    with inference_mode(), use_backend("reference"):
+        if isinstance(module, QuantizedConv2d):
+            return F.conv2d(quantized, weight, module.bias,
+                            stride=module.stride, padding=module.padding).data
+        return F.linear(quantized, weight, module.bias).data
+
+
+def _assert_bits_equal(actual, expected):
+    np.testing.assert_array_equal(actual.view(np.uint32),
+                                  expected.view(np.uint32))
+
+
+class TestFPKernels:
+    @pytest.mark.parametrize("kernel_size", [1, 3])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("padding", [0, 1])
+    @pytest.mark.parametrize("batch", [1, 2])
+    def test_quantize_fp_patches_equals_fp_levels_then_im2col(
+            self, kernel_size, stride, padding, batch):
+        kernels = _loaded_kernels()
+        rng = np.random.default_rng(kernel_size * 8 + stride * 4 + padding * 2
+                                    + batch)
+        shape = (batch, 5, 7, 6)
+        for name in KERNEL_FP_FORMATS:
+            for bias in (FPFormat.from_name(name).bias,
+                         *rng.uniform(-30, 8, size=3)):
+                fmt = FPFormat.from_name(name, float(bias))
+                x = rng.choice(fp_probe_values(fmt, rng, size=200),
+                               size=shape).astype(np.float32)
+                levels = np.pad(fp_levels(x, fmt),
+                                ((0, 0), (0, 0), (padding,) * 2,
+                                 (padding,) * 2))
+                expected, _ = _im2col(levels, (kernel_size, kernel_size),
+                                      stride, 0)
+                expected = expected.reshape(-1, expected.shape[-1])
+                cols = np.empty(expected.shape, dtype=np.int16)
+                kernels.quantize_fp_patches(
+                    x, np.empty(shape, np.int16), cols, kernel_size, stride,
+                    padding, fmt.max_value, fmt.min_subnormal,
+                    fmt.bias_split, fmt.max_level)
+                np.testing.assert_array_equal(cols, expected.astype(np.int16),
+                                              err_msg=f"{name} bias {bias}")
+
+    @pytest.mark.parametrize("name", KERNEL_FP_FORMATS)
+    def test_linear_levels_equal_fp_levels(self, name):
+        kernels = _loaded_kernels()
+        rng = np.random.default_rng(3)
+        fmt = _fp_format(name, 2.5)
+        values = fp_probe_values(fmt, rng, size=500)
+        x = rng.choice(values, size=(3, 301, 1, 1)).astype(np.float32)
+        cols = np.empty((3, 301), dtype=np.int16)
+        kernels.quantize_fp_patches(x, np.empty(x.shape, np.int16), cols,
+                                    1, 1, 0, fmt.max_value, fmt.min_subnormal,
+                                    fmt.bias_split, fmt.max_level)
+        np.testing.assert_array_equal(cols, fp_levels(x, fmt).reshape(3, 301))
+
+    @pytest.mark.parametrize("bits", [8, 4])
+    @pytest.mark.parametrize("m_rows", range(1, 9))
+    def test_int16_dots_equal_int64_matmul(self, bits, m_rows):
+        kernels = _loaded_kernels()
+        depths = (1, 17, 63, 129, 1001) if bits == 8 else (2, 18, 62, 130, 998)
+        for k in depths:
+            n_rows = 7
+            acts = RNG.integers(-1984, 1985, (m_rows, k)).astype(np.int16)
+            levels = RNG.integers(0, 2 ** bits, (n_rows, k), dtype=np.uint8)
+            packed = _pack_levels(levels, bits).reshape(n_rows, -1)
+            zero_points = RNG.integers(0, 2 ** bits, n_rows).astype(np.float64)
+            out = np.empty((1, n_rows, m_rows), dtype=np.float32)
+            kernels.int_gemm(acts, packed, bits == 4,
+                             levels.sum(axis=1, dtype=np.int64), zero_points,
+                             np.ones(n_rows), 1.0, 0, None, out)
+            exact = acts.astype(np.int64) @ (
+                levels.astype(np.int64)
+                - zero_points.astype(np.int64)[:, None]).T
+            # One rounding of the exact integer to float32.
+            np.testing.assert_array_equal(out[0].T, exact.astype(np.float32),
+                                          err_msg=f"K={k}")
+
+    @pytest.mark.parametrize("bits", [8, 4])
+    def test_int16_accumulator_reaches_its_bound_exactly(self, bits):
+        kernels = _loaded_kernels()
+        # The largest K the E3M4 guard admits: byte levels enter the dots as
+        # w - 128, so a row of zero levels drives the accumulator to
+        # -K * 1984 * 128; nibbles enter as they are, up to K * 1984 * 15.
+        weight_max, top = (128, 255) if bits == 8 else (15, 15)
+        k = (2 ** 31 - 1) // (1984 * weight_max)
+        k -= k % 2
+        acts = np.full((2, k), 1984, dtype=np.int16)
+        levels = np.stack([np.zeros(k, np.uint8), np.full(k, top, np.uint8)])
+        packed = _pack_levels(levels, bits).reshape(2, -1)
+        out = np.empty((1, 2, 2), dtype=np.float32)
+        kernels.int_gemm(acts, packed, bits == 4,
+                         levels.sum(axis=1, dtype=np.int64),
+                         np.array([0.0, top - 1.0]), np.ones(2), 1.0, 0, None,
+                         out)
+        np.testing.assert_array_equal(out[0].T, [[0, k * 1984]] * 2)
+
+    def test_malformed_fp_buffers_are_refused(self):
+        kernels = _loaded_kernels()
+        fmt = FPFormat.from_name("E2M5")
+        x = np.zeros((1, 2, 3, 3), dtype=np.float32)
+        grid = (fmt.max_value, fmt.min_subnormal, fmt.bias_split)
+        for image, cols in ((np.empty(x.shape, np.uint8),
+                             np.empty((9, 2), np.int16)),
+                            (np.empty(x.shape, np.int16),
+                             np.empty((9, 2), np.uint8))):
+            with pytest.raises(ValueError):
+                kernels.quantize_fp_patches(x, image, cols, 1, 1, 0, *grid,
+                                            fmt.max_level)
+        with pytest.raises(ValueError):  # E4M3 levels do not fit int16
+            e4m3 = FPFormat.from_name("E4M3")
+            kernels.quantize_fp_patches(
+                x, np.empty(x.shape, np.int16), np.empty((9, 2), np.int16),
+                1, 1, 0, e4m3.max_value, e4m3.min_subnormal, e4m3.bias_split,
+                e4m3.max_level)
+        acts = np.zeros((4, 64), dtype=np.int16)
+        levels = np.zeros((8, 64), dtype=np.uint8)
+        per_row = (levels.sum(axis=1, dtype=np.int64), np.zeros(8), np.ones(8))
+        with pytest.raises(ValueError):  # int16 levels have no zero point
+            kernels.int_gemm(acts, levels, False, *per_row, 1.0, 3, None,
+                             np.empty((1, 8, 4), np.float32))
+
+
+class TestWorkspaces:
+    def test_scratch_buffers_are_keyed_by_dtype(self):
+        backend = AcceleratedBackend()
+        narrow = backend._workspace(("cols", 4, 8), (4, 8), np.uint8)
+        wide = backend._workspace(("cols", 4, 8), (4, 8), np.int16)
+        assert narrow.dtype == np.uint8 and wide.dtype == np.int16
+        assert backend._workspace(("cols", 4, 8), (4, 8), np.uint8) is narrow
+        assert backend._workspace(("cols", 4, 8), (4, 8), np.int16) is wide
+
+    def test_an_integer_and_an_fp_image_stay_resident(self):
+        # One image of the generate benchmark's U-Net touches 33 buffers
+        # per activation dtype; cycling through both sets must not evict.
+        backend = AcceleratedBackend()
+        keys = [(("cols", i, 8), dtype) for i in range(1, 34)
+                for dtype in (np.uint8, np.int16)]
+        first = [backend._workspace(key, (key[1], 8), dtype)
+                 for key, dtype in keys]
+        again = [backend._workspace(key, (key[1], 8), dtype)
+                 for key, dtype in keys]
+        assert all(a is b for a, b in zip(first, again))
+
+
+class TestIntPacking:
+    @pytest.mark.parametrize("bits", [8, 4, 2])
+    @pytest.mark.parametrize("per_channel", [False, True])
+    def test_dequantize_is_the_simulated_quantization(self, bits,
+                                                      per_channel):
+        weight = (RNG.standard_normal((64, 289)) * 0.05).astype(np.float32)
+        if per_channel:
+            quantizer = PerChannelIntTensorQuantizer.calibrated(weight, bits)
+        else:
+            quantizer = IntTensorQuantizer(calibrate_int_format(weight, bits))
+        served = quantizer.quantize(weight)
+        storage = quantizer.pack_weights(served)
+        _assert_bits_equal(storage.dequantize(), served)
+
+
+class TestFPPacking:
+    @pytest.mark.parametrize("name, bitwidth", [("E1M2", 4), ("E2M1", 5)])
+    def test_fp4_weights_pack_as_levels_of_the_subnormal_step(self, name,
+                                                              bitwidth):
+        weight = (RNG.standard_normal((64, 288)) * 0.05).astype(np.float32)
+        fmt = _fp_format(name, float(np.abs(weight).max()))
+        served = quantize_fp(weight, fmt)
+        storage = FPTensorQuantizer(fmt).pack_weights(served)
+        assert storage.fmt == IntFormat(bitwidth, fmt.min_subnormal,
+                                        fmt.max_level)
+        assert np.array_equal(storage.dequantize(), served)
+        np.testing.assert_array_equal(
+            storage.levels().astype(np.float64) - fmt.max_level,
+            fp_levels(served, fmt).reshape(-1))
+
+    @pytest.mark.parametrize("name", ["E2M5", "E3M4", "E4M3", "E5M2"])
+    def test_fp8_weights_do_not_pack(self, name):
+        weight = (RNG.standard_normal((64, 288)) * 0.05).astype(np.float32)
+        quantizer = FPTensorQuantizer(_fp_format(name, 0.2))
+        assert quantizer.pack_weights(quantizer.quantize(weight)) is None
+
+    def test_block_fp_weights_do_not_pack(self):
+        weight = (RNG.standard_normal((64, 288)) * 0.05).astype(np.float32)
+        quantizer = BlockFPTensorQuantizer.calibrated(
+            weight, FPFormat.from_name("E2M1"), 64)
+        assert quantizer.pack_weights(quantizer.quantize(weight)) is None
+
+    def test_off_grid_weights_do_not_pack(self):
+        weight = (RNG.standard_normal((64, 288)) * 0.05).astype(np.float32)
+        quantizer = FPTensorQuantizer(_fp_format("E1M2", 0.2))
+        assert quantizer.pack_weights(weight) is None
+
+
+class TestFPLayers:
+    @pytest.mark.parametrize("weights", ["E1M2", "E2M1"])
+    @pytest.mark.parametrize("activations", KERNEL_FP_FORMATS)
+    @pytest.mark.parametrize("layer", ["linear", "conv"])
+    def test_fp_layers_engage_and_match_reference(self, layer, activations,
+                                                  weights):
+        _loaded_kernels()
+        if layer == "linear":
+            module, _ = _fp_linear(weights, activations)
+            x = Tensor(RNG.standard_normal((2, ELIGIBLE_K)).astype(np.float32))
+            engaged, kwargs = F.fused_linear, {}
+        else:
+            module, _ = _fp_conv(weights, activations)
+            x = Tensor(RNG.standard_normal((1, 64, 2, 2)).astype(np.float32))
+            engaged, kwargs = F.fused_conv2d, {"padding": 1, "kernel_size": 3}
+        with inference_mode(), use_backend("reference"):
+            expected = module(x).data
+        with inference_mode(), use_backend("accelerated"):
+            assert engaged(x, module.packed_weight, module.bias,
+                           act_format=module._integer_activations(),
+                           **kwargs) is not None
+            actual = module(x).data
+        _assert_within_tolerance(actual, expected)
+
+    @pytest.mark.parametrize("layer", ["linear", "conv"])
+    def test_reference_backend_output_is_the_parents(self, layer):
+        # Packing changes where the FP4 weight lives, not what the
+        # reference path computes with it.
+        if layer == "linear":
+            module, served = _fp_linear()
+            x = RNG.standard_normal((2, ELIGIBLE_K)).astype(np.float32)
+        else:
+            module, served = _fp_conv()
+            x = RNG.standard_normal((1, 64, 2, 2)).astype(np.float32)
+        assert module.packed_weight is not None
+        for inference in (False, True):
+            with use_backend("reference"):
+                if inference:
+                    with inference_mode():
+                        actual = module(Tensor(x)).data
+                else:
+                    actual = module(Tensor(x)).data
+            _assert_bits_equal(actual, _parent_output(module, served, x))
+
+
+class TestFPGuards:
+    """Every FP product the kernels cannot take declines, and the layer
+    then computes, bit for bit, what it computes without a packed weight."""
+
+    def _declines_bit_identically(self, module, served, x, fused):
+        with inference_mode(), use_backend("accelerated"):
+            assert fused() is None
+            actual = module(Tensor(x)).data
+        _assert_bits_equal(actual, _parent_output(module, served, x))
+
+    def test_reference_backend_declines(self):
+        module, served = _fp_linear()
+        x = RNG.standard_normal((1, ELIGIBLE_K)).astype(np.float32)
+        view = module.packed_weight.packed_view()
+        act = module._integer_activations()
+        assert reference_backend().fused_int_gemm(
+            x[:, :, None, None], view, act) is None
+
+    def test_disabled_kernels_decline_bit_identically(self, monkeypatch,
+                                                      reload_kernels):
+        monkeypatch.setenv("REPRO_NO_CKERNELS", "1")
+        module, served = _fp_conv()
+        x = RNG.standard_normal((1, 64, 2, 2)).astype(np.float32)
+        self._declines_bit_identically(
+            module, served, x, lambda: F.fused_conv2d(
+                Tensor(x), module.packed_weight, module.bias, padding=1,
+                kernel_size=3, act_format=module._integer_activations()))
+        assert _ckernels.kernel_status() == "disabled"
+
+    @pytest.mark.parametrize("activations", ["E4M3", "E5M2"])
+    def test_activation_levels_past_int16_decline(self, activations):
+        module, served = _fp_conv(act_name=activations)
+        x = RNG.standard_normal((1, 64, 2, 2)).astype(np.float32)
+        self._declines_bit_identically(
+            module, served, x, lambda: F.fused_conv2d(
+                Tensor(x), module.packed_weight, module.bias, padding=1,
+                kernel_size=3, act_format=module._integer_activations()))
+
+    @pytest.mark.parametrize("weights", ["E2M5", "E3M4"])
+    def test_fp8_weights_keep_the_float_path(self, weights):
+        module, served = _fp_conv(weight_name=weights)
+        assert module.packed_weight is None
+        x = RNG.standard_normal((1, 64, 2, 2)).astype(np.float32)
+        with inference_mode(), use_backend("accelerated"):
+            actual = module(Tensor(x)).data
+        _assert_bits_equal(actual, _parent_output(module, served, x))
+
+    @pytest.mark.parametrize("weights, weight_max", [("E1M2", 15),
+                                                     ("E2M1", 128)])
+    def test_reduction_depth_past_the_int32_bound_declines(self, weights,
+                                                           weight_max):
+        _loaded_kernels()
+        backend = get_backend("accelerated")
+        act = FPFormat.from_name("E3M4")
+        limit = (2 ** 31 - 1) // (1984 * weight_max)
+        for k, engages in ((limit - limit % 2, True), (limit + 2 - limit % 2,
+                                                       False)):
+            weight = (RNG.standard_normal((8, k)) * 0.05).astype(np.float32)
+            quantizer = FPTensorQuantizer(_fp_format(weights, 0.2))
+            storage = quantizer.pack_weights(quantizer.quantize(weight))
+            x = RNG.standard_normal((1, k, 1, 1)).astype(np.float32)
+            out = backend.fused_int_gemm(x, storage.packed_view(), act)
+            assert (out is not None) == engages, k
+
+    def test_gated_products_decline_bit_identically(self):
+        module, served = _fp_linear()
+        wide_m = AcceleratedBackend._FUSED_MAX_M + 1
+        x = RNG.standard_normal((wide_m, ELIGIBLE_K)).astype(np.float32)
+        self._declines_bit_identically(
+            module, served, x, lambda: F.fused_linear(
+                Tensor(x), module.packed_weight, module.bias,
+                act_format=module._integer_activations()))
+        small = Linear(64, 64, rng=np.random.default_rng(7))
+        module, served = _fp_quantized(QuantizedLinear, small, "E1M2", "E2M5")
+        x = RNG.standard_normal((1, 64)).astype(np.float32)
+        self._declines_bit_identically(
+            module, served, x, lambda: F.fused_linear(
+                Tensor(x), module.packed_weight, module.bias,
+                act_format=module._integer_activations()))
+
+
+# ----------------------------------------------------------------------
 # kernel acquisition: status reasons and the per-CPU cache key
 # ----------------------------------------------------------------------
 class TestKernelAcquisition:
@@ -545,6 +926,77 @@ class TestQuantizedLayerDispatch:
                            **kwargs) is not None
             actual = module(x).data
         _assert_within_tolerance(actual, expected)
+
+
+# ----------------------------------------------------------------------
+# one U-Net forward, before the decoder clips anything
+# ----------------------------------------------------------------------
+def _bottom_heavy_spec() -> ModelSpec:
+    """A reduced form of the ``generate`` benchmark's U-Net: most weights
+    at a 2x2 deepest level, where products are skinny and pass the
+    integer path's gates."""
+    return ModelSpec(
+        name="test-qheavy", task="unconditional", image_size=8,
+        image_channels=3, latent=False, latent_channels=4,
+        latent_downsample=4,
+        unet=UNetConfig(in_channels=3, out_channels=3, base_channels=16,
+                        channel_multipliers=(1, 2, 8), num_res_blocks=1,
+                        attention_levels=(2,), num_heads=4, context_dim=None),
+        text_embed_dim=None, train_timesteps=8, default_sampling_steps=4,
+        seed=3)
+
+
+@pytest.fixture(scope="module")
+def bottom_heavy_pipeline():
+    # One sampler step: calibration then records the activations of the
+    # forward the test runs.  The untrained model's later steps diverge,
+    # and ranges calibrated on them would quantize this forward's
+    # activations to zero past the deepest level, hiding its products.
+    model = DiffusionModel(_bottom_heavy_spec(), rng=np.random.default_rng(4))
+    return DiffusionPipeline(model, num_steps=1)
+
+
+class TestUNetForwardAcrossBackends:
+    """The ``generate`` benchmark compares decoded images, and the decoder
+    clips every pixel of that benchmark's images to ±1, so its check cannot
+    see a wrong kernel.  This compares the U-Net's own output instead."""
+
+    @pytest.mark.parametrize("preset", [
+        pytest.param(lambda: fp4_fp8_config(rounding_learning=False),
+                     id="fp4-fp8"),
+        pytest.param(int8_int8_config, id="int8-int8"),
+        pytest.param(int4_int8_config, id="int4-int8")])
+    def test_accelerated_unet_output_matches_reference(
+            self, preset, bottom_heavy_pipeline, monkeypatch):
+        config = preset().scaled_for_speed(num_bias_candidates=7)
+        config.calibration = CalibrationConfig(num_samples=2,
+                                               max_records_per_layer=2,
+                                               batch_size=2)
+        quantized, _ = quantize_pipeline(bottom_heavy_pipeline, config)
+        x = bottom_heavy_pipeline.initial_noise(1, seed=7)
+        t_batch = np.full((1,), _bottom_heavy_spec().train_timesteps - 1,
+                          dtype=np.int64)
+        engaged = []
+        fused = AcceleratedBackend.fused_int_gemm
+
+        def counting(self, *args, **kwargs):
+            out = fused(self, *args, **kwargs)
+            engaged.append(out is not None)
+            return out
+
+        monkeypatch.setattr(AcceleratedBackend, "fused_int_gemm", counting)
+        with inference_mode(), use_backend("reference"):
+            expected = quantized.model(Tensor(x), t_batch).data
+        with inference_mode(), use_backend("accelerated"):
+            actual = quantized.model(Tensor(x), t_batch).data
+        assert np.max(np.abs(expected)) > 1.0  # not a clipped image
+        np.testing.assert_allclose(
+            actual, expected, rtol=1e-3,
+            atol=1e-3 * float(np.max(np.abs(expected))))
+        if _ckernels.load_kernels() is not None:
+            assert sum(engaged) > 0
+        else:
+            assert not any(engaged)
 
 
 # ----------------------------------------------------------------------

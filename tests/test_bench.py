@@ -126,6 +126,20 @@ def test_registry_pair_validation():
     with pytest.raises(ValueError):
         register_workload("test.badarm", lambda: (lambda: 0), pair="p",
                           arm="sideways")
+    with pytest.raises(ValueError):
+        register_workload("test.badfloor", lambda: (lambda: 0),
+                          min_speedup=1.2)
+    assert "test.badfloor" not in WORKLOAD_REGISTRY
+
+
+def test_qforward_pairs_declare_their_speedup_floors():
+    import repro.bench.workloads  # noqa: F401  (registers the built-ins)
+
+    floors = {workload.pair: workload.min_speedup
+              for workload in workloads_for_suite("ci")
+              if workload.min_speedup is not None}
+    assert floors == {"qforward.int8": 1.3, "qforward.int4": 1.2,
+                      "qforward.fp4": 1.2}
 
 
 def test_ci_suite_matches_committed_baseline():
@@ -231,6 +245,39 @@ def test_bench_report_schema(tmp_path):
     summary = markdown_summary(report)
     assert "pairdemo" in summary and "plain" in summary
     assert "3.00x" in summary
+
+
+def _pair_results(speedup: float, min_speedup: float):
+    """Synthetic measurements of one pre/fast pair at ``speedup``."""
+    pre = Measurement(name="floor.pre", samples=[speedup] * 3, warmup=0)
+    fast = Measurement(name="floor.fast", samples=[1.0] * 3, warmup=0)
+    return [
+        (Workload(name="floor.pre", setup=None, suites=("t",),
+                  pair="floor", arm="pre"), pre),
+        (Workload(name="floor.fast", setup=None, suites=("t",),
+                  pair="floor", arm="fast", min_speedup=min_speedup), fast),
+    ]
+
+
+@pytest.mark.parametrize("speedup, status", [(1.1, "regression"),
+                                             (1.3, "pass")])
+def test_speedup_below_its_floor_fails_whatever_the_baseline(speedup,
+                                                             status):
+    results = _pair_results(speedup, min_speedup=1.3)
+    report = build_report("t", results)
+    assert report["speedups"]["floor"]["min_speedup"] == 1.3
+    assert report["speedups"]["floor"]["speedup"] == pytest.approx(speedup)
+    # Against itself as baseline every median passes; the floor still
+    # decides, and without a baseline too.
+    against_self = build_report("t", results, baseline=report)
+    slow = ["floor"] if status == "regression" else []
+    assert against_self["comparison"]["status"] == status
+    assert against_self["comparison"]["slow_pairs"] == slow
+    assert against_self["comparison"]["regressions"] == []
+    alone = build_report("t", results)["comparison"]
+    assert alone["slow_pairs"] == slow
+    assert alone["status"] == ("regression" if slow else "no-baseline")
+    assert ("below" in markdown_summary(against_self)) == bool(slow)
 
 
 def test_report_comparison_against_self_passes(tmp_path):

@@ -20,7 +20,10 @@ from repro.core import (
     sparsity_increase,
     tensor_sparsity,
 )
+from repro.core.fp import quantize_fp
+from repro.core.qmodules import PackedIntWeight
 from repro.core.rounding import RoundingLearningConfig
+from repro.core.schemes import FPSearchScheme
 
 
 def fast_config(config: QuantizationConfig) -> QuantizationConfig:
@@ -120,6 +123,50 @@ class TestQuantizePipeline:
         config_no = fast_config(fp4_fp8_config(rounding_learning=False))
         _, report_no = quantize_pipeline(tiny_pipeline, config_no)
         assert not any(record.rounding_learning_used for record in report_no.layers)
+
+    def test_fp4_packs_the_learned_rounding(self, tiny_pipeline, monkeypatch):
+        # The packed weight is the one the layer serves: with rounding
+        # learning that is the learned rounding, not round-to-nearest.
+        served = {}
+        quantize_weights = FPSearchScheme.quantize_weights
+
+        def recording(self, layer, config, calibration, path, record):
+            quantized, quantizer = quantize_weights(self, layer, config,
+                                                    calibration, path, record)
+            served[path] = (quantized, quantizer.fmt, record)
+            return quantized, quantizer
+
+        monkeypatch.setattr(FPSearchScheme, "quantize_weights", recording)
+        config = fast_config(fp4_fp8_config(rounding_learning=True))
+        quantized, _ = quantize_pipeline(tiny_pipeline, config)
+        layers = dict(quantized.model.unet.named_modules())
+        learned = [path for path, (_, _, record) in served.items()
+                   if record.rounding_learning_used]
+        assert learned
+        differs = False
+        for path in learned:
+            weight, fmt, _ = served[path]
+            packed = layers[path].packed_weight
+            assert packed is not None, path
+            np.testing.assert_array_equal(packed.dequantize().view(np.uint32),
+                                          weight.view(np.uint32))
+            nearest = quantize_fp(layers[path].original_weight, fmt)
+            differs = differs or not np.array_equal(weight, nearest)
+        assert differs
+
+    @pytest.mark.parametrize("weights", ["int8", "int4", "int8_pc"])
+    def test_int_layers_pack_the_levels_of_the_original_weight(
+            self, tiny_pipeline, weights):
+        config = QuantizationConfig(weight_dtype=weights,
+                                    activation_dtype="int8")
+        quantized, _ = quantize_pipeline(tiny_pipeline, fast_config(config))
+        layers = [module for module in quantized.model.unet.modules()
+                  if isinstance(module, (QuantizedConv2d, QuantizedLinear))]
+        assert layers
+        for layer in layers:
+            packed = layer.packed_weight
+            expected = PackedIntWeight.pack(layer.original_weight, packed.fmt)
+            np.testing.assert_array_equal(packed.levels(), expected.levels())
 
     def test_quantized_pipeline_generates_images(self, tiny_pipeline):
         quantized, _ = quantize_pipeline(tiny_pipeline, fast_config(fp8_fp8_config()))

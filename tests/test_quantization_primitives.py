@@ -9,6 +9,7 @@ from hypothesis.extra import numpy as hnp
 from repro.core import (
     FPFormat,
     calibrate_int_format,
+    fp_levels,
     fp_scales,
     int_quantization_mse,
     quantization_mse,
@@ -16,6 +17,8 @@ from repro.core import (
     quantize_fp_with_rounding,
     quantize_int,
 )
+
+from tiny_factories import fp_probe_values
 
 E4M3 = FPFormat.from_name("E4M3")
 E2M1 = FPFormat.from_name("E2M1")
@@ -115,6 +118,36 @@ class TestRoundingDirection:
         up = quantize_fp_with_rounding(values, E4M3, np.ones(values.shape, dtype=bool))
         matches = np.isclose(nearest, down, rtol=1e-6) | np.isclose(nearest, up, rtol=1e-6)
         assert np.all(matches)
+
+
+class TestFPLevels:
+    """``fp_levels`` is the integer form of ``quantize_fp``: the level
+    reference the integer kernels reproduce."""
+
+    @pytest.mark.parametrize("name", ["E1M2", "E2M1", "E2M5", "E3M4",
+                                      "E4M3", "E5M2"])
+    def test_levels_times_unit_equal_quantize_fp(self, name):
+        rng = np.random.default_rng(12)
+        for bias in [FPFormat.from_name(name).bias,
+                     *rng.uniform(-30, 8, size=12)]:
+            fmt = FPFormat.from_name(name, float(bias))
+            values = fp_probe_values(fmt, rng)
+            levels = fp_levels(values, fmt)
+            assert np.array_equal(levels, np.rint(levels))
+            assert np.max(np.abs(levels)) <= fmt.max_level
+            served = (levels * fmt.min_subnormal).astype(np.float32)
+            np.testing.assert_array_equal(
+                served.view(np.uint32),
+                quantize_fp(values, fmt).view(np.uint32),
+                err_msg=f"{name} bias {bias}")
+
+    def test_max_level_is_the_largest_value_in_units(self):
+        for name in ["E1M2", "E2M1", "E2M5", "E3M4", "E4M3", "E5M2"]:
+            fmt = FPFormat.from_name(name, 1.7)
+            assert fmt.max_level * fmt.min_subnormal == pytest.approx(
+                fmt.max_value, rel=1e-12)
+        assert [FPFormat.from_name(name).max_level
+                for name in ("E1M2", "E2M1", "E2M5", "E3M4")] == [7, 12, 252, 1984]
 
 
 class TestIntQuantization:
