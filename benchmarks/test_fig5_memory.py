@@ -5,16 +5,20 @@ batch size 16 on an A100, dominated by the attention score tensors, and notes
 that FP8/FP4 quantization would shrink the requirement by 4x/8x.
 
 The reproduction estimates the same series analytically at the paper-scale
-U-Net configuration.
+U-Net configuration, and measures the bytes the weight-quantized variants of
+a zoo model really hold next to the analytic weight estimate.
 """
 
-from conftest import write_result
+from conftest import BENCH_SETTINGS, write_result
 
+from repro.core import QuantizationConfig, quantize_pipeline, resident_nbytes
+from repro.experiments.harness import load_benchmark_pipeline
 from repro.profiling import (
     BYTES_FP8,
     estimate_peak_memory,
     memory_vs_batch_size,
     paper_scale_stable_diffusion_config,
+    scheme_bytes_per_element,
 )
 
 BATCH_SIZES = (1, 2, 4, 8, 16)
@@ -55,3 +59,44 @@ def test_fig5_memory_vs_batch_size(benchmark):
                                   context_tokens=77)
     ratio = estimates[16].total_bytes / fp8_16.total_bytes
     assert 3.5 < ratio < 4.5
+
+
+MEASURED_MODEL = "ddim-cifar10"
+MEASURED_SCHEMES = ("fp32", "fp8", "fp4", "int8", "int4")
+
+
+def test_fig5_measured_variant_bytes(benchmark):
+    pipeline = load_benchmark_pipeline(MEASURED_MODEL, BENCH_SETTINGS)
+    spec = pipeline.model.spec
+
+    def measure():
+        measured = {}
+        for scheme in MEASURED_SCHEMES:
+            # Weight-only: activations stay FP32, so no calibration runs.
+            config = BENCH_SETTINGS.scale_config(QuantizationConfig(
+                weight_dtype=scheme, activation_dtype="fp32"))
+            variant, _report = quantize_pipeline(pipeline, config)
+            measured[scheme] = resident_nbytes(variant.model.unet)
+        return measured
+
+    measured = benchmark.pedantic(measure, rounds=1, iterations=1)
+    lines = [f"Measured resident U-Net bytes of the {MEASURED_MODEL} zoo model's "
+             "weight-quantized variants vs the analytic weight estimate (KiB)",
+             f"{'scheme':>6} {'measured':>9} {'estimate':>9} {'vs FP32':>8}"]
+    for scheme in MEASURED_SCHEMES:
+        estimate = estimate_peak_memory(
+            spec.unet, spec.sample_shape[-1], 1,
+            weight_bytes_per_element=scheme_bytes_per_element(scheme)).weight_bytes
+        lines.append(f"{scheme:>6} {measured[scheme] / 1024:>9.1f} "
+                     f"{estimate / 1024:>9.1f} "
+                     f"{measured[scheme] / measured['fp32']:>8.3f}")
+    text = "\n".join(lines)
+    write_result("fig5_measured_bytes", text)
+    print("\n" + text)
+
+    # Packed integer variants hold their levels, not a float copy; FP8
+    # weights (levels past 8 bits) keep their float32 simulation.
+    assert measured["int8"] <= 0.30 * measured["fp32"]
+    assert measured["int4"] <= 0.17 * measured["fp32"]
+    assert measured["fp4"] <= 0.30 * measured["fp32"]
+    assert measured["fp8"] <= measured["fp32"]

@@ -44,8 +44,7 @@ def main() -> None:
 
     drift = float(np.mean((generated - reference) ** 2))
     metrics = evaluate_images(generated, reference)
-    sparsity_before = measure_weight_sparsity(quantized_pipeline.model,
-                                              use_original=True)
+    sparsity_before = measure_weight_sparsity(pipeline.model)
     sparsity_after = measure_weight_sparsity(quantized_pipeline.model)
 
     print("\n=== FP8/FP8 vs full-precision (same starting noise) ===")

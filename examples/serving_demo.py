@@ -35,13 +35,15 @@ def main():
     paper_costs = unet_layer_costs(paper_scale_stable_diffusion_config(), 64)
     router = SLORouter(costs_fn=lambda model: paper_costs)
 
-    # Variant pool over the zoo checkpoint, with a memory budget sized so
-    # roughly two FP32-equivalent variants stay resident at once.  Backing
+    # Variant pool over the zoo checkpoint, charged with the bytes each
+    # variant measurably holds (FP32 and FP8 ~1.5 MB here, FP4 ~0.7 MB), and
+    # a budget of about two FP32 variants: serving all three schemes
+    # evicts the least recently used one.  Backing
     # the pool with the experiments' RunStore means every quantized variant
     # is loaded from the content-addressed artifact store when available
     # (and left there for the next process when not).
     pool = ModelVariantPool(
-        memory_budget_bytes=2.2e7,
+        memory_budget_bytes=3e6,
         pretrain=PretrainConfig(dataset_size=32, autoencoder_steps=10,
                                 denoiser_steps=20),
         run_store=RunStore(),

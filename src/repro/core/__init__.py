@@ -41,6 +41,12 @@ Orchestration
       :class:`LayerQuantizationRecord` — serializable experiment descriptions
       and results (``to_dict`` / ``from_dict`` / ``to_json`` / ``from_json``).
     * :func:`measure_weight_sparsity` — the sparsity analysis of Figure 11.
+
+Storage
+    * :class:`PackedIntWeight` — the packed levels a quantized layer holds;
+      its float32 weight is served from :data:`DEQUANTIZE_MEMO`, one
+      process-wide LRU capped at :data:`DEQUANTIZE_MEMO_BUDGET_BYTES`.
+    * :func:`resident_nbytes` — measured bytes of the arrays a model holds.
 """
 
 from .formats import (
@@ -89,7 +95,10 @@ from .calibration import (
 )
 from .hashing import canonical_json, canonicalize, content_hash
 from .qmodules import (
+    DEQUANTIZE_MEMO,
+    DEQUANTIZE_MEMO_BUDGET_BYTES,
     BlockFPTensorQuantizer,
+    DequantizeMemo,
     FPTensorQuantizer,
     IdentityQuantizer,
     IntTensorQuantizer,
@@ -99,6 +108,7 @@ from .qmodules import (
     QuantizedLinear,
     QuantizedSkipConcat,
     TensorQuantizer,
+    resident_nbytes,
 )
 from .schemes import (
     BlockFPScheme,
@@ -164,7 +174,8 @@ __all__ = [
     "TensorQuantizer", "IdentityQuantizer", "FPTensorQuantizer",
     "IntTensorQuantizer", "PerChannelIntTensorQuantizer",
     "BlockFPTensorQuantizer", "PackedIntWeight", "QuantizedConv2d", "QuantizedLinear",
-    "QuantizedSkipConcat",
+    "QuantizedSkipConcat", "DequantizeMemo", "DEQUANTIZE_MEMO",
+    "DEQUANTIZE_MEMO_BUDGET_BYTES", "resident_nbytes",
     # schemes and registry
     "QuantScheme", "IdentityScheme", "FPSearchScheme", "IntScheme",
     "PerChannelIntScheme", "BlockFPScheme",

@@ -17,7 +17,11 @@ differ.
 
 from __future__ import annotations
 
-from typing import Optional, Protocol, Union, runtime_checkable
+import itertools
+import threading
+import weakref
+from collections import OrderedDict
+from typing import Dict, Optional, Protocol, Union, runtime_checkable
 
 import numpy as np
 
@@ -61,6 +65,94 @@ def _unpack_levels(packed: np.ndarray, bitwidth: int, size: int) -> np.ndarray:
     return levels[:size]
 
 
+#: Byte budget of :data:`DEQUANTIZE_MEMO`.  It holds every float weight a
+#: served variant re-reads per forward — the 13 layers per variant whose
+#: fused product declines in the 167 MB ``generate`` benchmark U-Net
+#: (0.88 MB), and the whole FP4 stand-in Stable Diffusion (0.9 MB) and
+#: SDXL (2.9 MB) U-Nets on the reference backend — and stays far below one
+#: float32 variant of that U-Net.
+DEQUANTIZE_MEMO_BUDGET_BYTES = 32 * 2 ** 20
+
+#: Per-tensor weights of at least this many elements dequantize by
+#: gathering from a table of the format's level values: at int8 on a
+#: 2-vCPU AVX-512 VM, ``np.take`` loses to the affine map below it (16k
+#: elements: 42 vs 32 us; 37k: 67 vs 55 us) and wins above it (147k: 0.29
+#: vs 0.35 ms; 2.4M: 4.1 vs 6.6 ms).  Both give the same values element
+#: for element.
+_TABLE_MIN_ELEMENTS = 2 ** 16
+
+
+class DequantizeMemo:
+    """Process-wide LRU of float32 weights dequantized from packed levels.
+
+    Packed layers hold only their levels; the float path (the reference
+    backend, a declined fused product, ``.weight``) reads the float32
+    weight from here.  Entries are keyed per :class:`PackedIntWeight`,
+    evicted least-recently-used beyond ``budget_bytes`` and discarded when
+    their storage is garbage collected.  A weight larger than the whole
+    budget is dequantized on every call and never stored.  Stored arrays
+    are read-only, since every caller shares them.
+
+    The lock is re-entrant: a garbage collection inside a locked section
+    can run another storage's finalizer, which discards its entry, on the
+    same thread.
+    """
+
+    def __init__(self, budget_bytes: int):
+        self.budget_bytes = budget_bytes
+        self.nbytes = 0
+        self.hits = 0
+        self.misses = 0
+        self.evictions = 0
+        self._entries: "OrderedDict[int, np.ndarray]" = OrderedDict()
+        self._lock = threading.RLock()
+        self._keys = itertools.count()
+
+    def register(self, owner) -> int:
+        """A fresh key whose entry is discarded when ``owner`` is collected."""
+        key = next(self._keys)
+        weakref.finalize(owner, self.discard, key).atexit = False
+        return key
+
+    def get(self, key: int) -> Optional[np.ndarray]:
+        with self._lock:
+            values = self._entries.get(key)
+            if values is None:
+                self.misses += 1
+            else:
+                self._entries.move_to_end(key)
+                self.hits += 1
+            return values
+
+    def put(self, key: int, values: np.ndarray) -> None:
+        if values.nbytes > self.budget_bytes:
+            return
+        with self._lock:
+            self.discard(key)  # another thread may have stored it meanwhile
+            self._entries[key] = values
+            self.nbytes += values.nbytes
+            while self.nbytes > self.budget_bytes:
+                _key, evicted = self._entries.popitem(last=False)
+                self.nbytes -= evicted.nbytes
+                self.evictions += 1
+
+    def discard(self, key: int) -> None:
+        with self._lock:
+            values = self._entries.pop(key, None)
+            if values is not None:
+                self.nbytes -= values.nbytes
+
+    def stats(self) -> Dict[str, int]:
+        with self._lock:
+            return {"budget_bytes": self.budget_bytes, "nbytes": self.nbytes,
+                    "entries": len(self._entries), "hits": self.hits,
+                    "misses": self.misses, "evictions": self.evictions}
+
+
+#: The one memo every packed weight of the process shares.
+DEQUANTIZE_MEMO = DequantizeMemo(DEQUANTIZE_MEMO_BUDGET_BYTES)
+
+
 @runtime_checkable
 class QuantizedStorage(Protocol):
     """The storage contract quantized layers and fused kernels consume.
@@ -70,10 +162,9 @@ class QuantizedStorage(Protocol):
     through these three methods — layer code never reaches into storage
     internals such as the dequantization memo:
 
-    * :meth:`dequantize` — the memoized float32 simulation, for the
-      reference (dequantize-then-GEMM) path;
-    * :meth:`drop_dequantized` — release the float memo when memory
-      matters more than the next forward's latency;
+    * :meth:`dequantize` — the float32 simulation for the reference
+      (dequantize-then-GEMM) path, served from :data:`DEQUANTIZE_MEMO`;
+    * :meth:`drop_dequantized` — discard this weight's memo entry;
     * :meth:`packed_view` — a GEMM-ready
       :class:`~repro.tensor.backend.PackedLevelsView` of the packed
       bytes, or ``None`` when the storage cannot present one.
@@ -87,32 +178,34 @@ class QuantizedStorage(Protocol):
 
 
 class PackedIntWeight:
-    """Integer weight levels in packed byte storage + a memoized float form.
+    """Integer weight levels in packed byte storage.
 
     The levels of a uniform-integer-quantized weight tensor fit in one byte
     each (one nibble at <= 4 bits), and so do those of an FP4 weight,
     whose grid points are signed multiples of its subnormal step (stored
-    on ``IntFormat(scale=step, zero_point=max_level)``).  This is the
-    storage the quantized layer wrappers keep and the pickled
-    quantize-stage artifacts ship — an int8 or E2M1 weight costs 1/4 and
-    an int4 or E1M2 weight 1/8 of its float32 simulation (the artifacts
-    still carry the layer's pre-quantization ``original_weight`` for the
-    sparsity analysis, which packing cannot replace).
-    :meth:`dequantize` materializes (and memoizes) the float32 grid values:
-    bit-identical to :func:`~repro.core.integer.quantize_int` /
+    on ``IntFormat(scale=step, zero_point=max_level)``).  This is all a
+    packed quantized layer holds, and all its pickled quantize-stage
+    artifact ships — an int8 or E2M1 weight costs 1/4 and an int4 or E1M2
+    weight 1/8 of its float32 simulation.
+    :meth:`dequantize` returns the float32 grid values: bit-identical to
+    :func:`~repro.core.integer.quantize_int` /
     :func:`~repro.core.integer.quantize_int_per_channel` of the original
     weights, and equal to the served FP4 weight (see
-    :meth:`FPTensorQuantizer.pack_weights`), so a served variant pays the
-    dequantization once on first forward instead of re-simulating
-    quantization per forward.  The memo is dropped on pickling.
+    :meth:`FPTensorQuantizer.pack_weights`).  They live in the shared,
+    byte-budgeted :data:`DEQUANTIZE_MEMO`, so a variant on the float path
+    dequantizes a weight once while it stays in the memo, and a variant
+    whose fused products all engage never materializes one.
     """
 
     def __init__(self, packed: np.ndarray, shape, fmt):
         self.packed = packed
         self.shape = tuple(shape)
         self.fmt = fmt  # IntFormat or PerChannelIntFormat
-        self._dequantized: Optional[np.ndarray] = None
+        self._attach()
+
+    def _attach(self) -> None:
         self._packed_view: Optional[PackedLevelsView] = None
+        self._memo_key = DEQUANTIZE_MEMO.register(self)
 
     # ------------------------------------------------------------------
     @property
@@ -125,8 +218,17 @@ class PackedIntWeight:
 
     @property
     def nbytes(self) -> int:
-        """Bytes of packed storage (excluding the transient float memo)."""
+        """Bytes of packed storage."""
         return int(self.packed.nbytes)
+
+    def arrays(self):
+        """The arrays this storage holds: the packed bytes plus, once
+        built, the per-row arrays of its packed view."""
+        arrays = [self.packed]
+        view = self._packed_view
+        if view is not None:
+            arrays += [view.scales, view.zero_points, view.level_sums]
+        return arrays
 
     # ------------------------------------------------------------------
     @classmethod
@@ -149,31 +251,35 @@ class PackedIntWeight:
         """Unpacked integer levels, flattened."""
         return _unpack_levels(self.packed, self.fmt.bitwidth, self.num_elements)
 
-    # repro: hot -- weight-only layers dequantize on every forward until memoized
+    # repro: hot -- the float path dequantizes on every forward the memo misses
     def dequantize(self) -> np.ndarray:
-        """Memoized float32 grid values of the packed levels.
+        """Read-only float32 grid values of the packed levels, from the memo."""
+        values = DEQUANTIZE_MEMO.get(self._memo_key)
+        if values is None:
+            values = self._dequantize_levels()
+            DEQUANTIZE_MEMO.put(self._memo_key, values)
+        return values
 
-        Each of the format's levels is dequantized once, with the
-        arithmetic of ``dequantize_int_levels*``, and the weight gathers
-        its values from that table.
-        """
-        if self._dequantized is None:
-            levels = self.levels()
+    def _dequantize_levels(self) -> np.ndarray:
+        """The grid values with the arithmetic of ``dequantize_int_levels*``
+        (large per-tensor weights gather them from a table of that
+        arithmetic's per-level results), bypassing the memo."""
+        levels = self.levels()
+        if isinstance(self.fmt, PerChannelIntFormat):
+            values = dequantize_int_levels_per_channel(
+                levels.reshape(self.shape[0], -1), self.fmt)
+        elif levels.size >= _TABLE_MIN_ELEMENTS:
             grid = np.arange(self.fmt.num_levels, dtype=np.float64)
-            if isinstance(self.fmt, PerChannelIntFormat):
-                table = dequantize_int_levels_per_channel(
-                    np.broadcast_to(grid, (self.fmt.num_channels, grid.size)),
-                    self.fmt)
-                dequantized = np.take_along_axis(
-                    table, levels.reshape(self.shape[0], -1), axis=1)
-            else:
-                dequantized = dequantize_int_levels(grid, self.fmt)[levels]
-            self._dequantized = dequantized.reshape(self.shape)
-        return self._dequantized
+            values = np.take(dequantize_int_levels(grid, self.fmt), levels)
+        else:
+            values = dequantize_int_levels(levels, self.fmt)
+        values = values.reshape(self.shape)
+        values.flags.writeable = False
+        return values
 
     def drop_dequantized(self) -> None:
-        """Release the float memo (it is rebuilt on the next dequantize)."""
-        self._dequantized = None
+        """Discard this weight's memo entry (rebuilt on the next dequantize)."""
+        DEQUANTIZE_MEMO.discard(self._memo_key)
 
     def packed_view(self) -> Optional[PackedLevelsView]:
         """GEMM-ready row view of the packed levels, or ``None``.
@@ -188,9 +294,9 @@ class PackedIntWeight:
         when ``K`` is even; otherwise, and for degenerate shapes, this
         returns ``None`` and callers stay on the dequantized path.  The
         reshape is a view of the packed bytes (no copy); the result is
-        memoized and, like the float memo, not pickled.
+        kept on the storage and not pickled.
         """
-        view = getattr(self, "_packed_view", None)
+        view = self._packed_view
         if view is not None:
             return view
         if len(self.shape) < 2:
@@ -224,10 +330,12 @@ class PackedIntWeight:
         return view
 
     def __getstate__(self):
-        state = self.__dict__.copy()
-        state["_dequantized"] = None  # ship packed bytes, not the float memo
-        state["_packed_view"] = None  # rebuilt on demand after unpickling
-        return state
+        # Ship the packed bytes; the view and the memo key are per process.
+        return {"packed": self.packed, "shape": self.shape, "fmt": self.fmt}
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        self._attach()
 
 
 class TensorQuantizer:
@@ -299,7 +407,7 @@ class FPTensorQuantizer(TensorQuantizer):
         # of a zero sum).  Off-grid values, or float rounding of u * level
         # against the grid's own step, would break that; such a weight
         # stays unpacked.
-        if not np.array_equal(packed.dequantize(), values):
+        if not np.array_equal(packed._dequantize_levels(), values):
             return None
         return packed
 
@@ -383,19 +491,15 @@ class BlockFPTensorQuantizer(TensorQuantizer):
 class _QuantizedLayerBase(nn.Module):
     """Shared weight storage of the quantized Conv2d/Linear wrappers.
 
-    With integer and FP4 schemes the wrapper keeps the weight as a
-    :class:`PackedIntWeight` and materializes the float32 simulation from
-    it as a memo — at quantization time, and again when an artifact is
-    unpickled (the pickle ships only the packed bytes; rebuilding in
-    ``__setstate__`` keeps ``named_parameters``/``state_dict`` complete
-    without waiting for a forward).  FP8 and block-FP schemes keep the
-    eager float32 parameter.
+    With integer and FP4 schemes the wrapper holds only a
+    :class:`PackedIntWeight`: the float32 weight exists only on the float
+    path (the reference backend, a declined fused product, ``.weight``),
+    served from the shared :data:`DEQUANTIZE_MEMO`, and neither the layer
+    nor its pickle carries a float copy.  ``named_parameters`` and
+    ``state_dict`` still present it as the layer's ``weight``, so module
+    traversal sees the same parameters as with a float weight.  FP8 and
+    block-FP schemes keep the float32 parameter.
     """
-
-    #: Class-level default so artifacts pickled before packed storage
-    #: existed (the run store keys inputs, not code) still unpickle — they
-    #: carry the float weight in ``_parameters`` and no packed form.
-    packed_weight: Optional[PackedIntWeight] = None
 
     def _init_weight_storage(self, quantized_weight: np.ndarray,
                              packed_weight: Optional[PackedIntWeight]) -> None:
@@ -403,18 +507,23 @@ class _QuantizedLayerBase(nn.Module):
         if packed_weight is None:
             self._parameters["weight"] = nn.Parameter(quantized_weight,
                                                       requires_grad=False)
-        else:
-            self._parameters["weight"] = nn.Parameter(packed_weight.dequantize(),
-                                                      requires_grad=False)
 
     @property
     def weight(self) -> nn.Parameter:
-        param = self._parameters.get("weight")
-        if param is None:
-            param = nn.Parameter(self.packed_weight.dequantize(),
-                                 requires_grad=False)
-            self._parameters["weight"] = param
-        return param
+        if self.packed_weight is None:
+            return self._parameters["weight"]
+        return nn.Parameter(self.packed_weight.dequantize(), requires_grad=False)
+
+    def named_parameters(self, prefix: str = ""):
+        if self.packed_weight is not None:
+            yield prefix + "weight", self.weight
+        yield from super().named_parameters(prefix)
+
+    def state_dict(self, prefix: str = "") -> Dict[str, np.ndarray]:
+        state = super().state_dict(prefix=prefix)
+        if self.packed_weight is None:
+            return state
+        return {prefix + "weight": self.packed_weight.dequantize().copy(), **state}
 
     def _integer_activations(self) -> Union[IntFormat, FPFormat, None]:
         """The per-tensor activation grid the integer kernels can take —
@@ -426,43 +535,19 @@ class _QuantizedLayerBase(nn.Module):
             return quantizer.fmt
         return None
 
-    def packed_nbytes(self) -> Optional[int]:
-        """Bytes of packed weight storage, or None for float schemes."""
-        return None if self.packed_weight is None else self.packed_weight.nbytes
-
     def load_state_dict(self, state, prefix: str = "") -> None:
         super().load_state_dict(state, prefix=prefix)
-        if self.packed_weight is not None and prefix + "weight" in state:
+        key = prefix + "weight"
+        if self.packed_weight is not None and key in state:
             # The float weight is authoritative after an explicit load; if
             # it no longer matches the packed levels, drop them so
             # pickling/deepcopy cannot silently revert to the old weights.
-            if not np.array_equal(self._parameters["weight"].data,
-                                  self.packed_weight.dequantize()):
+            weight = np.asarray(state[key], dtype=np.float32).reshape(
+                self.packed_weight.shape)
+            if not np.array_equal(weight, self.packed_weight.dequantize()):
                 self.packed_weight = None
-
-    def __getstate__(self):
-        state = self.__dict__.copy()
-        if state.get("packed_weight") is not None:
-            # Ship the packed levels only; the float32 simulation is
-            # rebuilt from them on load.  (``original_weight`` still
-            # travels: the sparsity analysis needs the pre-quantization
-            # values, which are not recoverable from the packed grid.)
-            parameters = dict(state["_parameters"])
-            parameters.pop("weight", None)
-            state["_parameters"] = parameters
-        return state
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
-        # Rebuild the weight parameter eagerly so module traversal
-        # (named_parameters / state_dict / num_parameters) sees it without
-        # requiring a first forward; ``dequantize()`` memoizes, so this is
-        # the one-time cost the packed storage was designed to pay.
-        # (.get: pre-packing pickles have no packed_weight entry at all.)
-        packed = self.__dict__.get("packed_weight")
-        if packed is not None and "weight" not in self._parameters:
-            self._parameters["weight"] = nn.Parameter(packed.dequantize(),
-                                                      requires_grad=False)
+                self._parameters = {"weight": nn.Parameter(weight, requires_grad=False),
+                                    **self._parameters}
 
 
 class QuantizedConv2d(_QuantizedLayerBase):
@@ -480,7 +565,6 @@ class QuantizedConv2d(_QuantizedLayerBase):
         self.kernel_size = original.kernel_size
         self._init_weight_storage(quantized_weight, packed_weight)
         self.bias = original.bias
-        self.original_weight = original.weight.data.copy()
         self.activation_quantizer = activation_quantizer
         self.weight_quantizer = weight_quantizer
 
@@ -512,7 +596,6 @@ class QuantizedLinear(_QuantizedLayerBase):
         self.out_features = original.out_features
         self._init_weight_storage(quantized_weight, packed_weight)
         self.bias = original.bias
-        self.original_weight = original.weight.data.copy()
         self.activation_quantizer = activation_quantizer
         self.weight_quantizer = weight_quantizer
 
@@ -543,3 +626,24 @@ class QuantizedSkipConcat(nn.Module):
 
 #: Convenience alias so callers can check "is this module one of ours".
 QUANTIZED_LAYER_TYPES = (QuantizedConv2d, QuantizedLinear)
+
+
+def resident_nbytes(module: nn.Module) -> int:
+    """Bytes of the arrays ``module`` and its submodules hold.
+
+    Parameters, buffers and packed weight storage, each underlying buffer
+    counted once.  The float weights of packed layers are not counted:
+    they live in the shared :data:`DEQUANTIZE_MEMO`, whose bytes
+    ``DEQUANTIZE_MEMO.stats()`` reports once for the whole process.
+    """
+    sizes: Dict[int, int] = {}
+    for sub in module.modules():
+        arrays = [param.data for param in sub._parameters.values()]
+        arrays += sub._buffers.values()
+        if isinstance(sub, QUANTIZED_LAYER_TYPES) and sub.packed_weight is not None:
+            arrays += sub.packed_weight.arrays()
+        for array in arrays:
+            while isinstance(array.base, np.ndarray):
+                array = array.base
+            sizes[id(array)] = array.nbytes
+    return sum(sizes.values())

@@ -47,26 +47,22 @@ class SparsityReport:
         return 100.0 * self.sparsity
 
 
-def _weight_entries(model: DiffusionModel, use_original: bool):
+def _weight_entries(model: DiffusionModel):
     for path, module in model.unet.named_modules():
-        if isinstance(module, QUANTIZED_LAYER_TYPES):
-            weights = module.original_weight if use_original else module.weight.data
-            yield path, weights
-        elif use_original and isinstance(module, (nn.Conv2d, nn.Linear)):
+        if isinstance(module, QUANTIZED_LAYER_TYPES + (nn.Conv2d, nn.Linear)):
             yield path, module.weight.data
 
 
-def measure_weight_sparsity(model: DiffusionModel, use_original: bool = False,
+def measure_weight_sparsity(model: DiffusionModel,
                             tolerance: float = 0.0) -> SparsityReport:
     """Measure weight sparsity over a model's quantizable layers.
 
-    With ``use_original=True`` the pre-quantization (full-precision) weights
-    stored inside the quantized wrappers are measured instead, which is how
-    the "FP32" bar of Figure 11 is produced from the same quantized model.
+    The "FP32" bar of Figure 11 is this measurement on the unquantized
+    model; the quantized bars measure the weights a quantized model serves.
     """
     per_layer: Dict[str, float] = {}
     total, zeros = 0, 0
-    for path, weights in _weight_entries(model, use_original):
+    for path, weights in _weight_entries(model):
         per_layer[path] = tensor_sparsity(weights, tolerance)
         total += weights.size
         zeros += int(np.sum(np.abs(weights) <= tolerance))

@@ -30,7 +30,9 @@ from ..core.hashing import content_hash
 #: *inputs*, not from the code that executes the stage — bump this whenever
 #: a stage implementation changes its outputs for identical inputs, so
 #: existing stores invalidate wholesale instead of serving stale artifacts.
-STORE_SCHEMA_VERSION = 1
+#: Version 2: quantize artifacts pickle packed layers as their levels only
+#: (no float weight, no pre-quantization ``original_weight``).
+STORE_SCHEMA_VERSION = 2
 
 
 def _identity(value: Any) -> Any:

@@ -56,7 +56,7 @@ def run_sparsity_experiment(model_name: str,
         weight_dtype="fp4", activation_dtype="fp32", rounding_learning=False))
     fp8_pipe, _ = quantize_pipeline(pipeline, fp8_weights)
     fp4_pipe, _ = quantize_pipeline(pipeline, fp4_weights)
-    results["FP32"] = measure_weight_sparsity(fp8_pipe.model, use_original=True).percent
+    results["FP32"] = measure_weight_sparsity(pipeline.model).percent
     results["FP8"] = measure_weight_sparsity(fp8_pipe.model).percent
     results["FP4"] = measure_weight_sparsity(fp4_pipe.model).percent
     return results

@@ -450,7 +450,15 @@ class ServingEngine:
 
     # ------------------------------------------------------------------
     def sync_component_stats(self) -> None:
-        """Copy cache/pool counters into the stats report's component block."""
+        """Copy cache/pool counters into the stats report's component block,
+        and each variant's measured resident bytes (0 once evicted) into the
+        metrics registry, when one is attached."""
         self.stats.set_component_stats("embedding_cache",
                                        self.embedding_cache.stats())
-        self.stats.set_component_stats("variant_pool", self.pool.stats())
+        pool_stats = self.pool.stats()
+        self.stats.set_component_stats("variant_pool", pool_stats)
+        if self.metrics is not None:
+            for name, meta in pool_stats["variants"].items():
+                self.metrics.gauge("serving.variant_resident_bytes",
+                                   labels={"variant": name}).set(
+                    meta["resident_nbytes"] if meta["resident"] else 0.0)

@@ -20,12 +20,16 @@ pool's own ``quantization`` mapping, not a spec's bench-scaled configs).
 Per-variant build time and provenance (``"store"`` vs ``"cold"``) land in
 :meth:`stats` so serving reports show prewarm effectiveness.
 
-Resident variants are charged against a **memory budget** using the
-analytic peak-memory estimator of :mod:`repro.profiling.memory` with
-scheme-dependent bytes per element, so an FP4 variant costs the pool ~8x
-less than FP32 and low-precision variants pack denser.  When a build pushes
-the total over budget, least-recently-used variants are evicted (the newest
-variant is always kept, even alone over budget, so serving can't wedge).
+Resident variants are charged against a **memory budget** by the bytes
+they measurably hold (:func:`repro.core.resident_nbytes`: parameters,
+buffers and packed weight storage), so an FP4 or INT4 variant of packed
+layers costs the pool ~1/8 of its FP32 sibling.  The analytic peak-memory
+estimate of :mod:`repro.profiling.memory` (:func:`variant_cost_bytes`)
+stays the prediction; :meth:`ModelVariantPool.stats` reports both per
+variant, plus the process-wide dequantization memo that packed variants
+share once.  When a build pushes the total over budget,
+least-recently-used variants are evicted (the newest variant is always
+kept, even alone over budget, so serving can't wedge).
 """
 
 from __future__ import annotations
@@ -34,7 +38,8 @@ import time
 from collections import OrderedDict
 from typing import Callable, Dict, Iterable, Optional, Tuple
 
-from ..core import QuantizationConfig, quantize_pipeline
+from .. import nn
+from ..core import DEQUANTIZE_MEMO, QuantizationConfig, quantize_pipeline, resident_nbytes
 from ..diffusion import DiffusionPipeline
 from ..models import get_model_spec
 from ..profiling import estimate_peak_memory, scheme_bytes_per_element
@@ -78,9 +83,14 @@ class ModelVariantPool:
         (tests inject stubs; production uses the zoo + quantizer default).
         ``quantization`` maps a scheme name to the full
         :class:`QuantizationConfig` used for that variant (default: the
-        scheme for both weights and activations).  ``cost_fn`` overrides the
-        per-variant memory accounting; ``memory_budget_bytes=None`` disables
-        eviction entirely.  ``run_store`` (a
+        scheme for both weights and activations).  A variant is charged
+        the bytes its model measurably holds
+        (:func:`repro.core.resident_nbytes`; 0 for a builder's stand-in
+        without a model) and predicted to cost
+        :func:`variant_cost_bytes`; ``cost_fn`` replaces
+        both the charge and the prediction (simulated replicas charge
+        modeled bytes); ``memory_budget_bytes=None`` disables eviction
+        entirely.  ``run_store`` (a
         :class:`repro.experiments.RunStore`) makes the default builder load
         pre-quantized variants from the content-addressed artifact store,
         falling back to a cold quantize that populates the store.
@@ -99,9 +109,7 @@ class ModelVariantPool:
         self.run_store = run_store
         self._quantization = quantization or self._default_quantization
         self._builder = builder or self._default_builder
-        self._cost_fn = cost_fn or (
-            lambda model, scheme: variant_cost_bytes(model, scheme,
-                                                     self.batch_size))
+        self._cost_fn = cost_fn
         self._variants: "OrderedDict[VariantKey, DiffusionPipeline]" = OrderedDict()
         self._costs: Dict[VariantKey, float] = {}
         #: Per-variant build provenance: build time and "store"/"cold"/
@@ -153,6 +161,10 @@ class ModelVariantPool:
         return tuple(self._variants)
 
     def stats(self) -> Dict:
+        """Counters, charged bytes against the budget, and per variant its
+        build provenance, measured ``resident_nbytes`` and
+        ``predicted_bytes``; ``dequantize_memo`` is the float-weight memo
+        all packed variants of the process share."""
         return {
             "hits": self.hits,
             "builds": self.builds,
@@ -162,6 +174,7 @@ class ModelVariantPool:
             "memory_budget_bytes": self.memory_budget_bytes,
             "store_loads": self.store_loads,
             "cold_builds": self.cold_builds,
+            "dequantize_memo": DEQUANTIZE_MEMO.stats(),
             "variants": {
                 f"{model}/{scheme}": dict(meta,
                                           resident=(model, scheme) in self._variants)
@@ -196,9 +209,18 @@ class ModelVariantPool:
         elif source == "cold":
             self.cold_builds += 1
         self.builds += 1
-        self._variant_meta[key] = {"build_time_s": build_time, "source": source}
+        bundle = getattr(pipeline, "model", None)
+        measured = resident_nbytes(bundle) if isinstance(bundle, nn.Module) else 0
+        if self._cost_fn is None:
+            predicted = variant_cost_bytes(model, scheme, self.batch_size)
+            charge = measured
+        else:
+            predicted = charge = self._cost_fn(model, scheme)
+        self._variant_meta[key] = {"build_time_s": build_time, "source": source,
+                                   "resident_nbytes": measured,
+                                   "predicted_bytes": float(predicted)}
         self._variants[key] = pipeline
-        self._costs[key] = float(self._cost_fn(model, scheme))
+        self._costs[key] = float(charge)
         self._evict_over_budget(keep=key)
         return pipeline
 

@@ -136,7 +136,6 @@ class TestQuantizedLayers:
         x = rng.standard_normal((2, 8)).astype(np.float32)
         expected = quantize_fp(x, act_fmt) @ quantized_weight.T + original.bias.data
         np.testing.assert_allclose(wrapper(Tensor(x)).data, expected, atol=1e-5)
-        np.testing.assert_allclose(wrapper.original_weight, original.weight.data)
 
     def test_quantized_conv_preserves_geometry(self):
         rng = np.random.default_rng(3)

@@ -140,6 +140,7 @@ class TestQuantizePipeline:
         config = fast_config(fp4_fp8_config(rounding_learning=True))
         quantized, _ = quantize_pipeline(tiny_pipeline, config)
         layers = dict(quantized.model.unet.named_modules())
+        fp32_layers = dict(tiny_pipeline.model.unet.named_modules())
         learned = [path for path, (_, _, record) in served.items()
                    if record.rounding_learning_used]
         assert learned
@@ -150,7 +151,7 @@ class TestQuantizePipeline:
             assert packed is not None, path
             np.testing.assert_array_equal(packed.dequantize().view(np.uint32),
                                           weight.view(np.uint32))
-            nearest = quantize_fp(layers[path].original_weight, fmt)
+            nearest = quantize_fp(fp32_layers[path].weight.data, fmt)
             differs = differs or not np.array_equal(weight, nearest)
         assert differs
 
@@ -160,12 +161,15 @@ class TestQuantizePipeline:
         config = QuantizationConfig(weight_dtype=weights,
                                     activation_dtype="int8")
         quantized, _ = quantize_pipeline(tiny_pipeline, fast_config(config))
-        layers = [module for module in quantized.model.unet.modules()
+        fp32_layers = dict(tiny_pipeline.model.unet.named_modules())
+        layers = [(path, module) for path, module
+                  in quantized.model.unet.named_modules()
                   if isinstance(module, (QuantizedConv2d, QuantizedLinear))]
         assert layers
-        for layer in layers:
+        for path, layer in layers:
             packed = layer.packed_weight
-            expected = PackedIntWeight.pack(layer.original_weight, packed.fmt)
+            expected = PackedIntWeight.pack(fp32_layers[path].weight.data,
+                                            packed.fmt)
             np.testing.assert_array_equal(packed.levels(), expected.levels())
 
     def test_quantized_pipeline_generates_images(self, tiny_pipeline):
@@ -217,7 +221,7 @@ class TestSparsity:
         fp8_pipe, _ = quantize_pipeline(tiny_pipeline, fast_config(fp8_fp8_config()))
         fp4_pipe, _ = quantize_pipeline(
             tiny_pipeline, fast_config(fp4_fp8_config(rounding_learning=False)))
-        baseline = measure_weight_sparsity(fp8_pipe.model, use_original=True)
+        baseline = measure_weight_sparsity(tiny_pipeline.model)
         fp8 = measure_weight_sparsity(fp8_pipe.model)
         fp4 = measure_weight_sparsity(fp4_pipe.model)
         assert fp8.sparsity >= baseline.sparsity
