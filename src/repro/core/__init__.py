@@ -45,7 +45,8 @@ Orchestration
 Storage
     * :class:`PackedIntWeight` — the packed levels a quantized layer holds;
       its float32 weight is served from :data:`DEQUANTIZE_MEMO`, one
-      process-wide LRU capped at :data:`DEQUANTIZE_MEMO_BUDGET_BYTES`.
+      process-wide store that admits weights while they fit
+      :data:`DEQUANTIZE_MEMO_BUDGET_BYTES`.
     * :func:`resident_nbytes` — measured bytes of the arrays a model holds.
 """
 

@@ -20,7 +20,6 @@ from __future__ import annotations
 import itertools
 import threading
 import weakref
-from collections import OrderedDict
 from typing import Dict, Optional, Protocol, Union, runtime_checkable
 
 import numpy as np
@@ -73,38 +72,30 @@ def _unpack_levels(packed: np.ndarray, bitwidth: int, size: int) -> np.ndarray:
 #: float32 variant of that U-Net.
 DEQUANTIZE_MEMO_BUDGET_BYTES = 32 * 2 ** 20
 
-#: Per-tensor weights of at least this many elements dequantize by
-#: gathering from a table of the format's level values: at int8 on a
-#: 2-vCPU AVX-512 VM, ``np.take`` loses to the affine map below it (16k
-#: elements: 42 vs 32 us; 37k: 67 vs 55 us) and wins above it (147k: 0.29
-#: vs 0.35 ms; 2.4M: 4.1 vs 6.6 ms).  Both give the same values element
-#: for element.
-_TABLE_MIN_ELEMENTS = 2 ** 16
-
 
 class DequantizeMemo:
-    """Process-wide LRU of float32 weights dequantized from packed levels.
+    """Process-wide store of float32 weights dequantized from packed levels.
 
     Packed layers hold only their levels; the float path (the reference
     backend, a declined fused product, ``.weight``) reads the float32
-    weight from here.  Entries are keyed per :class:`PackedIntWeight`,
-    evicted least-recently-used beyond ``budget_bytes`` and discarded when
-    their storage is garbage collected.  A weight larger than the whole
-    budget is dequantized on every call and never stored.  Stored arrays
-    are read-only, since every caller shares them.
+    weight from here.  Entries are keyed per :class:`PackedIntWeight` and
+    admitted while they fit ``budget_bytes``; a weight that does not fit
+    is returned unstored and dequantized again on its next call.  Entries
+    leave only when their storage drops them or is garbage collected, so
+    a forward over more float weights than the budget holds keeps hitting
+    the same stored subset.  Stored arrays are read-only, since every
+    caller shares them.
 
-    The lock is re-entrant: a garbage collection inside a locked section
-    can run another storage's finalizer, which discards its entry, on the
-    same thread.
+    Writes take the lock; reads are single dict lookups.  The lock is
+    re-entrant: a garbage collection inside a locked section can run
+    another storage's finalizer, which discards its entry, on the same
+    thread.
     """
 
     def __init__(self, budget_bytes: int):
         self.budget_bytes = budget_bytes
         self.nbytes = 0
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self._entries: "OrderedDict[int, np.ndarray]" = OrderedDict()
+        self._entries: Dict[int, np.ndarray] = {}
         self._lock = threading.RLock()
         self._keys = itertools.count()
 
@@ -115,26 +106,16 @@ class DequantizeMemo:
         return key
 
     def get(self, key: int) -> Optional[np.ndarray]:
-        with self._lock:
-            values = self._entries.get(key)
-            if values is None:
-                self.misses += 1
-            else:
-                self._entries.move_to_end(key)
-                self.hits += 1
-            return values
+        return self._entries.get(key)
 
     def put(self, key: int, values: np.ndarray) -> None:
-        if values.nbytes > self.budget_bytes:
-            return
         with self._lock:
-            self.discard(key)  # another thread may have stored it meanwhile
+            # Another thread may have stored this key meanwhile.
+            if (key in self._entries
+                    or self.nbytes + values.nbytes > self.budget_bytes):
+                return
             self._entries[key] = values
             self.nbytes += values.nbytes
-            while self.nbytes > self.budget_bytes:
-                _key, evicted = self._entries.popitem(last=False)
-                self.nbytes -= evicted.nbytes
-                self.evictions += 1
 
     def discard(self, key: int) -> None:
         with self._lock:
@@ -145,8 +126,7 @@ class DequantizeMemo:
     def stats(self) -> Dict[str, int]:
         with self._lock:
             return {"budget_bytes": self.budget_bytes, "nbytes": self.nbytes,
-                    "entries": len(self._entries), "hits": self.hits,
-                    "misses": self.misses, "evictions": self.evictions}
+                    "entries": len(self._entries)}
 
 
 #: The one memo every packed weight of the process shares.
@@ -193,8 +173,9 @@ class PackedIntWeight:
     weights, and equal to the served FP4 weight (see
     :meth:`FPTensorQuantizer.pack_weights`).  They live in the shared,
     byte-budgeted :data:`DEQUANTIZE_MEMO`, so a variant on the float path
-    dequantizes a weight once while it stays in the memo, and a variant
-    whose fused products all engage never materializes one.
+    dequantizes a weight once if the memo admits it (on every call if
+    not), and a variant whose fused products all engage never
+    materializes one.
     """
 
     def __init__(self, packed: np.ndarray, shape, fmt):
@@ -205,7 +186,9 @@ class PackedIntWeight:
 
     def _attach(self) -> None:
         self._packed_view: Optional[PackedLevelsView] = None
-        self._memo_key = DEQUANTIZE_MEMO.register(self)
+        # The memo this storage's key belongs to, kept for its lifetime.
+        self._memo = DEQUANTIZE_MEMO
+        self._memo_key = self._memo.register(self)
 
     # ------------------------------------------------------------------
     @property
@@ -254,23 +237,18 @@ class PackedIntWeight:
     # repro: hot -- the float path dequantizes on every forward the memo misses
     def dequantize(self) -> np.ndarray:
         """Read-only float32 grid values of the packed levels, from the memo."""
-        values = DEQUANTIZE_MEMO.get(self._memo_key)
+        values = self._memo.get(self._memo_key)
         if values is None:
             values = self._dequantize_levels()
-            DEQUANTIZE_MEMO.put(self._memo_key, values)
+            self._memo.put(self._memo_key, values)
         return values
 
     def _dequantize_levels(self) -> np.ndarray:
-        """The grid values with the arithmetic of ``dequantize_int_levels*``
-        (large per-tensor weights gather them from a table of that
-        arithmetic's per-level results), bypassing the memo."""
+        """The grid values by ``dequantize_int_levels*``, bypassing the memo."""
         levels = self.levels()
         if isinstance(self.fmt, PerChannelIntFormat):
             values = dequantize_int_levels_per_channel(
                 levels.reshape(self.shape[0], -1), self.fmt)
-        elif levels.size >= _TABLE_MIN_ELEMENTS:
-            grid = np.arange(self.fmt.num_levels, dtype=np.float64)
-            values = np.take(dequantize_int_levels(grid, self.fmt), levels)
         else:
             values = dequantize_int_levels(levels, self.fmt)
         values = values.reshape(self.shape)
@@ -279,7 +257,7 @@ class PackedIntWeight:
 
     def drop_dequantized(self) -> None:
         """Discard this weight's memo entry (rebuilt on the next dequantize)."""
-        DEQUANTIZE_MEMO.discard(self._memo_key)
+        self._memo.discard(self._memo_key)
 
     def packed_view(self) -> Optional[PackedLevelsView]:
         """GEMM-ready row view of the packed levels, or ``None``.
@@ -330,7 +308,7 @@ class PackedIntWeight:
         return view
 
     def __getstate__(self):
-        # Ship the packed bytes; the view and the memo key are per process.
+        # Ship the packed bytes; the view and the memo entry are per process.
         return {"packed": self.packed, "shape": self.shape, "fmt": self.fmt}
 
     def __setstate__(self, state):

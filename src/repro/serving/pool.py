@@ -23,7 +23,9 @@ Per-variant build time and provenance (``"store"`` vs ``"cold"``) land in
 Resident variants are charged against a **memory budget** by the bytes
 they measurably hold (:func:`repro.core.resident_nbytes`: parameters,
 buffers and packed weight storage), so an FP4 or INT4 variant of packed
-layers costs the pool ~1/8 of its FP32 sibling.  The analytic peak-memory
+layers costs the pool ~1/8 of its FP32 sibling.  A variant is measured
+when it is built, and again at the next :meth:`ModelVariantPool.stats`
+or build after it serves.  The analytic peak-memory
 estimate of :mod:`repro.profiling.memory` (:func:`variant_cost_bytes`)
 stays the prediction; :meth:`ModelVariantPool.stats` reports both per
 variant, plus the process-wide dequantization memo that packed variants
@@ -36,7 +38,7 @@ from __future__ import annotations
 
 import time
 from collections import OrderedDict
-from typing import Callable, Dict, Iterable, Optional, Tuple
+from typing import Callable, Dict, Iterable, Optional, Set, Tuple
 
 from .. import nn
 from ..core import DEQUANTIZE_MEMO, QuantizationConfig, quantize_pipeline, resident_nbytes
@@ -115,6 +117,8 @@ class ModelVariantPool:
         #: Per-variant build provenance: build time and "store"/"cold"/
         #: "custom" source, kept across evictions for the serving report.
         self._variant_meta: Dict[VariantKey, Dict] = {}
+        #: Resident variants built or served since they were last measured.
+        self._unmeasured: Set[VariantKey] = set()
         self._last_build_source: Optional[str] = None
         self.hits = 0
         self.builds = 0
@@ -164,7 +168,9 @@ class ModelVariantPool:
         """Counters, charged bytes against the budget, and per variant its
         build provenance, measured ``resident_nbytes`` and
         ``predicted_bytes``; ``dequantize_memo`` is the float-weight memo
-        all packed variants of the process share."""
+        all packed variants of the process share.  Variants served since
+        their last measurement are measured again first."""
+        self._measure()
         return {
             "hits": self.hits,
             "builds": self.builds,
@@ -198,6 +204,7 @@ class ModelVariantPool:
         if pipeline is not None:
             self.hits += 1
             self._variants.move_to_end(key)
+            self._unmeasured.add(key)
             return pipeline
         self._last_build_source = None
         started = self._now()
@@ -209,20 +216,30 @@ class ModelVariantPool:
         elif source == "cold":
             self.cold_builds += 1
         self.builds += 1
-        bundle = getattr(pipeline, "model", None)
-        measured = resident_nbytes(bundle) if isinstance(bundle, nn.Module) else 0
         if self._cost_fn is None:
             predicted = variant_cost_bytes(model, scheme, self.batch_size)
-            charge = measured
         else:
-            predicted = charge = self._cost_fn(model, scheme)
+            predicted = self._costs[key] = float(self._cost_fn(model, scheme))
         self._variant_meta[key] = {"build_time_s": build_time, "source": source,
-                                   "resident_nbytes": measured,
                                    "predicted_bytes": float(predicted)}
         self._variants[key] = pipeline
-        self._costs[key] = float(charge)
+        self._unmeasured.add(key)
+        self._measure()
         self._evict_over_budget(keep=key)
         return pipeline
+
+    def _measure(self) -> None:
+        """Measure the resident variants built or served since their last
+        measurement; without a ``cost_fn`` that is also their charge.  A
+        served variant can have grown: a packed layer builds the row
+        arrays of its GEMM view on its first fused product."""
+        for key in self._unmeasured & self._variants.keys():
+            bundle = getattr(self._variants[key], "model", None)
+            measured = resident_nbytes(bundle) if isinstance(bundle, nn.Module) else 0
+            self._variant_meta[key]["resident_nbytes"] = measured
+            if self._cost_fn is None:
+                self._costs[key] = float(measured)
+        self._unmeasured.clear()
 
     def _evict_over_budget(self, keep: VariantKey) -> None:
         if self.memory_budget_bytes is None:
