@@ -14,8 +14,7 @@ import numpy as np
 
 from ..tensor import Tensor
 from ..tensor import functional as F
-from ..tensor.backend import active_backend
-from ..tensor.tensor import _no_graph
+from ..tensor.tensor import _builds_graph
 from . import init
 from .module import Module, Parameter
 
@@ -85,7 +84,14 @@ class GELU(Module):
 
 
 class GroupNorm(Module):
-    """Group normalization over channel groups of a ``(N, C, H, W)`` tensor."""
+    """Group normalization over channel groups of a ``(N, C, H, W)`` tensor.
+
+    Two spellings of one computation: graph-building calls compose
+    :class:`Tensor` operations (their VJPs give the gradient), graph-free
+    calls run :func:`_group_norm` on the arrays, the same operations in
+    the same order and dtypes minus the per-op wrapping.  Both give
+    bit-identical outputs.
+    """
 
     def __init__(self, num_groups: int, num_channels: int, eps: float = 1e-5):
         super().__init__()
@@ -99,15 +105,11 @@ class GroupNorm(Module):
         self.bias = Parameter(init.zeros((num_channels,)))
 
     def forward(self, x: Tensor) -> Tensor:
-        n, c, h, w = x.shape
-        if _no_graph(x, self.weight, self.bias):
-            # Graph-free fast path: the backend kernel mirrors the autograd
-            # spelling below operation for operation (the reference backend
-            # is bit-identical to it).
-            out = active_backend().group_norm(
+        if not _builds_graph((x, self.weight, self.bias)):
+            return Tensor._from_data(_group_norm(
                 x.data, self.num_groups, self.weight.data, self.bias.data,
-                self.eps)
-            return Tensor._from_data(out)
+                self.eps))
+        n, c, h, w = x.shape
         grouped = x.reshape(n, self.num_groups, c // self.num_groups * h * w)
         mean = grouped.mean(axis=2, keepdims=True)
         var = grouped.var(axis=2, keepdims=True)
@@ -118,8 +120,23 @@ class GroupNorm(Module):
         return normed * scale + shift
 
 
+# repro: hot -- graph-free GroupNorm of every U-Net block
+def _group_norm(x: np.ndarray, num_groups: int, weight: np.ndarray,
+                bias: np.ndarray, eps: float) -> np.ndarray:
+    n, c, h, w = x.shape
+    grouped = x.reshape(n, num_groups, c // num_groups * h * w)
+    inv_count = np.float32(1.0 / grouped.shape[2])
+    mean = grouped.sum(axis=2, keepdims=True) * inv_count
+    centered = grouped - mean
+    var = (centered * centered).sum(axis=2, keepdims=True) * inv_count
+    normed = centered / np.sqrt(var + np.float32(eps))
+    normed = normed.reshape(n, c, h, w)
+    return normed * weight.reshape(1, c, 1, 1) + bias.reshape(1, c, 1, 1)
+
+
 class LayerNorm(Module):
-    """Layer normalization over the last dimension."""
+    """Layer normalization over the last dimension; two spellings, as
+    :class:`GroupNorm`."""
 
     def __init__(self, dim: int, eps: float = 1e-5):
         super().__init__()
@@ -129,15 +146,24 @@ class LayerNorm(Module):
         self.bias = Parameter(init.zeros((dim,)))
 
     def forward(self, x: Tensor) -> Tensor:
-        if _no_graph(x, self.weight, self.bias):
-            # Backend kernel; the reference spelling mirrors the autograd
-            # path below bit-identically.
-            return Tensor._from_data(active_backend().layer_norm(
+        if not _builds_graph((x, self.weight, self.bias)):
+            return Tensor._from_data(_layer_norm(
                 x.data, self.weight.data, self.bias.data, self.eps))
         mean = x.mean(axis=-1, keepdims=True)
         var = x.var(axis=-1, keepdims=True)
         normed = (x - mean) / (var + self.eps).sqrt()
         return normed * self.weight + self.bias
+
+
+# repro: hot -- graph-free LayerNorm of the transformer blocks
+def _layer_norm(x: np.ndarray, weight: np.ndarray, bias: np.ndarray,
+                eps: float) -> np.ndarray:
+    inv_count = np.float32(1.0 / x.shape[-1])
+    mean = x.sum(axis=-1, keepdims=True) * inv_count
+    centered = x - mean
+    var = (centered * centered).sum(axis=-1, keepdims=True) * inv_count
+    normed = centered / np.sqrt(var + np.float32(eps))
+    return normed * weight + bias
 
 
 class Embedding(Module):

@@ -403,12 +403,14 @@ class ServingEngine:
 
         A server loop alternates ``submit`` (as traffic arrives) with
         ``pump``; partial batches are held back until they fill or their
-        oldest member has waited ``max_wait`` seconds.
+        oldest member has waited ``max_wait`` seconds.  A turn does not
+        refresh the report's component block (measuring the served
+        variants costs more than a turn should); :meth:`run_until_idle`
+        and :meth:`sync_component_stats` do.
         """
         responses = self._drain_queue()
         for due in self.batcher.due():
             responses.extend(self.complete_batch(due))
-        self.sync_component_stats()
         return responses
 
     def run_until_idle(self) -> List[Response]:

@@ -16,16 +16,12 @@ from .tensor import (
     is_grad_enabled,
     is_inference_mode,
     no_grad,
-    stack,
-    where,
 )
 from . import functional
 
 __all__ = [
     "Tensor",
     "concatenate",
-    "stack",
-    "where",
     "no_grad",
     "inference_mode",
     "is_grad_enabled",

@@ -1,10 +1,11 @@
 """Pluggable compute backends behind the tensor engine's heavy kernels.
 
 Every GEMM-shaped operation in the reproduction — matmul, im2col
-convolution, attention score/value products — and the graph-free norm /
-activation fast paths dispatch through the :class:`ComputeBackend`
-contract defined here instead of calling numpy directly.  Two backends
-ship:
+convolution, attention score/value products — and the quantized layers'
+integer products dispatch through the :class:`ComputeBackend` contract
+defined here instead of calling numpy directly.  Norms and activations
+are plain numpy in :mod:`repro.tensor.tensor` and :mod:`repro.nn.layers`;
+no backend changes them.  Two backends ship:
 
 ``reference`` (default)
     The exact numpy spellings the engine has always used, in the same
@@ -206,46 +207,6 @@ class ComputeBackend:
         reference backend always declines.
         """
         return None
-
-    # -- norm / activation fast paths ----------------------------------
-    # These are the graph-free spellings of the corresponding autograd
-    # operations: same operations, same order, same dtypes, minus the
-    # per-op Tensor wrapping — bit-identical outputs.
-
-    # repro: hot -- graph-free GroupNorm of every U-Net block
-    def group_norm(self, x: np.ndarray, num_groups: int, weight: np.ndarray,
-                   bias: np.ndarray, eps: float) -> np.ndarray:
-        n, c, h, w = x.shape
-        grouped = x.reshape(n, num_groups, c // num_groups * h * w)
-        inv_count = np.float32(1.0 / grouped.shape[2])
-        mean = grouped.sum(axis=2, keepdims=True) * inv_count
-        centered = grouped - mean
-        var = (centered * centered).sum(axis=2, keepdims=True) * inv_count
-        normed = centered / np.sqrt(var + np.float32(eps))
-        normed = normed.reshape(n, c, h, w)
-        return (normed * weight.reshape(1, c, 1, 1)
-                + bias.reshape(1, c, 1, 1))
-
-    # repro: hot -- graph-free LayerNorm of the transformer blocks
-    def layer_norm(self, x: np.ndarray, weight: np.ndarray, bias: np.ndarray,
-                   eps: float) -> np.ndarray:
-        inv_count = np.float32(1.0 / x.shape[-1])
-        mean = x.sum(axis=-1, keepdims=True) * inv_count
-        centered = x - mean
-        var = (centered * centered).sum(axis=-1, keepdims=True) * inv_count
-        normed = centered / np.sqrt(var + np.float32(eps))
-        return normed * weight + bias
-
-    # repro: hot -- graph-free SiLU between every pair of U-Net convs
-    def silu(self, x: np.ndarray) -> np.ndarray:
-        sig = 1.0 / (1.0 + np.exp(-x))
-        return x * sig
-
-    # repro: hot -- graph-free attention softmax
-    def softmax(self, x: np.ndarray, axis: int = -1) -> np.ndarray:
-        shifted = x - x.max(axis=axis, keepdims=True)
-        exp = np.exp(shifted)
-        return exp / exp.sum(axis=axis, keepdims=True)
 
 
 class NumpyReferenceBackend(ComputeBackend):
@@ -472,7 +433,7 @@ def set_backend(name: str) -> None:
         _DEFAULT = backend
 
 
-# repro: hot -- autograd backward closures pin the bit-exact backend
+# repro: hot -- autograd VJPs pin the bit-exact backend
 def reference_backend() -> ComputeBackend:
     """The always-registered bit-exact reference backend.
 

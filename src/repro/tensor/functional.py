@@ -1,7 +1,8 @@
 """Structured tensor operations: convolution, pooling, resampling, attention.
 
-These are implemented on top of the :class:`repro.tensor.Tensor` autograd
-primitives so that both the diffusion models and the rounding-learning
+Each is a forward on numpy arrays plus a VJP joined by
+:func:`repro.tensor.tensor._apply`, like the :class:`repro.tensor.Tensor`
+operations, so both the diffusion models and the rounding-learning
 optimization of the quantizer can differentiate through them.
 
 The convolution is the dominant cost of every U-Net forward, and its im2col
@@ -11,14 +12,15 @@ matrix per call.  When a convolution is not going to join an autograd graph
 two scratch arrays are drawn from a small per-thread workspace cache keyed by
 shape, so repeated forwards — every denoising step of every sampler pass —
 reuse the same buffers instead of re-allocating them.  Graph-building calls
-never use the cache: their backward closures retain the patch matrix, which
-must therefore stay privately owned.
+never use the cache: their VJP keeps the patch matrix, which must therefore
+stay privately owned.  That is why :func:`conv2d` asks the grad-mode
+question itself before its forward.
 
 Every GEMM in this module dispatches through :mod:`repro.tensor.backend`
 rather than calling numpy directly: inference paths use the active backend,
-graph-building forwards and all backward closures pin the bit-exact
-reference backend.  :func:`fused_linear` / :func:`fused_conv2d` are the
-integer-domain entry points the quantized layer wrappers try first.
+graph-building forwards and all VJPs pin the bit-exact reference backend.
+:func:`fused_linear` / :func:`fused_conv2d` are the integer-domain entry
+points the quantized layer wrappers try first.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .backend import PackedLevelsView, active_backend, reference_backend
-from .tensor import Tensor, _no_graph, is_grad_enabled, is_inference_mode
+from .tensor import Tensor, _apply, _builds_graph, is_inference_mode
 
 #: Per-thread workspace cache (thread-local: the parallel experiment runner
 #: forwards independent models on worker threads).  Bounded so long-running
@@ -57,16 +59,6 @@ def _workspace(key: tuple, shape: tuple, dtype, zero: bool = False) -> np.ndarra
     return array
 
 
-def clear_workspaces() -> None:
-    """Drop this thread's cached im2col workspaces (frees their memory)."""
-    _WORKSPACES.arrays = OrderedDict()
-
-
-def workspace_count() -> int:
-    """Number of live workspace buffers on this thread (for tests/metrics)."""
-    return len(getattr(_WORKSPACES, "arrays", ()))
-
-
 # repro: hot -- dominant non-matmul cost of every convolution
 def _im2col(x: np.ndarray, kernel: Tuple[int, int], stride: int,
             padding: int, reuse: bool = False) -> Tuple[np.ndarray, Tuple[int, int]]:
@@ -81,7 +73,7 @@ def _im2col(x: np.ndarray, kernel: Tuple[int, int], stride: int,
     reuse:
         Draw the padded image and the column matrix from the per-thread
         workspace cache.  Only safe when the caller does not retain ``cols``
-        beyond the current operation (i.e. builds no backward closure).
+        beyond the current operation (i.e. builds no graph node).
 
     Returns
     -------
@@ -156,8 +148,8 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
     """
     n, c_in, h, w = x.shape
     c_out, _, kh, kw = weight.shape
-    parents = [x, weight] if bias is None else [x, weight, bias]
-    track = is_grad_enabled() and any(p.requires_grad for p in parents)
+    parents = (x, weight) if bias is None else (x, weight, bias)
+    track = _builds_graph(parents)
     cols, (out_h, out_w) = _im2col(x.data, (kh, kw), stride, padding,
                                    reuse=not track)
     w_mat = weight.data.reshape(c_out, -1)
@@ -174,27 +166,31 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
         return Tensor._from_data(out.reshape(n, c_out, out_h, out_w))
 
     # Graph-building path: pinned to the reference backend, like every
-    # backward closure — autograd numerics never change with the backend.
+    # VJP — autograd numerics never change with the backend.  It returns
+    # the transposed view, not a contiguous copy: later products see the
+    # memory layout training has always seen.
     out = reference_backend().im2col_conv(
         cols, w_mat, None if bias is None else bias.data)  # (N, L, C_out)
     out = out.transpose(0, 2, 1).reshape(n, c_out, out_h, out_w)
+    return _apply(out, parents, _conv2d_vjp, cols, w_mat, stride, padding)
 
-    def backward(grad):
-        reference = reference_backend()
-        grad_mat = grad.reshape(n, c_out, out_h * out_w).transpose(0, 2, 1)
-        if weight.requires_grad:
-            grad_w = reference.gemm(
-                np.ascontiguousarray(grad_mat).reshape(-1, c_out),
-                cols.reshape(-1, cols.shape[-1]), transpose_a=True)
-            weight._accumulate(grad_w.reshape(weight.shape))
-        if bias is not None and bias.requires_grad:
-            bias._accumulate(grad_mat.sum(axis=(0, 1)))
-        if x.requires_grad:
-            grad_cols = reference.batched_gemm(grad_mat, w_mat)
-            grad_x = _col2im(grad_cols, x.shape, (kh, kw), stride, padding)
-            x._accumulate(grad_x)
 
-    return Tensor._wire(out, parents, backward)
+def _conv2d_vjp(grad, cols, w_mat, stride, padding, x, weight, bias=None):
+    reference = reference_backend()
+    n, c_out = grad.shape[:2]
+    grad_mat = grad.reshape(n, c_out, -1).transpose(0, 2, 1)
+    grad_x = grad_w = grad_b = None
+    if weight.requires_grad:
+        grad_w = reference.gemm(
+            np.ascontiguousarray(grad_mat).reshape(-1, c_out),
+            cols.reshape(-1, cols.shape[-1]), transpose_a=True)
+        grad_w = grad_w.reshape(weight.shape)
+    if bias is not None and bias.requires_grad:
+        grad_b = grad_mat.sum(axis=(0, 1))
+    if x.requires_grad:
+        grad_cols = reference.batched_gemm(grad_mat, w_mat)
+        grad_x = _col2im(grad_cols, x.shape, weight.shape[2:], stride, padding)
+    return grad_x, grad_w, grad_b
 
 
 def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
@@ -266,31 +262,25 @@ def avg_pool2d(x: Tensor, kernel: int = 2) -> Tensor:
     out_h, out_w = h // kernel, w // kernel
     view = x.data[:, :, :out_h * kernel, :out_w * kernel]
     view = view.reshape(n, c, out_h, kernel, out_w, kernel)
-    out = view.mean(axis=(3, 5))
-    if _no_graph(x):
-        return Tensor._from_data(out)
+    return _apply(view.mean(axis=(3, 5)), (x,), _avg_pool2d_vjp, kernel)
 
-    def backward(grad):
-        expanded = np.repeat(np.repeat(grad, kernel, axis=2), kernel, axis=3)
-        full = np.zeros_like(x.data)
-        full[:, :, :out_h * kernel, :out_w * kernel] = expanded / (kernel * kernel)
-        x._accumulate(full)
 
-    return Tensor._wire(out, (x,), backward)
+def _avg_pool2d_vjp(grad, kernel, x):
+    expanded = np.repeat(np.repeat(grad, kernel, axis=2), kernel, axis=3)
+    full = np.zeros_like(x.data)
+    full[:, :, :expanded.shape[2], :expanded.shape[3]] = expanded / (kernel * kernel)
+    return (full,)
 
 
 def upsample_nearest(x: Tensor, scale: int = 2) -> Tensor:
     """Nearest-neighbour spatial upsampling by an integer factor."""
     out = np.repeat(np.repeat(x.data, scale, axis=2), scale, axis=3)
-    if _no_graph(x):
-        return Tensor._from_data(out)
+    return _apply(out, (x,), _upsample_nearest_vjp, scale)
 
-    def backward(grad):
-        n, c, h, w = x.shape
-        grad = grad.reshape(n, c, h, scale, w, scale).sum(axis=(3, 5))
-        x._accumulate(grad)
 
-    return Tensor._wire(out, (x,), backward)
+def _upsample_nearest_vjp(grad, scale, x):
+    n, c, h, w = x.shape
+    return (grad.reshape(n, c, h, scale, w, scale).sum(axis=(3, 5)),)
 
 
 def scaled_dot_product_attention(query: Tensor, key: Tensor,
@@ -298,8 +288,8 @@ def scaled_dot_product_attention(query: Tensor, key: Tensor,
     """Attention ``softmax(Q K^T / sqrt(d)) V`` over the last two dims.
 
     Shapes follow the usual ``(batch*heads, tokens, head_dim)`` convention.
-    Both products and the softmax dispatch through the active compute
-    backend via the :class:`Tensor` operations.
+    Composed of :class:`Tensor` operations; both products dispatch through
+    the active compute backend.
     """
     d = query.shape[-1]
     scores = query.matmul(key.swapaxes(-1, -2)) * (1.0 / np.sqrt(d))

@@ -3,39 +3,42 @@
 The engine substitutes for PyTorch in this reproduction.  Every value in the
 diffusion models and in the quantization method (notably the gradient-based
 rounding learning of the paper, Eq. 12-14) is a :class:`Tensor` holding a
-``numpy.ndarray`` plus, when gradients are requested, a backward closure that
-accumulates gradients into its parents.
+``numpy.ndarray`` plus, when gradients are requested, the node that routes
+gradients back to its parents.
 
-Only the operations actually needed by the reproduction are implemented, but
-they cover the usual deep-learning vocabulary: broadcast arithmetic, matmul,
-reductions, activations, reshaping, indexing, concatenation and clipping.
-Convolution and attention primitives live in :mod:`repro.tensor.functional`.
+Only the operations the reproduction calls are implemented: broadcast
+arithmetic, matmul, reductions, activations, reshaping, indexing,
+concatenation and clipping.  Convolution, pooling, resampling and attention
+live in :mod:`repro.tensor.functional`.
+
+Every operation is a forward on numpy arrays plus a vector-Jacobian product
+(VJP), joined by :func:`_apply`.  ``_apply`` makes the engine's one grad-mode
+decision (:func:`_builds_graph`: grad enabled and some input requires
+gradients); when no graph is needed the result records nothing, so the
+inference paths (samplers, serving, calibration forward passes) keep no
+parents and build no closure.  A VJP is a module-level function
+``vjp(grad, *params, *parents)`` returning one gradient per parent (``None``
+to skip one); it runs only inside :meth:`Tensor.backward`.
 
 Grad modes
 ----------
 
-Two context managers control how much autograd machinery an operation pays:
+Two context managers control gradient tracking:
 
 * :func:`no_grad` disables gradient *tracking*: results come out with
   ``requires_grad=False`` and no graph is recorded.
 * :func:`inference_mode` is stricter: in addition to disabling tracking it
   promises that nothing produced inside will ever join an autograd graph,
-  which lets every operation take the allocation-free fast path (no backward
-  closure, no parent tuple) and lets :mod:`repro.tensor.functional` reuse
-  cached im2col workspaces.  Calling :meth:`Tensor.backward` inside
+  which lets the quantized layers take the integer kernels of
+  :mod:`repro.tensor.functional`.  Calling :meth:`Tensor.backward` inside
   inference mode raises.
-
-Every operation short-circuits graph construction whenever the result cannot
-require gradients (grad disabled, or no input requires them), so the hot
-inference paths — samplers, serving, calibration forward passes — never
-allocate backward closures at all.
 """
 
 from __future__ import annotations
 
 import contextlib
 import threading
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Union
 
 import numpy as np
 
@@ -63,13 +66,12 @@ def no_grad():
 
 @contextlib.contextmanager
 def inference_mode():
-    """Disable gradient tracking *and* every autograd allocation.
+    """Disable gradient tracking and promise no gradient is ever needed.
 
     Stricter than :func:`no_grad`: inside the block ``backward()`` raises,
-    tensors cannot be created with ``requires_grad=True``, and operations
-    skip backward-closure construction entirely.  Use it on inference-only
-    paths (sampling, serving, calibration forward passes) where nothing will
-    ever need a gradient.
+    tensors cannot be created with ``requires_grad=True``, and quantized
+    layers may take the integer kernels.  Use it on inference-only paths
+    (sampling, serving, calibration forward passes).
     """
     prev_enabled = is_grad_enabled()
     prev_inference = is_inference_mode()
@@ -92,14 +94,33 @@ def is_inference_mode() -> bool:
     return getattr(_GRAD_STATE, "inference", False)
 
 
-def _no_graph(*parents: "Tensor") -> bool:
-    """Whether an op over ``parents`` can skip graph construction entirely."""
+def _builds_graph(parents: tuple) -> bool:
+    """The engine's one grad-mode decision: whether an operation over
+    ``parents`` records a node (grad enabled and some parent requires
+    gradients)."""
     if not getattr(_GRAD_STATE, "enabled", True):
-        return True
+        return False
     for parent in parents:
         if parent.requires_grad:
-            return False
-    return True
+            return True
+    return False
+
+
+def _apply(data, parents: tuple, vjp, *params) -> "Tensor":
+    """Wrap an operation's forward result ``data`` computed from ``parents``.
+
+    When :func:`_builds_graph` says so, the result records ``parents`` and
+    ``vjp``; :meth:`Tensor.backward` later calls ``vjp(grad, *params,
+    *parents)``, which returns one gradient per parent.  ``params`` carries
+    whatever else the VJP needs (saved forward intermediates, axes), so no
+    closure is built per call.
+    """
+    out = Tensor._from_data(data)
+    if _builds_graph(parents):
+        out.requires_grad = True
+        out._parents = parents
+        out._backward = (vjp, params)
+    return out
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -121,10 +142,129 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     return grad.reshape(shape)
 
 
-def _as_array(value: ArrayLike, dtype=np.float32) -> np.ndarray:
-    if isinstance(value, Tensor):
-        return value.data
-    return np.asarray(value, dtype=dtype)
+def _lift(value: ArrayLike) -> "Tensor":
+    """``value`` as a tensor; non-tensors become float32 constants."""
+    return value if isinstance(value, Tensor) else Tensor._from_data(value)
+
+
+# ----------------------------------------------------------------------
+# VJPs: vjp(grad, *params, *parents) -> one gradient per parent.  Every
+# product runs on the reference backend, so gradient numerics never change
+# with the backend selection.
+# ----------------------------------------------------------------------
+def _add_vjp(grad, a, b):
+    return _unbroadcast(grad, a.shape), _unbroadcast(grad, b.shape)
+
+
+def _neg_vjp(grad, x):
+    return (-grad,)
+
+
+def _sub_vjp(grad, a, b):
+    return _unbroadcast(grad, a.shape), _unbroadcast(-grad, b.shape)
+
+
+def _mul_vjp(grad, a, b):
+    return (_unbroadcast(grad * b.data, a.shape),
+            _unbroadcast(grad * a.data, b.shape))
+
+
+def _div_vjp(grad, a, b):
+    return (_unbroadcast(grad / b.data, a.shape),
+            _unbroadcast(-grad * a.data / (b.data ** 2), b.shape))
+
+
+def _pow_vjp(grad, exponent, x):
+    return (grad * exponent * x.data ** (exponent - 1.0),)
+
+
+def _matmul_vjp(grad, a, b):
+    reference = reference_backend()
+    grad_a = reference.batched_gemm(grad, np.swapaxes(b.data, -1, -2))
+    grad_b = reference.batched_gemm(np.swapaxes(a.data, -1, -2), grad)
+    return _unbroadcast(grad_a, a.shape), _unbroadcast(grad_b, b.shape)
+
+
+def _sqrt_vjp(grad, out, x):
+    return (grad * 0.5 / np.maximum(out, 1e-12),)
+
+
+def _abs_vjp(grad, x):
+    return (grad * np.sign(x.data),)
+
+
+def _sigmoid_vjp(grad, out, x):
+    return (grad * out * (1.0 - out),)
+
+
+def _tanh_vjp(grad, out, x):
+    return (grad * (1.0 - out ** 2),)
+
+
+def _silu_vjp(grad, sig, x):
+    return (grad * (sig + x.data * sig * (1.0 - sig)),)
+
+
+_GELU_C = np.sqrt(2.0 / np.pi).astype(np.float32)
+
+
+def _gelu_vjp(grad, t, tensor):
+    x = tensor.data
+    dt = (1.0 - t ** 2) * (_GELU_C * (1.0 + 3 * 0.044715 * x ** 2))
+    return (grad * (0.5 * (1.0 + t) + 0.5 * x * dt),)
+
+
+def _clip_vjp(grad, minimum, maximum, x):
+    return (grad * ((x.data >= minimum) & (x.data <= maximum)),)
+
+
+def _sum_vjp(grad, axis, keepdims, x):
+    grad = np.asarray(grad)
+    if axis is not None and not keepdims:
+        axes = axis if isinstance(axis, tuple) else (axis,)
+        for ax in sorted(a % x.ndim for a in axes):
+            grad = np.expand_dims(grad, ax)
+    return (np.broadcast_to(grad, x.shape),)
+
+
+def _max_vjp(grad, axis, keepdims, x):
+    grad = np.asarray(grad)
+    if axis is None:
+        mask = (x.data == x.data.max())
+        return (grad * mask / max(mask.sum(), 1),)
+    mask = (x.data == x.data.max(axis=axis, keepdims=True))
+    g = grad if keepdims else np.expand_dims(grad, axis)
+    return (mask * g / np.maximum(mask.sum(axis=axis, keepdims=True), 1),)
+
+
+def _softmax_vjp(grad, out, axis, x):
+    dot = (grad * out).sum(axis=axis, keepdims=True)
+    return (out * (grad - dot),)
+
+
+def _reshape_vjp(grad, x):
+    return (grad.reshape(x.shape),)
+
+
+def _transpose_vjp(grad, axes, x):
+    return (grad.transpose(np.argsort(axes)),)
+
+
+def _getitem_vjp(grad, index, x):
+    full = np.zeros_like(x.data)
+    np.add.at(full, index, grad)
+    return (full,)
+
+
+def _concatenate_vjp(grad, axis, *tensors):
+    grads, start = [], 0
+    for tensor in tensors:
+        size = tensor.shape[axis]
+        slicer = [slice(None)] * grad.ndim
+        slicer[axis] = slice(start, start + size)
+        grads.append(grad[tuple(slicer)])
+        start += size
+    return grads
 
 
 class Tensor:
@@ -171,10 +311,6 @@ class Tensor:
     def dtype(self):
         return self.data.dtype
 
-    def numpy(self) -> np.ndarray:
-        """Return the underlying numpy array (not a copy)."""
-        return self.data
-
     def item(self) -> float:
         return float(self.data)
 
@@ -196,7 +332,8 @@ class Tensor:
     # ------------------------------------------------------------------
     @staticmethod
     def _from_data(data) -> "Tensor":
-        """Fast constructor for graph-free results (the inference path)."""
+        """Fast constructor of a tensor that records no graph (graph-free
+        results and constants)."""
         out = object.__new__(Tensor)
         out.data = np.asarray(data, dtype=np.float32)
         out.requires_grad = False
@@ -204,15 +341,6 @@ class Tensor:
         out._backward = None
         out._parents = ()
         out.name = None
-        return out
-
-    @staticmethod
-    def _wire(data, parents: Sequence["Tensor"], backward) -> "Tensor":
-        """Create a gradient-tracking result wired into the autograd graph."""
-        out = Tensor._from_data(data)
-        out.requires_grad = True
-        out._parents = tuple(parents)
-        out._backward = backward
         return out
 
     def _accumulate(self, grad: np.ndarray) -> None:
@@ -260,89 +388,47 @@ class Tensor:
         self._accumulate(grad)
         for node in reversed(topo):
             if node._backward is not None and node.grad is not None:
-                node._backward(node.grad)
+                vjp, params = node._backward
+                grads = vjp(node.grad, *params, *node._parents)
+                for parent, parent_grad in zip(node._parents, grads):
+                    if parent_grad is not None:
+                        parent._accumulate(parent_grad)
 
     # ------------------------------------------------------------------
     # arithmetic
     # ------------------------------------------------------------------
     def __add__(self, other: ArrayLike) -> "Tensor":
-        other_t = other if isinstance(other, Tensor) else Tensor(_as_array(other))
-        data = self.data + other_t.data
-        if _no_graph(self, other_t):
-            return Tensor._from_data(data)
-
-        def backward(grad):
-            self._accumulate(_unbroadcast(grad, self.shape))
-            other_t._accumulate(_unbroadcast(grad, other_t.shape))
-
-        return Tensor._wire(data, (self, other_t), backward)
+        other = _lift(other)
+        return _apply(self.data + other.data, (self, other), _add_vjp)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Tensor":
-        if _no_graph(self):
-            return Tensor._from_data(-self.data)
-
-        def backward(grad):
-            self._accumulate(-grad)
-
-        return Tensor._wire(-self.data, (self,), backward)
+        return _apply(-self.data, (self,), _neg_vjp)
 
     def __sub__(self, other: ArrayLike) -> "Tensor":
-        other_t = other if isinstance(other, Tensor) else Tensor(_as_array(other))
-        data = self.data - other_t.data
-        if _no_graph(self, other_t):
-            return Tensor._from_data(data)
-
-        def backward(grad):
-            self._accumulate(_unbroadcast(grad, self.shape))
-            other_t._accumulate(_unbroadcast(-grad, other_t.shape))
-
-        return Tensor._wire(data, (self, other_t), backward)
+        other = _lift(other)
+        return _apply(self.data - other.data, (self, other), _sub_vjp)
 
     def __rsub__(self, other: ArrayLike) -> "Tensor":
-        return Tensor(_as_array(other)) - self
+        return _lift(other) - self
 
     def __mul__(self, other: ArrayLike) -> "Tensor":
-        other_t = other if isinstance(other, Tensor) else Tensor(_as_array(other))
-        data = self.data * other_t.data
-        if _no_graph(self, other_t):
-            return Tensor._from_data(data)
-
-        def backward(grad):
-            self._accumulate(_unbroadcast(grad * other_t.data, self.shape))
-            other_t._accumulate(_unbroadcast(grad * self.data, other_t.shape))
-
-        return Tensor._wire(data, (self, other_t), backward)
+        other = _lift(other)
+        return _apply(self.data * other.data, (self, other), _mul_vjp)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other: ArrayLike) -> "Tensor":
-        other_t = other if isinstance(other, Tensor) else Tensor(_as_array(other))
-        data = self.data / other_t.data
-        if _no_graph(self, other_t):
-            return Tensor._from_data(data)
-
-        def backward(grad):
-            self._accumulate(_unbroadcast(grad / other_t.data, self.shape))
-            other_t._accumulate(
-                _unbroadcast(-grad * self.data / (other_t.data ** 2), other_t.shape))
-
-        return Tensor._wire(data, (self, other_t), backward)
+        other = _lift(other)
+        return _apply(self.data / other.data, (self, other), _div_vjp)
 
     def __rtruediv__(self, other: ArrayLike) -> "Tensor":
-        return Tensor(_as_array(other)) / self
+        return _lift(other) / self
 
     def __pow__(self, exponent: float) -> "Tensor":
         exponent = float(exponent)
-        data = self.data ** exponent
-        if _no_graph(self):
-            return Tensor._from_data(data)
-
-        def backward(grad):
-            self._accumulate(grad * exponent * self.data ** (exponent - 1.0))
-
-        return Tensor._wire(data, (self,), backward)
+        return _apply(self.data ** exponent, (self,), _pow_vjp, exponent)
 
     def __matmul__(self, other: ArrayLike) -> "Tensor":
         return self.matmul(other)
@@ -350,184 +436,54 @@ class Tensor:
     def matmul(self, other: ArrayLike) -> "Tensor":
         """Matrix multiplication supporting 2-D and batched (>2-D) operands.
 
-        The product dispatches through the active compute backend; the
-        backward closure always uses the reference backend so gradient
-        numerics are independent of the backend selection.
+        The product dispatches through the active compute backend; its VJP
+        always uses the reference backend so gradient numerics are
+        independent of the backend selection.
         """
-        other_t = other if isinstance(other, Tensor) else Tensor(_as_array(other))
-        data = active_backend().batched_gemm(self.data, other_t.data)
-        if _no_graph(self, other_t):
-            return Tensor._from_data(data)
-
-        def backward(grad):
-            a, b = self.data, other_t.data
-            reference = reference_backend()
-            grad_a = reference.batched_gemm(grad, np.swapaxes(b, -1, -2))
-            grad_b = reference.batched_gemm(np.swapaxes(a, -1, -2), grad)
-            self._accumulate(_unbroadcast(grad_a, a.shape))
-            other_t._accumulate(_unbroadcast(grad_b, b.shape))
-
-        return Tensor._wire(data, (self, other_t), backward)
+        other = _lift(other)
+        return _apply(active_backend().batched_gemm(self.data, other.data),
+                      (self, other), _matmul_vjp)
 
     # ------------------------------------------------------------------
     # elementwise functions
     # ------------------------------------------------------------------
-    def exp(self) -> "Tensor":
-        data = np.exp(self.data)
-        if _no_graph(self):
-            return Tensor._from_data(data)
-
-        def backward(grad):
-            self._accumulate(grad * data)
-
-        return Tensor._wire(data, (self,), backward)
-
-    def log(self) -> "Tensor":
-        data = np.log(self.data)
-        if _no_graph(self):
-            return Tensor._from_data(data)
-
-        def backward(grad):
-            self._accumulate(grad / self.data)
-
-        return Tensor._wire(data, (self,), backward)
-
     def sqrt(self) -> "Tensor":
         data = np.sqrt(self.data)
-        if _no_graph(self):
-            return Tensor._from_data(data)
-
-        def backward(grad):
-            self._accumulate(grad * 0.5 / np.maximum(data, 1e-12))
-
-        return Tensor._wire(data, (self,), backward)
+        return _apply(data, (self,), _sqrt_vjp, data)
 
     def abs(self) -> "Tensor":
-        data = np.abs(self.data)
-        if _no_graph(self):
-            return Tensor._from_data(data)
-
-        def backward(grad):
-            self._accumulate(grad * np.sign(self.data))
-
-        return Tensor._wire(data, (self,), backward)
+        return _apply(np.abs(self.data), (self,), _abs_vjp)
 
     def sigmoid(self) -> "Tensor":
         data = 1.0 / (1.0 + np.exp(-self.data))
-        if _no_graph(self):
-            return Tensor._from_data(data)
-
-        def backward(grad):
-            self._accumulate(grad * data * (1.0 - data))
-
-        return Tensor._wire(data, (self,), backward)
+        return _apply(data, (self,), _sigmoid_vjp, data)
 
     def tanh(self) -> "Tensor":
         data = np.tanh(self.data)
-        if _no_graph(self):
-            return Tensor._from_data(data)
-
-        def backward(grad):
-            self._accumulate(grad * (1.0 - data ** 2))
-
-        return Tensor._wire(data, (self,), backward)
-
-    def relu(self) -> "Tensor":
-        data = np.maximum(self.data, 0.0)
-        if _no_graph(self):
-            return Tensor._from_data(data)
-
-        def backward(grad):
-            self._accumulate(grad * (self.data > 0.0))
-
-        return Tensor._wire(data, (self,), backward)
+        return _apply(data, (self,), _tanh_vjp, data)
 
     def silu(self) -> "Tensor":
         """SiLU / swish activation, ``x * sigmoid(x)`` (used throughout U-Nets)."""
-        if _no_graph(self):
-            return Tensor._from_data(active_backend().silu(self.data))
         sig = 1.0 / (1.0 + np.exp(-self.data))
-        data = self.data * sig
-
-        def backward(grad):
-            self._accumulate(grad * (sig + self.data * sig * (1.0 - sig)))
-
-        return Tensor._wire(data, (self,), backward)
+        return _apply(self.data * sig, (self,), _silu_vjp, sig)
 
     def gelu(self) -> "Tensor":
         """Gaussian error linear unit (tanh approximation)."""
         x = self.data
-        c = np.sqrt(2.0 / np.pi).astype(np.float32)
-        inner = c * (x + 0.044715 * x ** 3)
-        t = np.tanh(inner)
-        data = 0.5 * x * (1.0 + t)
-        if _no_graph(self):
-            return Tensor._from_data(data)
-
-        def backward(grad):
-            dinner = c * (1.0 + 3 * 0.044715 * x ** 2)
-            dt = (1.0 - t ** 2) * dinner
-            self._accumulate(grad * (0.5 * (1.0 + t) + 0.5 * x * dt))
-
-        return Tensor._wire(data, (self,), backward)
+        t = np.tanh(_GELU_C * (x + 0.044715 * x ** 3))
+        return _apply(0.5 * x * (1.0 + t), (self,), _gelu_vjp, t)
 
     def clip(self, minimum: float, maximum: float) -> "Tensor":
         """Element-wise clamp; the gradient is passed where values are inside."""
-        data = np.clip(self.data, minimum, maximum)
-        if _no_graph(self):
-            return Tensor._from_data(data)
-
-        def backward(grad):
-            inside = (self.data >= minimum) & (self.data <= maximum)
-            self._accumulate(grad * inside)
-
-        return Tensor._wire(data, (self,), backward)
-
-    clamp = clip
-
-    def floor(self) -> "Tensor":
-        """Floor with a zero gradient (used only on detached quantities)."""
-        data = np.floor(self.data)
-        if _no_graph(self):
-            return Tensor._from_data(data)
-
-        def backward(grad):
-            self._accumulate(np.zeros_like(self.data))
-
-        return Tensor._wire(data, (self,), backward)
-
-    def round(self) -> "Tensor":
-        """Round-to-nearest with a straight-through gradient estimator."""
-        data = np.round(self.data)
-        if _no_graph(self):
-            return Tensor._from_data(data)
-
-        def backward(grad):
-            self._accumulate(grad)
-
-        return Tensor._wire(data, (self,), backward)
+        return _apply(np.clip(self.data, minimum, maximum), (self,), _clip_vjp,
+                      minimum, maximum)
 
     # ------------------------------------------------------------------
     # reductions
     # ------------------------------------------------------------------
     def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
-        data = self.data.sum(axis=axis, keepdims=keepdims)
-        if _no_graph(self):
-            return Tensor._from_data(data)
-
-        def backward(grad):
-            grad = np.asarray(grad)
-            if axis is None:
-                expanded = np.broadcast_to(grad, self.shape)
-            else:
-                axes = axis if isinstance(axis, tuple) else (axis,)
-                if not keepdims:
-                    for ax in sorted(a % self.ndim for a in axes):
-                        grad = np.expand_dims(grad, ax)
-                expanded = np.broadcast_to(grad, self.shape)
-            self._accumulate(expanded)
-
-        return Tensor._wire(data, (self,), backward)
+        return _apply(self.data.sum(axis=axis, keepdims=keepdims), (self,),
+                      _sum_vjp, axis, keepdims)
 
     def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
         if axis is None:
@@ -546,36 +502,14 @@ class Tensor:
         return out
 
     def max(self, axis=None, keepdims: bool = False) -> "Tensor":
-        data = self.data.max(axis=axis, keepdims=keepdims)
-        if _no_graph(self):
-            return Tensor._from_data(data)
-
-        def backward(grad):
-            grad = np.asarray(grad)
-            if axis is None:
-                mask = (self.data == self.data.max())
-                self._accumulate(grad * mask / max(mask.sum(), 1))
-            else:
-                full = self.data.max(axis=axis, keepdims=True)
-                mask = (self.data == full)
-                g = grad if keepdims else np.expand_dims(grad, axis)
-                counts = mask.sum(axis=axis, keepdims=True)
-                self._accumulate(mask * g / np.maximum(counts, 1))
-
-        return Tensor._wire(data, (self,), backward)
+        return _apply(self.data.max(axis=axis, keepdims=keepdims), (self,),
+                      _max_vjp, axis, keepdims)
 
     def softmax(self, axis: int = -1) -> "Tensor":
-        if _no_graph(self):
-            return Tensor._from_data(active_backend().softmax(self.data, axis))
         shifted = self.data - self.data.max(axis=axis, keepdims=True)
         exp = np.exp(shifted)
         data = exp / exp.sum(axis=axis, keepdims=True)
-
-        def backward(grad):
-            dot = (grad * data).sum(axis=axis, keepdims=True)
-            self._accumulate(data * (grad - dot))
-
-        return Tensor._wire(data, (self,), backward)
+        return _apply(data, (self,), _softmax_vjp, data, axis)
 
     # ------------------------------------------------------------------
     # shape manipulation
@@ -583,35 +517,14 @@ class Tensor:
     def reshape(self, *shape) -> "Tensor":
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
-        data = self.data.reshape(shape)
-        if _no_graph(self):
-            return Tensor._from_data(data)
-
-        def backward(grad):
-            self._accumulate(grad.reshape(self.shape))
-
-        return Tensor._wire(data, (self,), backward)
-
-    def flatten(self, start_dim: int = 0) -> "Tensor":
-        new_shape = self.shape[:start_dim] + (-1,)
-        return self.reshape(new_shape)
+        return _apply(self.data.reshape(shape), (self,), _reshape_vjp)
 
     def transpose(self, *axes) -> "Tensor":
         if len(axes) == 1 and isinstance(axes[0], (tuple, list)):
             axes = tuple(axes[0])
         if not axes:
             axes = tuple(reversed(range(self.ndim)))
-        data = self.data.transpose(axes)
-        if _no_graph(self):
-            return Tensor._from_data(data)
-        inverse = np.argsort(axes)
-
-        def backward(grad):
-            self._accumulate(grad.transpose(inverse))
-
-        return Tensor._wire(data, (self,), backward)
-
-    permute = transpose
+        return _apply(self.data.transpose(axes), (self,), _transpose_vjp, axes)
 
     def swapaxes(self, a: int, b: int) -> "Tensor":
         axes = list(range(self.ndim))
@@ -619,108 +532,11 @@ class Tensor:
         return self.transpose(tuple(axes))
 
     def __getitem__(self, index) -> "Tensor":
-        data = self.data[index]
-        if _no_graph(self):
-            return Tensor._from_data(data)
-
-        def backward(grad):
-            full = np.zeros_like(self.data)
-            np.add.at(full, index, grad)
-            self._accumulate(full)
-
-        return Tensor._wire(data, (self,), backward)
-
-    def pad(self, pad_width) -> "Tensor":
-        """Zero padding; ``pad_width`` follows ``numpy.pad`` conventions."""
-        data = np.pad(self.data, pad_width)
-        if _no_graph(self):
-            return Tensor._from_data(data)
-
-        def backward(grad):
-            slices = tuple(slice(before, before + size)
-                           for (before, _), size in zip(pad_width, self.shape))
-            self._accumulate(grad[slices])
-
-        return Tensor._wire(data, (self,), backward)
-
-    def broadcast_to(self, shape) -> "Tensor":
-        data = np.broadcast_to(self.data, shape).copy()
-        if _no_graph(self):
-            return Tensor._from_data(data)
-
-        def backward(grad):
-            self._accumulate(_unbroadcast(grad, self.shape))
-
-        return Tensor._wire(data, (self,), backward)
-
-    # ------------------------------------------------------------------
-    # constructors
-    # ------------------------------------------------------------------
-    @staticmethod
-    def zeros(shape, requires_grad: bool = False) -> "Tensor":
-        return Tensor(np.zeros(shape, dtype=np.float32), requires_grad=requires_grad)
-
-    @staticmethod
-    def ones(shape, requires_grad: bool = False) -> "Tensor":
-        return Tensor(np.ones(shape, dtype=np.float32), requires_grad=requires_grad)
-
-    @staticmethod
-    def randn(*shape, rng: Optional[np.random.Generator] = None,
-              requires_grad: bool = False) -> "Tensor":
-        rng = rng or np.random.default_rng()
-        return Tensor(rng.standard_normal(shape).astype(np.float32),
-                      requires_grad=requires_grad)
-
-    @staticmethod
-    def arange(n: int, requires_grad: bool = False) -> "Tensor":
-        return Tensor(np.arange(n, dtype=np.float32), requires_grad=requires_grad)
+        return _apply(self.data[index], (self,), _getitem_vjp, index)
 
 
 def concatenate(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
     """Concatenate tensors along ``axis`` with gradient routing back to each."""
-    tensors = list(tensors)
-    data = np.concatenate([t.data for t in tensors], axis=axis)
-    if _no_graph(*tensors):
-        return Tensor._from_data(data)
-    sizes = [t.shape[axis] for t in tensors]
-
-    def backward(grad):
-        start = 0
-        for tensor, size in zip(tensors, sizes):
-            slicer = [slice(None)] * grad.ndim
-            slicer[axis] = slice(start, start + size)
-            tensor._accumulate(grad[tuple(slicer)])
-            start += size
-
-    return Tensor._wire(data, tensors, backward)
-
-
-def stack(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
-    """Stack tensors along a new axis."""
-    tensors = list(tensors)
-    data = np.stack([t.data for t in tensors], axis=axis)
-    if _no_graph(*tensors):
-        return Tensor._from_data(data)
-
-    def backward(grad):
-        moved = np.moveaxis(grad, axis, 0)
-        for tensor, piece in zip(tensors, moved):
-            tensor._accumulate(piece)
-
-    return Tensor._wire(data, tensors, backward)
-
-
-def where(condition: np.ndarray, a: Tensor, b: Tensor) -> Tensor:
-    """Select elements from ``a`` where ``condition`` holds, otherwise ``b``."""
-    condition = np.asarray(condition, dtype=bool)
-    a = a if isinstance(a, Tensor) else Tensor(_as_array(a))
-    b = b if isinstance(b, Tensor) else Tensor(_as_array(b))
-    data = np.where(condition, a.data, b.data)
-    if _no_graph(a, b):
-        return Tensor._from_data(data)
-
-    def backward(grad):
-        a._accumulate(_unbroadcast(grad * condition, a.shape))
-        b._accumulate(_unbroadcast(grad * (~condition), b.shape))
-
-    return Tensor._wire(data, (a, b), backward)
+    tensors = tuple(tensors)
+    return _apply(np.concatenate([t.data for t in tensors], axis=axis),
+                  tensors, _concatenate_vjp, axis)

@@ -577,7 +577,7 @@ class TestCli:
         result = run_cli(["src"], cwd=tmp_path)
         assert result.returncode == 0
 
-    def test_list_rules_names_all_nine(self, tmp_path):
+    def test_list_rules_names_all_eight(self, tmp_path):
         result = run_cli(["--list-rules"], cwd=tmp_path)
         assert result.returncode == 0
         listed = [line.split()[0] for line in result.stdout.splitlines()]
@@ -601,7 +601,7 @@ class TestCli:
 # registry and report plumbing
 # ----------------------------------------------------------------------
 class TestRegistryAndReport:
-    def test_all_nine_rules_are_registered(self):
+    def test_all_eight_rules_are_registered(self):
         names = [name for name, _ in available_checkers()]
         assert names == sorted(names)
         assert set(names) == {"determinism", "stage-purity",
@@ -640,7 +640,7 @@ class TestRegistryAndReport:
 # self-check: the shipped tree satisfies its own gate
 # ----------------------------------------------------------------------
 class TestSelfCheck:
-    def test_src_is_clean_against_committed_baseline(self):
+    def test_src_has_no_findings(self):
         # Every finding fails the gate; pragmas are the only way to accept
         # one, so the shipped tree must come out with no findings at all.
         project = Project.load([REPO_ROOT / "src"], repo_root=REPO_ROOT)

@@ -57,7 +57,7 @@ from repro.core.qmodules import (
 )
 from repro.diffusion import DiffusionPipeline
 from repro.models import DiffusionModel, ModelSpec, UNetConfig
-from repro.nn import Conv2d, Linear
+from repro.nn import Conv2d, GroupNorm, LayerNorm, Linear
 from repro.tensor import (
     Tensor,
     active_backend,
@@ -167,19 +167,37 @@ class TestReferenceBitIdentity:
             reference_backend().im2col_conv(cols, w_mat, bias), expected)
 
     def test_norm_and_activation_fast_paths_match_numpy(self):
-        backend = reference_backend()
+        # Norms and activations are plain numpy on every backend; their
+        # graph-free outputs are these spellings, bit for bit.
         x = RNG.standard_normal((2, 8, 4, 4)).astype(np.float32)
         flat = RNG.standard_normal((3, 16)).astype(np.float32)
         sig = 1.0 / (1.0 + np.exp(-flat))
-        assert np.array_equal(backend.silu(flat), flat * sig)
+        assert np.array_equal(Tensor(flat).silu().data, flat * sig)
         shifted = flat - flat.max(axis=-1, keepdims=True)
         exp = np.exp(shifted)
-        assert np.array_equal(backend.softmax(flat),
+        assert np.array_equal(Tensor(flat).softmax().data,
                               exp / exp.sum(axis=-1, keepdims=True))
-        weight = np.ones(8, dtype=np.float32)
-        bias = np.zeros(8, dtype=np.float32)
-        normed = backend.group_norm(x, 2, weight, bias, 1e-5)
-        assert normed.shape == x.shape and np.all(np.isfinite(normed))
+
+        def normalize(grouped):
+            inv_count = np.float32(1.0 / grouped.shape[-1])
+            centered = grouped - grouped.sum(axis=-1, keepdims=True) * inv_count
+            var = (centered * centered).sum(axis=-1, keepdims=True) * inv_count
+            return centered / np.sqrt(var + np.float32(1e-5))
+
+        group_norm = GroupNorm(2, 8)
+        group_norm.weight.data[...] = RNG.uniform(0.5, 1.5, 8)
+        group_norm.bias.data[...] = RNG.uniform(-0.5, 0.5, 8)
+        layer_norm = LayerNorm(16)
+        layer_norm.weight.data[...] = RNG.uniform(0.5, 1.5, 16)
+        with inference_mode():  # the parameters would build a graph
+            grouped = group_norm(Tensor(x)).data
+            layered = layer_norm(Tensor(flat)).data
+        expected = (normalize(x.reshape(2, 2, -1)).reshape(x.shape)
+                    * group_norm.weight.data.reshape(1, 8, 1, 1)
+                    + group_norm.bias.data.reshape(1, 8, 1, 1))
+        assert np.array_equal(grouped, expected)
+        expected = normalize(flat) * layer_norm.weight.data + layer_norm.bias.data
+        assert np.array_equal(layered, expected)
 
     def test_reference_never_fuses(self):
         storage, _ = _packed_storage("int8", ELIGIBLE_N, ELIGIBLE_K)

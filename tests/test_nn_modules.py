@@ -4,7 +4,21 @@ import numpy as np
 import pytest
 
 from repro import nn
-from repro.tensor import Tensor
+from repro.tensor import Tensor, no_grad
+
+
+def _norm_and_input(kind):
+    """A norm layer with non-trivial affine parameters, and an input."""
+    rng = np.random.default_rng(5)
+    if kind == "group":
+        norm, shape = nn.GroupNorm(2, 4), (2, 4, 3, 3)
+    else:
+        norm, shape = nn.LayerNorm(6), (2, 3, 6)
+    norm.weight.data[...] = rng.uniform(0.5, 1.5, norm.weight.shape)
+    norm.bias.data[...] = rng.uniform(-0.5, 0.5, norm.bias.shape)
+    x = Tensor(rng.standard_normal(shape).astype(np.float32) * 2 + 1,
+               requires_grad=True)
+    return norm, x
 
 
 class TestModuleSystem:
@@ -103,6 +117,36 @@ class TestLayers:
     def test_groupnorm_rejects_bad_groups(self):
         with pytest.raises(ValueError):
             nn.GroupNorm(3, 8)
+
+    @pytest.mark.parametrize("kind", ["group", "layer"])
+    def test_norm_graph_free_output_equals_graph_building_output(self, kind):
+        norm, x = _norm_and_input(kind)
+        tracked = norm(x)
+        with no_grad():
+            free = norm(x)
+        assert tracked.requires_grad and not free.requires_grad
+        assert np.array_equal(free.data, tracked.data)
+
+    @pytest.mark.parametrize("kind", ["group", "layer"])
+    @pytest.mark.parametrize("wrt", ["input", "weight", "bias"])
+    def test_norm_gradcheck(self, kind, wrt):
+        norm, x = _norm_and_input(kind)
+        probe = np.random.default_rng(6).standard_normal(x.shape).astype(np.float32)
+        (norm(x) * Tensor(probe)).sum().backward()
+        target = {"input": x, "weight": norm.weight, "bias": norm.bias}[wrt]
+
+        eps = 1e-3
+        numeric = np.zeros(target.shape)
+        for index in np.ndindex(target.shape):
+            original = target.data[index]
+            losses = []
+            for value in (original + eps, original - eps):
+                target.data[index] = value
+                with no_grad():
+                    losses.append(float((norm(x).data * probe).sum()))
+            target.data[index] = original
+            numeric[index] = (losses[0] - losses[1]) / (2 * eps)
+        np.testing.assert_allclose(target.grad, numeric, atol=2e-2, rtol=1e-2)
 
     def test_layernorm_normalizes_last_dim(self):
         rng = np.random.default_rng(1)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core import resident_nbytes
 from repro.diffusion import DiffusionPipeline, GenerationPlan
 from repro.models import DiffusionModel
 from repro.profiling import paper_scale_stable_diffusion_config, unet_layer_costs
@@ -352,6 +353,33 @@ def test_engine_pump_honors_max_wait(serving_pipelines, paper_costs_router):
     clock.advance(2.0)
     responses = engine.pump()
     assert len(responses) == 1 and responses[0].batch_size == 1
+
+
+def test_pump_leaves_pool_measuring_to_the_drain(paper_costs_router, monkeypatch):
+    """A serving turn does not measure the variant pool; the final drain
+    does, so the report still carries each served variant's current bytes."""
+    model = DiffusionModel(make_tiny_spec(name="ddim-cifar10"),
+                           rng=np.random.default_rng(6))
+    pipeline = DiffusionPipeline(model, num_steps=4)
+    pool = ModelVariantPool(builder=lambda m, s: pipeline)
+    engine = ServingEngine(pool, router=paper_costs_router,
+                           config=EngineConfig(max_batch_size=1))
+    stats_calls = []
+    measure = pool.stats
+    monkeypatch.setattr(pool, "stats", lambda: stats_calls.append(1) or measure())
+    engine.submit(_request(model="ddim-cifar10", seed=1, num_steps=4))
+    assert len(engine.pump()) == 1
+    assert stats_calls == []
+    # Serving can grow a variant: a packed layer builds the row arrays of
+    # its GEMM view on its first fused product.
+    model.register_buffer("grown", np.zeros(256, dtype=np.float32))
+    engine.submit(_request(model="ddim-cifar10", seed=2, num_steps=4))
+    assert len(engine.run_until_idle()) == 1
+    assert stats_calls
+    variants = engine.stats.report()["components"]["variant_pool"]["variants"]
+    assert variants
+    for meta in variants.values():
+        assert meta["resident_nbytes"] == resident_nbytes(model)
 
 
 def test_engine_smoke_mixed_workload(serving_pipelines, paper_costs_router):

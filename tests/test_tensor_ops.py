@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.tensor import Tensor, concatenate, no_grad, stack, where
+from repro.tensor import Tensor, concatenate, no_grad
+from repro.tensor import functional as F
 
 
 def numerical_gradient(fn, x: np.ndarray, eps: float = 1e-3) -> np.ndarray:
@@ -91,8 +92,8 @@ class TestArithmetic:
 
 
 class TestElementwiseFunctions:
-    @pytest.mark.parametrize("name", ["exp", "log", "sqrt", "sigmoid", "tanh",
-                                      "relu", "silu", "gelu", "abs"])
+    @pytest.mark.parametrize("name", ["sqrt", "sigmoid", "tanh", "silu", "gelu",
+                                      "abs"])
     def test_gradcheck(self, name):
         assert_gradcheck(lambda t: getattr(t, name)())
 
@@ -100,16 +101,6 @@ class TestElementwiseFunctions:
         x = Tensor(np.array([-2.0, 0.5, 3.0], dtype=np.float32), requires_grad=True)
         x.clip(-1.0, 1.0).sum().backward()
         np.testing.assert_allclose(x.grad, [0.0, 1.0, 0.0])
-
-    def test_floor_has_zero_gradient(self):
-        x = Tensor(np.array([1.7], dtype=np.float32), requires_grad=True)
-        x.floor().sum().backward()
-        np.testing.assert_allclose(x.grad, [0.0])
-
-    def test_round_straight_through(self):
-        x = Tensor(np.array([1.3], dtype=np.float32), requires_grad=True)
-        x.round().sum().backward()
-        np.testing.assert_allclose(x.grad, [1.0])
 
 
 class TestReductions:
@@ -151,7 +142,7 @@ class TestReductions:
 class TestShapeOps:
     def test_reshape_and_flatten(self):
         x = Tensor(np.arange(12, dtype=np.float32), requires_grad=True)
-        out = x.reshape(3, 4).flatten()
+        out = x.reshape(3, 4).reshape(-1)
         assert out.shape == (12,)
         out.sum().backward()
         assert x.grad.shape == (12,)
@@ -170,13 +161,6 @@ class TestShapeOps:
         expected[1:3] = 1.0
         np.testing.assert_allclose(x.grad, expected)
 
-    def test_pad_backward(self):
-        x = Tensor(np.ones((2, 2), dtype=np.float32), requires_grad=True)
-        padded = x.pad(((1, 1), (1, 1)))
-        assert padded.shape == (4, 4)
-        padded.sum().backward()
-        np.testing.assert_allclose(x.grad, np.ones((2, 2)))
-
     def test_concatenate_and_stack(self):
         a = Tensor(np.ones((2, 3), dtype=np.float32), requires_grad=True)
         b = Tensor(np.zeros((2, 3), dtype=np.float32), requires_grad=True)
@@ -184,27 +168,69 @@ class TestShapeOps:
         assert cat.shape == (4, 3)
         cat.sum().backward()
         np.testing.assert_allclose(a.grad, np.ones((2, 3)))
-        stacked = stack([a.detach(), b.detach()], axis=0)
+        b.zero_grad()
+        stacked = concatenate([a[None], b[None]], axis=0)
         assert stacked.shape == (2, 2, 3)
+        stacked.sum().backward()
+        np.testing.assert_allclose(b.grad, np.ones((2, 3)))
 
-    def test_where_selects_and_routes_gradients(self):
-        cond = np.array([True, False])
-        a = Tensor(np.array([1.0, 2.0], dtype=np.float32), requires_grad=True)
-        b = Tensor(np.array([10.0, 20.0], dtype=np.float32), requires_grad=True)
-        out = where(cond, a, b)
-        np.testing.assert_allclose(out.data, [1.0, 20.0])
-        out.sum().backward()
-        np.testing.assert_allclose(a.grad, [1.0, 0.0])
-        np.testing.assert_allclose(b.grad, [0.0, 1.0])
 
-    def test_broadcast_to(self):
-        x = Tensor(np.array([[1.0], [2.0]], dtype=np.float32), requires_grad=True)
-        out = x.broadcast_to((2, 3))
-        out.sum().backward()
-        np.testing.assert_allclose(x.grad, [[3.0], [3.0]])
+#: Every operation of the engine, as (inputs' shapes, op).  Inputs are
+#: positive so sqrt stays real; the 4-D ones are images.
+OPS = {
+    "add": ([(3, 4), (4,)], lambda a, b: a + b),
+    "radd": ([(3, 4)], lambda a: 2.0 + a),
+    "neg": ([(3, 4)], lambda a: -a),
+    "sub": ([(3, 4), (3, 1)], lambda a, b: a - b),
+    "rsub": ([(3, 4)], lambda a: 1.0 - a),
+    "mul": ([(3, 4), (4,)], lambda a, b: a * b),
+    "rmul": ([(3, 4)], lambda a: 3.0 * a),
+    "truediv": ([(3, 4), (3, 4)], lambda a, b: a / b),
+    "rtruediv": ([(3, 4)], lambda a: 1.0 / a),
+    "pow": ([(3, 4)], lambda a: a ** 3),
+    "matmul": ([(2, 3, 4), (2, 4, 5)], lambda a, b: a @ b),
+    "sqrt": ([(3, 4)], lambda a: a.sqrt()),
+    "abs": ([(3, 4)], lambda a: (a - 0.8).abs()),
+    "sigmoid": ([(3, 4)], lambda a: a.sigmoid()),
+    "tanh": ([(3, 4)], lambda a: a.tanh()),
+    "silu": ([(3, 4)], lambda a: a.silu()),
+    "gelu": ([(3, 4)], lambda a: a.gelu()),
+    "clip": ([(3, 4)], lambda a: a.clip(0.5, 1.0)),
+    "sum": ([(3, 4)], lambda a: a.sum(axis=1)),
+    "mean": ([(3, 4)], lambda a: a.mean(axis=0, keepdims=True)),
+    "var": ([(3, 4)], lambda a: a.var(axis=-1)),
+    "max": ([(3, 4)], lambda a: a.max(axis=1)),
+    "softmax": ([(3, 4)], lambda a: a.softmax(axis=-1)),
+    "reshape": ([(3, 4)], lambda a: a.reshape(2, 6)),
+    "transpose": ([(2, 3, 4)], lambda a: a.transpose(2, 0, 1)),
+    "swapaxes": ([(2, 3, 4)], lambda a: a.swapaxes(-1, -2)),
+    "getitem": ([(3, 4)], lambda a: a[1:, ::2]),
+    "concatenate": ([(2, 3), (1, 3)], lambda a, b: concatenate([a, b], axis=0)),
+    "conv2d": ([(2, 3, 6, 6), (4, 3, 3, 3), (4,)],
+               lambda x, w, b: F.conv2d(x, w, b, stride=2, padding=1)),
+    "avg_pool2d": ([(2, 3, 6, 6)], lambda x: F.avg_pool2d(x, kernel=2)),
+    "upsample_nearest": ([(2, 3, 3, 3)], lambda x: F.upsample_nearest(x, scale=2)),
+    "linear": ([(2, 5, 4), (3, 4), (3,)], F.linear),
+    "scaled_dot_product_attention": ([(2, 5, 4), (2, 6, 4), (2, 6, 4)],
+                                     F.scaled_dot_product_attention),
+    "mse_loss": ([(3, 4), (3, 4)], F.mse_loss),
+}
 
 
 class TestGraphMechanics:
+    @pytest.mark.parametrize("name", sorted(OPS))
+    def test_graph_free_output_equals_graph_building_output(self, name):
+        shapes, op = OPS[name]
+        rng = np.random.default_rng(7)
+        inputs = [Tensor(rng.uniform(0.2, 1.5, size=shape).astype(np.float32),
+                         requires_grad=True) for shape in shapes]
+        tracked = op(*inputs)
+        with no_grad():
+            free = op(*inputs)
+        assert tracked.requires_grad and not free.requires_grad
+        assert free._backward is None and free._parents == ()
+        assert np.array_equal(free.data, tracked.data)
+
     def test_no_grad_disables_tracking(self):
         x = Tensor(np.ones(3, dtype=np.float32), requires_grad=True)
         with no_grad():
