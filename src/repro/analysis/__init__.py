@@ -25,15 +25,13 @@ Every finding fails the gate.  The one way to accept a finding is a
 reasoned pragma in source: ``# repro: allow[rule] -- reason``.
 """
 
-from .config import DEFAULT_CONFIG, AnalysisConfig
 from .findings import REPORT_SCHEMA, AnalysisReport, Finding
 from .project import Module, Project, parse_pragmas
 from .registry import (Checker, available_checkers, get_checker,
                        register_checker, run_analysis)
 
 __all__ = [
-    "AnalysisConfig", "AnalysisReport", "Checker",
-    "DEFAULT_CONFIG", "Finding", "Module", "Project", "REPORT_SCHEMA",
-    "available_checkers", "get_checker", "parse_pragmas",
+    "AnalysisReport", "Checker", "Finding", "Module", "Project",
+    "REPORT_SCHEMA", "available_checkers", "get_checker", "parse_pragmas",
     "register_checker", "run_analysis",
 ]

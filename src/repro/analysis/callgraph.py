@@ -2,11 +2,16 @@
 
 Two layers, split on purpose:
 
-* :class:`ModuleSummary` — everything the interprocedural rules need to
-  know about one file, extracted in a single AST walk.
+* :class:`ModuleSummary` — everything the graph-based rules
+  (determinism, race-discipline, stage-purity, hot-path-alloc,
+  schema-discipline) need to know about one file, extracted in a single
+  AST walk: clock/RNG, I/O, environment and ``global`` facts, module-global
+  mutations, allocations, and the functions and classes the file defines.
 * :class:`CallGraph` — summaries stitched together: local call descriptors
   resolved to project-wide function ids (``repro.zoo.registry.load_pretrained``),
-  following package ``__init__`` re-exports and ``self.method`` dispatch.
+  following package ``__init__`` re-exports, ``self.method`` dispatch and
+  method calls on a local built by a constructor (``p = Pipeline();
+  p.generate()``, also from a def nested below the assignment).
 
 Resolution is deliberately conservative: a call through a value we cannot
 type (``stage.fn(...)``, ``self.sampler.sample(...)``) produces *no* edge.
@@ -56,6 +61,30 @@ SEEDABLE_FACTORIES = frozenset({
     "numpy.random.default_rng", "random.Random", "numpy.random.RandomState",
 })
 
+#: Dotted callables that do file or process I/O.
+IO_CALLS = frozenset({
+    "numpy.save", "numpy.load", "numpy.savez", "numpy.savez_compressed",
+    "numpy.savetxt", "numpy.loadtxt", "pickle.dump", "pickle.load",
+    "pickle.dumps",  # dumps is pure, but loads/dumps of live objects in a
+                     # stage usually signals an escape hatch; kept visible.
+    "json.dump", "json.load", "shutil.copy", "shutil.copyfile",
+    "shutil.copytree", "shutil.move", "shutil.rmtree", "tempfile.mkdtemp",
+    "tempfile.mkstemp",
+})
+
+#: Dotted prefixes whose calls are never pure.
+IMPURE_PREFIXES = ("subprocess.", "socket.", "urllib.", "http.")
+
+#: Path-like methods that touch the filesystem, on any receiver that is not
+#: an imported module.
+FS_METHODS = frozenset({
+    "write_text", "write_bytes", "read_text", "read_bytes", "mkdir",
+    "rmdir", "unlink", "touch", "symlink_to", "hardlink_to",
+})
+
+#: Environment access (a read is as much a hidden input as a write).
+ENV_ACCESS = ("os.environ", "os.getenv", "os.putenv", "os.unsetenv")
+
 #: numpy entry points that materialize a fresh ndarray per call.
 NDARRAY_ALLOCATORS = {
     "numpy.zeros", "numpy.ones", "numpy.empty", "numpy.full",
@@ -91,11 +120,14 @@ class CallSite:
     in_loop: bool = False
     under_inference: bool = False
     guarded: bool = False        # inside an ``if x is not None:`` body
+    #: "C" when the call is ``x.m(...)`` on a local built by ``x = C(...)``
+    #: (here or in an enclosing function); ``target`` ends in ``.m``.
+    instance_of: Optional[str] = None
 
 
 @dataclass
 class FactRef:
-    """A wall-clock / global-RNG / factory reference at a location."""
+    """A clock, RNG, factory, I/O, environment or ``global`` fact."""
 
     dotted: str
     line: int
@@ -108,7 +140,7 @@ class Mutation:
     """A write to module-global (or module-global-object) state."""
 
     kind: str        # "rebind" | "subscript" | "method" | "attr"
-    target: str      # the module-global name being written
+    target: str      # the module-global name being written (or deleted)
     detail: str      # method / attribute involved, for the message
     line: int
     col: int
@@ -119,12 +151,11 @@ class Mutation:
 class Alloc:
     """An allocation site relevant to the hot-path rule."""
 
-    kind: str        # "ndarray" | "method" | "tensor" | "closure"
-    name: str        # dotted callee, ".method" or "lambda"/"def"/"comprehension"
+    kind: str        # "ndarray" | "method" | "closure"
+    name: str        # dotted callee, ".method", "lambda" or "def <name>"
     line: int
     col: int
     in_loop: bool = False
-    under_inference: bool = False
     guarded: bool = False
 
 
@@ -136,12 +167,16 @@ class FunctionSummary:
     line: int
     end_line: int
     hot: bool = False
-    has_loop: bool = False
     calls: List[CallSite] = field(default_factory=list)
     spawns: List[CallSite] = field(default_factory=list)
     clocks: List[FactRef] = field(default_factory=list)
     rngs: List[FactRef] = field(default_factory=list)
     factories: List[FactRef] = field(default_factory=list)
+    #: ``open``, an ``IO_CALLS``/``IMPURE_PREFIXES`` name, or ``.method``
+    #: for an ``FS_METHODS`` call.
+    io: List[FactRef] = field(default_factory=list)
+    env: List[FactRef] = field(default_factory=list)
+    global_decls: List[FactRef] = field(default_factory=list)
     mutations: List[Mutation] = field(default_factory=list)
     allocs: List[Alloc] = field(default_factory=list)
 
@@ -163,6 +198,8 @@ class ModuleSummary:
     pkg_path: str
     rel_path: str
     functions: Dict[str, FunctionSummary] = field(default_factory=dict)
+    #: qualnames of the classes defined here (nested ones too)
+    classes: Set[str] = field(default_factory=set)
     #: module-global name -> "lock" | "thread_local" | "mutable" | "other"
     globals: Dict[str, str] = field(default_factory=dict)
     #: local alias -> dotted name (the module's import map)
@@ -207,12 +244,14 @@ class _FunctionWalker(ast.NodeVisitor):
 
     def __init__(self, summary: FunctionSummary, mapping: Dict[str, str],
                  module_globals: Dict[str, str], lock_attrs: Set[str],
-                 inference_names: Set[str]):
+                 inference_names: Set[str], local_types: Dict[str, str]):
         self.s = summary
         self.mapping = mapping
         self.module_globals = module_globals
         self.lock_attrs = lock_attrs
         self.inference_names = inference_names
+        #: local name -> dotted constructor it was assigned from
+        self.local_types = local_types
         self.loop_depth = 0
         self.inference_depth = 0
         self.lock_depth = 0
@@ -220,19 +259,21 @@ class _FunctionWalker(ast.NodeVisitor):
         self.global_names: Set[str] = set()
 
     # -- context helpers -------------------------------------------------
-    def _ref(self, dotted: str, node: ast.AST,
-             in_default: bool = False) -> FactRef:
-        return FactRef(dotted=dotted, line=node.lineno, col=node.col_offset,
-                       in_default=in_default)
+    @staticmethod
+    def _ref(dotted: str, node: ast.AST) -> FactRef:
+        return FactRef(dotted=dotted, line=node.lineno, col=node.col_offset)
 
-    def _record_name_facts(self, node: ast.AST, in_default: bool) -> None:
+    def _record_name_facts(self, node: ast.AST) -> None:
         dotted = resolve_attribute(node, self.mapping)
         if dotted is None:
             return
         if dotted in WALL_CLOCKS:
-            self.s.clocks.append(self._ref(dotted, node, in_default))
+            self.s.clocks.append(self._ref(dotted, node))
         elif dotted in GLOBAL_RNG:
-            self.s.rngs.append(self._ref(dotted, node, in_default))
+            self.s.rngs.append(self._ref(dotted, node))
+        for name in ENV_ACCESS:
+            if dotted == name or dotted.startswith(name + "."):
+                self.s.env.append(self._ref(name, node))
 
     def _mutation(self, kind: str, target: str, detail: str,
                   node: ast.AST) -> None:
@@ -245,7 +286,6 @@ class _FunctionWalker(ast.NodeVisitor):
         self.s.allocs.append(Alloc(
             kind=kind, name=name, line=node.lineno, col=node.col_offset,
             in_loop=self.loop_depth > 0,
-            under_inference=self.inference_depth > 0,
             guarded=self.guard_depth > 0))
 
     def _global_name(self, node: ast.AST) -> Optional[str]:
@@ -253,6 +293,12 @@ class _FunctionWalker(ast.NodeVisitor):
         if isinstance(node, ast.Name) and node.id in self.module_globals:
             return node.id
         return None
+
+    def _imported_root(self, node: ast.AST) -> bool:
+        """Whether an attribute chain starts at an imported name."""
+        while isinstance(node, ast.Attribute):
+            node = node.value
+        return isinstance(node, ast.Name) and node.id in self.mapping
 
     # -- structure -------------------------------------------------------
     def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
@@ -281,7 +327,6 @@ class _FunctionWalker(ast.NodeVisitor):
         self.loop_depth -= 1
         for stmt in node.orelse:
             self.visit(stmt)
-        self.s.has_loop = True
 
     def visit_While(self, node: ast.While) -> None:
         self.visit(node.test)
@@ -291,7 +336,6 @@ class _FunctionWalker(ast.NodeVisitor):
         self.loop_depth -= 1
         for stmt in node.orelse:
             self.visit(stmt)
-        self.s.has_loop = True
 
     def visit_With(self, node: ast.With) -> None:
         entered_inference = entered_lock = False
@@ -331,11 +375,27 @@ class _FunctionWalker(ast.NodeVisitor):
     # -- facts -----------------------------------------------------------
     def visit_Global(self, node: ast.Global) -> None:
         self.global_names.update(node.names)
+        self.s.global_decls.append(self._ref(", ".join(node.names), node))
 
     def visit_Assign(self, node: ast.Assign) -> None:
         for target in node.targets:
             self._visit_store_target(target, node)
         self.visit(node.value)
+        # ``x = C(...)``: later ``x.m()`` calls may resolve to ``C.m``.
+        if (len(node.targets) == 1 and isinstance(node.targets[0], ast.Name)
+                and isinstance(node.value, ast.Call)):
+            ctor = resolve_attribute(node.value.func, self.mapping)
+            if ctor is not None:
+                self.local_types[node.targets[0].id] = ctor
+
+    def visit_Delete(self, node: ast.Delete) -> None:
+        for target in node.targets:
+            if isinstance(target, ast.Subscript):
+                name = self._global_name(target.value)
+                if name is not None:
+                    self._mutation("subscript", name, "item deletion",
+                                   target)
+            self.visit(target)
 
     def visit_AugAssign(self, node: ast.AugAssign) -> None:
         self._visit_store_target(node.target, node)
@@ -361,19 +421,27 @@ class _FunctionWalker(ast.NodeVisitor):
             for element in target.elts:
                 self._visit_store_target(element, stmt)
 
-    def visit_Call(self, node: ast.Call) -> None:
-        dotted = resolve_attribute(node.func, self.mapping)
-        self_method = None
-        if (isinstance(node.func, ast.Attribute)
-                and isinstance(node.func.value, ast.Name)
-                and node.func.value.id == "self"):
-            self_method = node.func.attr
-        site = CallSite(target=dotted, self_method=self_method,
+    def _site(self, func: ast.AST, node: ast.AST) -> CallSite:
+        """Descriptor of a call to the callable expression ``func``."""
+        self_method = instance_of = None
+        if isinstance(func, ast.Attribute) and isinstance(func.value,
+                                                          ast.Name):
+            if func.value.id == "self":
+                self_method = func.attr
+            else:
+                instance_of = self.local_types.get(func.value.id)
+        return CallSite(target=resolve_attribute(func, self.mapping),
+                        self_method=self_method,
                         line=node.lineno, col=node.col_offset,
                         in_loop=self.loop_depth > 0,
                         under_inference=self.inference_depth > 0,
-                        guarded=self.guard_depth > 0)
+                        guarded=self.guard_depth > 0,
+                        instance_of=instance_of)
+
+    def visit_Call(self, node: ast.Call) -> None:
+        site = self._site(node.func, node)
         self.s.calls.append(site)
+        dotted = site.target
 
         if dotted is not None:
             # clock/RNG *references* are recorded by the Name/Attribute
@@ -384,26 +452,22 @@ class _FunctionWalker(ast.NodeVisitor):
                 self.s.factories.append(self._ref(dotted, node))
             if dotted in NDARRAY_ALLOCATORS:
                 self._alloc("ndarray", dotted, node)
+            if (dotted == "open" or dotted in IO_CALLS
+                    or dotted.startswith(IMPURE_PREFIXES)):
+                self.s.io.append(self._ref(dotted, node))
 
         if isinstance(node.func, ast.Attribute):
             method = node.func.attr
             if dotted is None and method in ALLOCATING_METHODS:
                 self._alloc("method", f".{method}", node)
+            if method in FS_METHODS and not self._imported_root(node.func):
+                self.s.io.append(self._ref(f".{method}", node))
             if method in MUTATING_METHODS:
                 name = self._global_name(node.func.value)
                 if name is not None:
                     self._mutation("method", name, f".{method}()", node)
             if method == "submit" and node.args:
-                spawned = node.args[0]
-                spawn_target = resolve_attribute(spawned, self.mapping)
-                spawn_self = None
-                if (isinstance(spawned, ast.Attribute)
-                        and isinstance(spawned.value, ast.Name)
-                        and spawned.value.id == "self"):
-                    spawn_self = spawned.attr
-                self.s.spawns.append(CallSite(
-                    target=spawn_target, self_method=spawn_self,
-                    line=node.lineno, col=node.col_offset))
+                self.s.spawns.append(self._site(node.args[0], node))
 
         self.visit(node.func)
         for arg in node.args:
@@ -412,7 +476,7 @@ class _FunctionWalker(ast.NodeVisitor):
             self.visit(keyword.value)
 
     def visit_Attribute(self, node: ast.Attribute) -> None:
-        self._record_name_facts(node, in_default=False)
+        self._record_name_facts(node)
         # Facts fire once per full chain, but a non-Name base (a call, a
         # subscript) still needs visiting: ``datetime.now().isoformat()``.
         base: ast.AST = node
@@ -422,7 +486,7 @@ class _FunctionWalker(ast.NodeVisitor):
             self.visit(base)
 
     def visit_Name(self, node: ast.Name) -> None:
-        self._record_name_facts(node, in_default=False)
+        self._record_name_facts(node)
 
 
 def _class_lock_attrs(node: ast.ClassDef, mapping: Dict[str, str]) -> Set[str]:
@@ -477,22 +541,26 @@ def summarize_module(module: Module) -> ModuleSummary:
 
     # function summaries (methods and nested defs get dotted qualnames);
     # nested defs are found anywhere in a function body (stage closures
-    # are routinely defined inside loops), not just at the top level.
-    def walk_scope(body: List[ast.stmt], prefix: str,
-                   lock_attrs: Set[str]) -> None:
+    # are routinely defined inside loops), not just at the top level, and
+    # see the enclosing function's constructed locals.
+    def walk_scope(body: List[ast.stmt], prefix: str, lock_attrs: Set[str],
+                   local_types: Dict[str, str]) -> None:
         for stmt in body:
             if isinstance(stmt, ast.ClassDef):
+                summary.classes.add(f"{prefix}{stmt.name}")
                 attrs = _class_lock_attrs(stmt, mapping)
-                walk_scope(stmt.body, f"{prefix}{stmt.name}.", attrs)
+                walk_scope(stmt.body, f"{prefix}{stmt.name}.", attrs,
+                           local_types)
             elif not isinstance(stmt, (ast.FunctionDef,
                                        ast.AsyncFunctionDef)):
                 for child_body in (getattr(stmt, "body", None),
                                    getattr(stmt, "orelse", None),
                                    getattr(stmt, "finalbody", None)):
                     if child_body:
-                        walk_scope(child_body, prefix, lock_attrs)
+                        walk_scope(child_body, prefix, lock_attrs,
+                                   local_types)
                 for handler in getattr(stmt, "handlers", ()) or ():
-                    walk_scope(handler.body, prefix, lock_attrs)
+                    walk_scope(handler.body, prefix, lock_attrs, local_types)
             else:
                 qualname = f"{prefix}{stmt.name}"
                 fn = FunctionSummary(
@@ -501,21 +569,22 @@ def summarize_module(module: Module) -> ModuleSummary:
                     stmt.lineno,
                     hot=module.is_hot(stmt.lineno))
                 walker = _FunctionWalker(fn, mapping, summary.globals,
-                                         lock_attrs, inference_names)
+                                         lock_attrs, inference_names,
+                                         dict(local_types))
                 # signature defaults first, marked as such
                 for default in (list(stmt.args.defaults)
                                 + [d for d in stmt.args.kw_defaults if d]):
                     for node in ast.walk(default):
                         if isinstance(node, (ast.Name, ast.Attribute)):
                             dotted = resolve_attribute(node, mapping)
+                            ref = FactRef(dotted, node.lineno,
+                                          node.col_offset, in_default=True)
                             if dotted in WALL_CLOCKS:
-                                fn.clocks.append(FactRef(
-                                    dotted, node.lineno, node.col_offset,
-                                    in_default=True))
+                                fn.clocks.append(ref)
                             elif dotted in GLOBAL_RNG:
-                                fn.rngs.append(FactRef(
-                                    dotted, node.lineno, node.col_offset,
-                                    in_default=True))
+                                fn.rngs.append(ref)
+                            elif dotted in ENV_ACCESS:
+                                fn.env.append(ref)
                 # first pass: collect `global` declarations so rebinds
                 # anywhere in the body are classified correctly
                 for inner in ast.walk(stmt):
@@ -524,9 +593,10 @@ def summarize_module(module: Module) -> ModuleSummary:
                 for inner in stmt.body:
                     walker.visit(inner)
                 summary.functions[qualname] = fn
-                walk_scope(stmt.body, f"{qualname}.", lock_attrs)
+                walk_scope(stmt.body, f"{qualname}.", lock_attrs,
+                           walker.local_types)
 
-    walk_scope(module.tree.body, "", set())
+    walk_scope(module.tree.body, "", set(), {})
 
     # Module-level statements get a pseudo-function summary so top-level
     # clock/RNG facts are not lost.  ``end_line=0`` keeps it out of every
@@ -535,7 +605,7 @@ def summarize_module(module: Module) -> ModuleSummary:
     # time is single-threaded by definition.
     top = FunctionSummary(qualname=MODULE_SCOPE, line=1, end_line=0)
     top_walker = _FunctionWalker(top, mapping, summary.globals, set(),
-                                 inference_names)
+                                 inference_names, {})
     for stmt in module.tree.body:
         if not isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
                                  ast.ClassDef)):
@@ -550,19 +620,22 @@ def summarize_module(module: Module) -> ModuleSummary:
 class CallGraph:
     """Summaries stitched into a project-wide resolved call graph.
 
-    Function ids are ``"<module_name>.<qualname>"`` strings.  ``edges``
-    maps a caller id to ``[(callee_id, CallSite), ...]`` for every call we
-    could resolve; ``spawn_edges`` does the same for executor ``submit``
-    arguments (the worker seeds of the thread-context lattice).
+    Function and class ids are ``"<module_name>.<qualname>"`` strings.
+    ``edges`` maps a caller id to ``[(callee_id, CallSite), ...]`` for every
+    call we could resolve; ``spawn_edges`` does the same for executor
+    ``submit`` arguments (the worker seeds of the thread-context lattice).
     """
 
     def __init__(self, summaries: Dict[str, ModuleSummary]):
         self.summaries = summaries
         self.functions: Dict[str, Tuple[ModuleSummary, FunctionSummary]] = {}
+        self.classes: Set[str] = set()
         for summary in summaries.values():
             for qualname, fn in summary.functions.items():
                 self.functions[f"{summary.module_name}.{qualname}"] = (
                     summary, fn)
+            self.classes.update(f"{summary.module_name}.{qualname}"
+                                for qualname in summary.classes)
         self._module_names = sorted(summaries, key=len, reverse=True)
         self.edges: Dict[str, List[Tuple[str, CallSite]]] = {}
         self.spawn_edges: Dict[str, List[Tuple[str, CallSite]]] = {}
@@ -571,7 +644,7 @@ class CallGraph:
     # -- resolution ------------------------------------------------------
     def resolve_dotted(self, dotted: str,
                        _depth: int = 0) -> Optional[str]:
-        """Function id for an import-resolved dotted name, if in-project."""
+        """Function or class id for an import-resolved dotted name."""
         if _depth > 8:
             return None
         for module_name in self._module_names:
@@ -580,7 +653,7 @@ class CallGraph:
                 continue
             summary = self.summaries[module_name]
             remainder = dotted[len(module_name) + 1:]
-            if remainder in summary.functions:
+            if remainder in summary.functions or remainder in summary.classes:
                 return f"{module_name}.{remainder}"
             head = remainder.split(".")[0]
             reexport = summary.imports.get(head)
@@ -593,48 +666,54 @@ class CallGraph:
             return None
         return None
 
+    def _symbol(self, summary: ModuleSummary, dotted: str) -> Optional[str]:
+        """Function or class id ``dotted`` denotes inside ``summary``'s file.
+
+        A name defined in the same module wins over imports (import_map
+        already folded imported names to dotted paths).
+        """
+        if dotted in summary.functions or dotted in summary.classes:
+            return f"{summary.module_name}.{dotted}"
+        return self.resolve_dotted(dotted)
+
     def resolve_site(self, caller_id: str,
                      site: CallSite) -> Optional[str]:
         """Resolve one call site from a given caller, or None."""
-        summary, _ = self.functions[caller_id]
+        summary, fn = self.functions[caller_id]
         if site.self_method is not None:
-            qualname = self.functions[caller_id][1].qualname
-            if "." in qualname:
-                class_prefix = qualname.rsplit(".", 1)[0]
-                candidate = (f"{summary.module_name}."
-                             f"{class_prefix}.{site.self_method}")
-                if candidate in self.functions:
-                    return candidate
+            # ``self`` is an instance of the nearest enclosing class (a
+            # closure inside a method shares the method's ``self``).
+            owner = fn.qualname
+            while "." in owner:
+                owner = owner.rsplit(".", 1)[0]
+                if owner in summary.classes:
+                    break
+            else:
+                return None
+            callee = f"{summary.module_name}.{owner}.{site.self_method}"
+        elif site.instance_of is not None:
+            cls = self._symbol(summary, site.instance_of)
+            if cls not in self.classes:
+                return None
+            callee = f"{cls}.{site.target.rsplit('.', 1)[1]}"
+        elif site.target is not None:
+            callee = self._symbol(summary, site.target)
+            if callee in self.classes:
+                # ``Class(...)`` constructor calls: route to ``__init__``.
+                callee = f"{callee}.__init__"
+        else:
             return None
-        if site.target is None:
-            return None
-        # A bare name defined in the same module wins over imports
-        # (import_map already folded imported names to dotted paths).
-        if "." not in site.target and site.target in summary.functions:
-            return f"{summary.module_name}.{site.target}"
-        # ``Class(...)`` constructor calls: route to ``Class.__init__``.
-        resolved = self.resolve_dotted(site.target)
-        if resolved is None:
-            init = self.resolve_dotted(site.target + ".__init__")
-            return init
-        return resolved
+        return callee if callee in self.functions else None
 
     def _build(self) -> None:
         for func_id, (_, fn) in self.functions.items():
-            resolved = []
-            for site in fn.calls:
-                callee = self.resolve_site(func_id, site)
-                if callee is not None:
-                    resolved.append((callee, site))
-            if resolved:
-                self.edges[func_id] = resolved
-            spawned = []
-            for site in fn.spawns:
-                callee = self.resolve_site(func_id, site)
-                if callee is not None:
-                    spawned.append((callee, site))
-            if spawned:
-                self.spawn_edges[func_id] = spawned
+            for sites, edges in ((fn.calls, self.edges),
+                                 (fn.spawns, self.spawn_edges)):
+                resolved = [(self.resolve_site(func_id, site), site)
+                            for site in sites]
+                resolved = [edge for edge in resolved if edge[0] is not None]
+                if resolved:
+                    edges[func_id] = resolved
 
     # -- convenience -----------------------------------------------------
     def callees(self, func_id: str) -> List[Tuple[str, CallSite]]:

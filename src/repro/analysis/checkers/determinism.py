@@ -10,7 +10,7 @@ clock or an unseeded RNG: a single ``time.time()`` turns a reproducible
 The rule has two layers, both driven by the per-module fact summaries and
 the project call graph (:mod:`repro.analysis.callgraph`):
 
-**Local facts** — in modules the config declares virtual-time:
+**Local facts** — in the virtual-time modules (``config.py``):
 
 * any *use* of a wall-clock callable (``time.time``, ``time.monotonic``,
   ``time.perf_counter`` and friends, ``datetime.now``/``utcnow``/``today``)
@@ -45,7 +45,7 @@ from typing import Dict, List
 # because this checker is their natural documentation home.
 from ..callgraph import (GLOBAL_RNG, MODULE_SCOPE, SEEDABLE_FACTORIES,
                          WALL_CLOCKS, ModuleSummary, get_context)
-from ..config import AnalysisConfig
+from ..config import CLOCK_BOUNDARIES, is_virtual_time, matches
 from ..dataflow import TaintStep, propagate_taint, witness_chain
 from ..findings import Finding
 from ..project import Project
@@ -62,8 +62,7 @@ class DeterminismChecker(Checker):
                    "unseeded/global RNG, directly or through callees "
                    "(signature defaults excepted)")
 
-    def check(self, project: Project,
-              config: AnalysisConfig) -> List[Finding]:
+    def check(self, project: Project) -> List[Finding]:
         context = get_context(project)
         graph = context.graph
         findings: List[Finding] = []
@@ -71,7 +70,7 @@ class DeterminismChecker(Checker):
         # ---- local facts in virtual-time modules ----------------------
         for module_name in sorted(context.summaries):
             summary = context.summaries[module_name]
-            if not config.is_virtual_time(summary.pkg_path):
+            if not is_virtual_time(summary.pkg_path):
                 continue
             for qualname in sorted(summary.functions):
                 fn = summary.functions[qualname]
@@ -100,8 +99,8 @@ class DeterminismChecker(Checker):
         # ---- interprocedural taint ------------------------------------
         def is_boundary(func_id: str) -> bool:
             summary = graph.module_of(func_id)
-            return summary is None or self._is_clock_boundary(
-                summary.pkg_path, config)
+            return summary is None or matches(summary.pkg_path,
+                                              CLOCK_BOUNDARIES)
 
         local: Dict[str, TaintStep] = {}
         for func_id in sorted(graph.functions):
@@ -118,14 +117,14 @@ class DeterminismChecker(Checker):
 
         for func_id in sorted(graph.functions):
             summary = graph.module_of(func_id)
-            if not config.is_virtual_time(summary.pkg_path):
+            if not is_virtual_time(summary.pkg_path):
                 continue
             fn = graph.function(func_id)
             symbol = (None if fn.qualname == MODULE_SCOPE
                       else fn.qualname)
             for callee, site in graph.callees(func_id):
                 callee_summary = graph.module_of(callee)
-                if callee in tainted and not config.is_virtual_time(
+                if callee in tainted and not is_virtual_time(
                         callee_summary.pkg_path):
                     chain = witness_chain(tainted, callee)
                     findings.append(Finding(
@@ -140,11 +139,6 @@ class DeterminismChecker(Checker):
         return findings
 
     # ------------------------------------------------------------------
-    @staticmethod
-    def _is_clock_boundary(pkg_path: str, config: AnalysisConfig) -> bool:
-        from ..config import _matches
-        return _matches(pkg_path, config.clock_boundaries)
-
     @staticmethod
     def _finding(summary: ModuleSummary, ref, symbol,
                  message: str) -> Finding:

@@ -26,10 +26,8 @@ where the next reader will wonder about it.  Underscore-prefixed and
 from __future__ import annotations
 
 import ast
-from fnmatch import fnmatch
 from typing import Dict, List, Optional, Set
 
-from ..config import AnalysisConfig
 from ..findings import Finding
 from ..project import Module
 from ..registry import Checker, register_checker
@@ -97,11 +95,7 @@ class FingerprintCoverageChecker(Checker):
     description = ("dataclasses with fingerprint() must feed every field "
                    "into the hash payload (or mark it presentation-only)")
 
-    def check_module(self, module: Module,
-                     config: AnalysisConfig) -> List[Finding]:
-        if not any(fnmatch(module.pkg_path, pattern)
-                   for pattern in config.fingerprint_modules):
-            return []
+    def check_module(self, module: Module) -> List[Finding]:
         findings: List[Finding] = []
         for node in ast.walk(module.tree):
             if isinstance(node, ast.ClassDef) and _is_dataclass(node):

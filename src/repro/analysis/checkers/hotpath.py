@@ -27,45 +27,21 @@ a stochastic sampler), annotate the line with a reasoned
 
 from __future__ import annotations
 
-from typing import List, Optional, Set
+from typing import List, Set
 
-from ..callgraph import FunctionSummary, ModuleSummary, get_context
-from ..config import AnalysisConfig, _matches
+from ..callgraph import CallGraph, FunctionSummary, ModuleSummary, get_context
+from ..dataflow import reachable_from
 from ..findings import Finding
 from ..project import Project
 from ..registry import Checker, register_checker
 
 
-def _hot_closure(summary: ModuleSummary) -> Set[str]:
-    """Marked-hot qualnames plus same-module callees, to a fixpoint."""
-    hot = {name for name, fn in summary.functions.items() if fn.hot}
-    changed = True
-    while changed:
-        changed = False
-        for name in sorted(hot):
-            fn = summary.functions[name]
-            for site in fn.calls:
-                callee = _local_callee(summary, name, site)
-                if callee is not None and callee not in hot:
-                    hot.add(callee)
-                    changed = True
-    return hot
-
-
-def _local_callee(summary: ModuleSummary, caller: str,
-                  site) -> Optional[str]:
-    """Same-module resolution of a call site (bare name or self-method)."""
-    if site.self_method is not None and "." in caller:
-        candidate = f"{caller.rsplit('.', 1)[0]}.{site.self_method}"
-        if candidate in summary.functions:
-            return candidate
-    if site.target is not None and "." not in site.target:
-        if site.target in summary.functions:
-            return site.target
-        init = f"{site.target}.__init__"
-        if init in summary.functions:
-            return init
-    return None
+def _hot_functions(graph: CallGraph, summary: ModuleSummary) -> Set[str]:
+    """Marked-hot functions of one module plus their same-module callees."""
+    marked = [f"{summary.module_name}.{qualname}"
+              for qualname, fn in summary.functions.items() if fn.hot]
+    return reachable_from(graph, marked, stop=lambda func_id: (
+        graph.module_of(func_id) is not summary))
 
 
 @register_checker
@@ -75,18 +51,15 @@ class HotPathAllocChecker(Checker):
                    "per loop iteration or build Tensor graphs outside "
                    "inference_mode")
 
-    def check(self, project: Project,
-              config: AnalysisConfig) -> List[Finding]:
+    def check(self, project: Project) -> List[Finding]:
         context = get_context(project)
+        graph = context.graph
         findings: List[Finding] = []
         for module_name in sorted(context.summaries):
             summary = context.summaries[module_name]
-            if not _matches(summary.pkg_path, config.hot_modules):
-                continue
-            hot = _hot_closure(summary)
-            for qualname in sorted(hot):
-                fn = summary.functions[qualname]
-                findings.extend(self._check_function(summary, fn))
+            for func_id in sorted(_hot_functions(graph, summary)):
+                findings.extend(self._check_function(
+                    summary, graph.function(func_id)))
         return findings
 
     def _check_function(self, summary: ModuleSummary,

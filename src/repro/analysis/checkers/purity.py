@@ -6,17 +6,14 @@ an environment variable or mutable module-level state has an input the hash
 does not cover — two runs with identical keys can produce different
 artifacts, which silently poisons every downstream cache hit.
 
-The checker walks a static call graph rooted at every function defined in
-the configured stage-builder modules (``experiments/stages.py`` and
-``experiments/variants.py`` — the ``compute``/``encode``/``decode``
-closures live there), following:
-
-* direct calls to names imported from project modules (through package
-  ``__init__`` re-exports),
-* constructor calls (into ``__init__``), ``self.method()`` calls, and
-  method calls on locals whose class is known from a same-function
-  constructor assignment (``pipeline = DiffusionPipeline(...);
-  pipeline.generate(...)``).
+The checker walks the shared call graph (:mod:`repro.analysis.callgraph`)
+from every function defined in the stage-builder modules
+(``experiments/stages.py`` and ``experiments/variants.py`` — the
+``compute``/``encode``/``decode`` closures live there), following resolved
+calls, constructor calls (into ``__init__``), ``self.method()`` calls and
+method calls on locals built by a constructor (``pipeline =
+DiffusionPipeline(...); pipeline.generate(...)``), plus every def nested in
+a reached function (a helper may return the closure that does the I/O).
 
 Dynamic dispatch it cannot resolve is skipped — the walk under-approximates
 so that every finding is real.  Inside reachable functions it flags:
@@ -38,101 +35,26 @@ memoization caches keyed by all inputs can be annotated
 
 from __future__ import annotations
 
-import ast
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import List, Set
 
-from ..config import AnalysisConfig
+from ..callgraph import (MODULE_SCOPE, CallGraph, FunctionSummary,
+                         ModuleSummary, get_context)
+from ..config import PURITY_BOUNDARIES, STAGE_PURE_ROOTS, matches
+from ..dataflow import reachable_from
 from ..findings import Finding
-from ..imports import import_map, resolve_attribute
-from ..project import Module, Project
+from ..project import Project
 from ..registry import Checker, register_checker
 
-#: Attribute method names that mutate or read the filesystem on Path-likes.
-FS_METHODS = frozenset({
-    "write_text", "write_bytes", "read_text", "read_bytes", "mkdir",
-    "rmdir", "unlink", "touch", "symlink_to", "hardlink_to",
-})
-
-#: Dotted callables that do file or process I/O.
-IO_CALLS = frozenset({
-    "numpy.save", "numpy.load", "numpy.savez", "numpy.savez_compressed",
-    "numpy.savetxt", "numpy.loadtxt", "pickle.dump", "pickle.load",
-    "pickle.dumps",  # dumps is pure, but loads/dumps of live objects in a
-                     # stage usually signals an escape hatch; kept visible.
-    "json.dump", "json.load", "shutil.copy", "shutil.copyfile",
-    "shutil.copytree", "shutil.move", "shutil.rmtree", "tempfile.mkdtemp",
-    "tempfile.mkstemp",
-})
-
-#: Dotted prefixes that are never pure.
-IMPURE_PREFIXES = ("subprocess.", "socket.", "urllib.", "http.")
-
-#: Environment access (reads are as impure as writes: the value is an
-#: undeclared stage input).
-ENV_ACCESS = ("os.environ", "os.getenv", "os.putenv", "os.unsetenv")
-
-#: Container methods that mutate their receiver.
-MUTATING_METHODS = frozenset({
-    "append", "extend", "insert", "add", "update", "setdefault", "pop",
-    "popitem", "remove", "discard", "clear",
-})
+#: Mutation kinds this rule reports, by message verb.
+_CONTAINER_WRITES = {"subscript": "writes", "method": "mutates"}
 
 
-@dataclass
-class _FuncInfo:
-    """One function/method definition in the project."""
-
-    module: Module
-    qualname: str
-    node: ast.AST                      # FunctionDef / AsyncFunctionDef
-    class_name: Optional[str] = None   # owning class, for self.* resolution
-
-
-@dataclass
-class _ModuleIndex:
-    """Per-module symbol table the resolver works against."""
-
-    module: Module
-    imports: Dict[str, str]
-    functions: Dict[str, _FuncInfo] = field(default_factory=dict)
-    classes: Dict[str, Dict[str, _FuncInfo]] = field(default_factory=dict)
-    mutable_globals: Set[str] = field(default_factory=set)
-
-
-def _index_module(module: Module) -> _ModuleIndex:
-    index = _ModuleIndex(module=module, imports=import_map(module))
-    for node in module.tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            index.functions[node.name] = _FuncInfo(module, node.name, node)
-        elif isinstance(node, ast.ClassDef):
-            methods = {}
-            for item in node.body:
-                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    methods[item.name] = _FuncInfo(
-                        module, f"{node.name}.{item.name}", item,
-                        class_name=node.name)
-            index.classes[node.name] = methods
-        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-            targets = (node.targets if isinstance(node, ast.Assign)
-                       else [node.target])
-            if _is_mutable_container(getattr(node, "value", None)):
-                for target in targets:
-                    if isinstance(target, ast.Name):
-                        index.mutable_globals.add(target.id)
-    return index
-
-
-def _is_mutable_container(value: Optional[ast.AST]) -> bool:
-    if value is None:
-        return False
-    if isinstance(value, (ast.Dict, ast.List, ast.Set, ast.DictComp,
-                          ast.ListComp, ast.SetComp)):
-        return True
-    if isinstance(value, ast.Call) and isinstance(value.func, ast.Name):
-        return value.func.id in {"dict", "list", "set", "OrderedDict",
-                                 "defaultdict", "deque", "Counter"}
-    return False
+def _nested_defs(graph: CallGraph, func_id: str) -> List[str]:
+    """Ids of every def nested (at any depth) in ``func_id``."""
+    summary, fn = graph.functions[func_id]
+    prefix = f"{fn.qualname}."
+    return [f"{summary.module_name}.{qualname}"
+            for qualname in summary.functions if qualname.startswith(prefix)]
 
 
 @register_checker
@@ -142,194 +64,58 @@ class StagePurityChecker(Checker):
                    "I/O, read the environment or mutate module globals "
                    "outside the RunStore/zoo boundaries")
 
-    def check(self, project: Project,
-              config: AnalysisConfig) -> List[Finding]:
-        indexes = {module.module_name: _index_module(module)
-                   for module in project.modules}
-        roots: List[_FuncInfo] = []
-        for module in project.modules:
-            if not config.is_stage_pure_root(module.pkg_path):
-                continue
-            index = indexes[module.module_name]
-            roots.extend(index.functions.values())
-            for methods in index.classes.values():
-                roots.extend(methods.values())
-            # Nested closures (the compute/encode/decode lambdas and defs)
-            # are visited as part of their enclosing function's body.
+    def check(self, project: Project) -> List[Finding]:
+        graph = get_context(project).graph
+        reached: Set[str] = set()
+
+        def stop(func_id: str) -> bool:
+            return func_id in reached or matches(
+                graph.module_of(func_id).pkg_path, PURITY_BOUNDARIES)
+
+        frontier = [func_id for func_id, (summary, fn)
+                    in graph.functions.items()
+                    if fn.qualname != MODULE_SCOPE
+                    and matches(summary.pkg_path, STAGE_PURE_ROOTS)]
+        while frontier:
+            new = reachable_from(graph, frontier, stop)
+            reached |= new
+            frontier = [nested for func_id in new
+                        for nested in _nested_defs(graph, func_id)
+                        if nested not in reached]
 
         findings: List[Finding] = []
-        seen: Set[Tuple[str, str]] = set()
-        worklist = list(roots)
-        while worklist:
-            info = worklist.pop()
-            key = (info.module.module_name, info.qualname)
-            if key in seen:
-                continue
-            seen.add(key)
-            if config.is_purity_boundary(info.module.pkg_path):
-                continue
-            findings.extend(self._scan_body(info, indexes[info.module.module_name]))
-            worklist.extend(self._callees(info, indexes))
+        for func_id in sorted(reached):
+            findings.extend(self._facts(*graph.functions[func_id]))
         return findings
 
-    # ------------------------------------------------------------------
-    # impurity scan of one function body
-    # ------------------------------------------------------------------
-    def _scan_body(self, info: _FuncInfo,
-                   index: _ModuleIndex) -> List[Finding]:
-        module, mapping = info.module, index.imports
-        findings: List[Finding] = []
+    def _facts(self, summary: ModuleSummary,
+               fn: FunctionSummary) -> List[Finding]:
+        def finding(fact, message: str) -> Finding:
+            return Finding(rule=self.name, path=summary.rel_path,
+                           line=fact.line, col=fact.col, message=message,
+                           symbol=fn.qualname)
 
-        def report(node: ast.AST, message: str) -> None:
-            findings.append(Finding(
-                rule="stage-purity", path=module.rel_path,
-                line=getattr(node, "lineno", 0),
-                col=getattr(node, "col_offset", 0),
-                message=message, symbol=info.qualname))
-
-        for node in ast.walk(info.node):
-            if isinstance(node, ast.Global):
-                report(node, "'global' rebinding inside stage-reachable "
-                             "code is a hidden input/output")
-            elif isinstance(node, ast.Call):
-                dotted = resolve_attribute(node.func, mapping)
-                if isinstance(node.func, ast.Name) and node.func.id == "open" \
-                        and "open" not in mapping:
-                    report(node, "open() in stage-reachable code; route "
-                                 "artifacts through the RunStore API")
-                elif dotted in IO_CALLS or (
-                        dotted is not None
-                        and dotted.startswith(IMPURE_PREFIXES)):
-                    report(node, f"impure call '{dotted}' in "
-                                 f"stage-reachable code")
-                elif (isinstance(node.func, ast.Attribute)
-                      and node.func.attr in FS_METHODS
-                      and dotted is None):
-                    # Unresolvable receiver + filesystem-ish method name:
-                    # Path.write_text and friends.
-                    report(node, f"filesystem method '.{node.func.attr}()' "
-                                 f"in stage-reachable code")
-                elif (isinstance(node.func, ast.Attribute)
-                      and node.func.attr in MUTATING_METHODS
-                      and isinstance(node.func.value, ast.Name)
-                      and node.func.value.id in index.mutable_globals):
-                    report(node, f"mutates module-level container "
-                                 f"'{node.func.value.id}' from "
-                                 f"stage-reachable code")
-            elif isinstance(node, (ast.Attribute, ast.Name)):
-                # Exact matches only: 'os.environ.get' need not be checked
-                # because its inner 'os.environ' node is walked separately.
-                dotted = resolve_attribute(node, mapping)
-                if dotted in ENV_ACCESS:
-                    report(node, f"environment access '{dotted}' is an "
-                                 f"undeclared stage input")
-            elif isinstance(node, (ast.Assign, ast.AugAssign, ast.Delete)):
-                targets = (node.targets if isinstance(node, ast.Assign)
-                           else [getattr(node, "target", None)]
-                           if not isinstance(node, ast.Delete)
-                           else node.targets)
-                for target in targets:
-                    if (isinstance(target, ast.Subscript)
-                            and isinstance(target.value, ast.Name)
-                            and target.value.id in index.mutable_globals):
-                        report(target, f"writes module-level container "
-                                       f"'{target.value.id}' from "
-                                       f"stage-reachable code")
+        findings = [finding(ref, "'global' rebinding inside stage-reachable "
+                                 "code is a hidden input/output")
+                    for ref in fn.global_decls]
+        for ref in fn.io:
+            if ref.dotted == "open":
+                message = ("open() in stage-reachable code; route "
+                           "artifacts through the RunStore API")
+            elif ref.dotted.startswith("."):
+                message = (f"filesystem method '{ref.dotted}()' in "
+                           f"stage-reachable code")
+            else:
+                message = f"impure call '{ref.dotted}' in stage-reachable code"
+            findings.append(finding(ref, message))
+        findings.extend(finding(ref, f"environment access '{ref.dotted}' is "
+                                     f"an undeclared stage input")
+                        for ref in fn.env)
+        for mutation in fn.mutations:
+            verb = _CONTAINER_WRITES.get(mutation.kind)
+            if verb and summary.globals.get(mutation.target) == "mutable":
+                findings.append(finding(
+                    mutation, f"{verb} module-level container "
+                              f"'{mutation.target}' from stage-reachable "
+                              f"code"))
         return findings
-
-    # ------------------------------------------------------------------
-    # static call-graph edges out of one function
-    # ------------------------------------------------------------------
-    def _callees(self, info: _FuncInfo,
-                 indexes: Dict[str, _ModuleIndex]) -> List[_FuncInfo]:
-        index = indexes[info.module.module_name]
-        mapping = index.imports
-        callees: List[_FuncInfo] = []
-        local_types: Dict[str, Tuple[str, str]] = {}  # var -> (module, class)
-
-        for node in ast.walk(info.node):
-            if not isinstance(node, (ast.Call, ast.Assign)):
-                continue
-            if isinstance(node, ast.Assign):
-                # pipeline = DiffusionPipeline(...): remember local types so
-                # pipeline.generate(...) resolves below.
-                if (isinstance(node.value, ast.Call)
-                        and len(node.targets) == 1
-                        and isinstance(node.targets[0], ast.Name)):
-                    resolved = self._resolve(
-                        resolve_attribute(node.value.func, mapping),
-                        index, indexes)
-                    if isinstance(resolved, tuple):
-                        local_types[node.targets[0].id] = resolved
-                continue
-
-            func = node.func
-            # self.method() within a class
-            if (isinstance(func, ast.Attribute)
-                    and isinstance(func.value, ast.Name)
-                    and func.value.id == "self" and info.class_name):
-                methods = index.classes.get(info.class_name, {})
-                target = methods.get(func.attr)
-                if target is not None:
-                    callees.append(target)
-                continue
-            # local_var.method() where local_var's class is known
-            if (isinstance(func, ast.Attribute)
-                    and isinstance(func.value, ast.Name)
-                    and func.value.id in local_types):
-                module_name, class_name = local_types[func.value.id]
-                methods = indexes[module_name].classes.get(class_name, {})
-                target = methods.get(func.attr)
-                if target is not None:
-                    callees.append(target)
-                continue
-            resolved = self._resolve(resolve_attribute(func, mapping),
-                                     index, indexes)
-            if isinstance(resolved, _FuncInfo):
-                callees.append(resolved)
-            elif isinstance(resolved, tuple):
-                # Constructor call: walk into __init__ (and nothing else —
-                # which other methods run is call-site dependent).
-                module_name, class_name = resolved
-                init = indexes[module_name].classes.get(class_name, {}) \
-                    .get("__init__")
-                if init is not None:
-                    callees.append(init)
-        return callees
-
-    def _resolve(self, dotted: Optional[str], index: _ModuleIndex,
-                 indexes: Dict[str, _ModuleIndex], depth: int = 0):
-        """Resolve a dotted name to a _FuncInfo, a (module, class) pair, or None."""
-        if dotted is None or depth > 8:
-            return None
-        # Same-module call by bare name.
-        if "." not in dotted:
-            if dotted in index.functions:
-                return index.functions[dotted]
-            if dotted in index.classes:
-                return (index.module.module_name, dotted)
-            return None
-        # Longest-prefix match against known modules.
-        parts = dotted.split(".")
-        for cut in range(len(parts) - 1, 0, -1):
-            module_name = ".".join(parts[:cut])
-            target_index = indexes.get(module_name)
-            if target_index is None:
-                continue
-            remainder = parts[cut:]
-            head = remainder[0]
-            if head in target_index.functions and len(remainder) == 1:
-                return target_index.functions[head]
-            if head in target_index.classes:
-                if len(remainder) == 1:
-                    return (module_name, head)
-                method = target_index.classes[head].get(remainder[1])
-                return method
-            # Package __init__ re-export: follow its own import map.
-            reexport = target_index.imports.get(head)
-            if reexport is not None:
-                suffix = "." + ".".join(remainder[1:]) if remainder[1:] else ""
-                return self._resolve(reexport + suffix, target_index,
-                                     indexes, depth + 1)
-            return None
-        return None

@@ -8,11 +8,11 @@ or an engine callback reaches it from a worker.
 
 The thread-context lattice comes from the call graph: every function
 handed to an executor ``submit`` (discovered from the AST) plus the
-configured worker entry points (``AnalysisConfig.worker_entries``) seed a
-forward reachability pass — everything in the closure is *worker-
-reachable*.  Inside that set, any mutation of a module-global (rebinding
-via ``global``, item assignment, mutating container method, attribute
-write on a module-global object) must be
+worker entry points (``config.WORKER_ENTRIES``) seed a forward
+reachability pass — everything in the closure is *worker-reachable*.
+Inside that set, any mutation of a module-global (rebinding via
+``global``, item assignment or deletion, mutating container method,
+attribute write on a module-global object) must be
 
 * lexically under a ``with`` on a recognizable ``threading.Lock`` (a
   module-global lock or a ``self._lock``-style attribute assigned in the
@@ -27,11 +27,10 @@ spawn point, which is what keeps the gate free of false positives.
 
 from __future__ import annotations
 
-from fnmatch import fnmatch
 from typing import List
 
 from ..callgraph import MODULE_SCOPE, get_context
-from ..config import AnalysisConfig
+from ..config import WORKER_ENTRIES, matches
 from ..dataflow import reachable_from
 from ..findings import Finding
 from ..project import Project
@@ -44,8 +43,7 @@ class RaceDisciplineChecker(Checker):
     description = ("module-global mutations reachable from worker threads "
                    "must hold a lock or be threading.local")
 
-    def check(self, project: Project,
-              config: AnalysisConfig) -> List[Finding]:
+    def check(self, project: Project) -> List[Finding]:
         context = get_context(project)
         graph = context.graph
 
@@ -58,8 +56,7 @@ class RaceDisciplineChecker(Checker):
             # Module scope runs at import time, on one thread — never a seed.
             if func_id.endswith(f".{MODULE_SCOPE}"):
                 continue
-            if any(fnmatch(func_id, pattern)
-                   for pattern in config.worker_entries):
+            if matches(func_id, WORKER_ENTRIES):
                 seeds.add(func_id)
 
         worker_reachable = reachable_from(graph, seeds)

@@ -10,9 +10,9 @@ call at a time: someone spells ``np.matmul(a, b)`` in a layer because it
 is shorter than fetching the backend, and that product silently vanishes
 from the MAC counts and can never be accelerated.
 
-This rule freezes the routing.  In the configured dispatch modules
-(``AnalysisConfig.gemm_dispatch_modules`` — the tensor engine, the nn
-layers and the quantized modules), it flags
+This rule freezes the routing.  In the dispatch modules
+(``config.GEMM_DISPATCH_MODULES`` — the tensor engine, the nn layers and
+the quantized modules), it flags
 
 * calls to a GEMM-shaped numpy function through a numpy module alias
   (``np.matmul``, ``np.einsum``, ``np.dot``, ``np.tensordot``,
@@ -22,7 +22,7 @@ layers and the quantized modules), it flags
   call the dispatch layer never sees (Tensor code spells the dispatched
   form ``x.matmul(y)``).
 
-The backend layer itself (``gemm_backend_modules``) is exempt: there the
+The backend layer itself (``GEMM_BACKEND_MODULES``) is exempt: there the
 raw numpy product *is* the implementation.  A deliberate bypass — say a
 shape-only einsum on index arrays — takes a reasoned
 ``# repro: allow[gemm-dispatch]`` pragma.
@@ -33,7 +33,7 @@ from __future__ import annotations
 import ast
 from typing import List, Optional, Set
 
-from ..config import AnalysisConfig, _matches
+from ..config import GEMM_BACKEND_MODULES, GEMM_DISPATCH_MODULES, matches
 from ..findings import Finding
 from ..project import Module
 from ..registry import Checker, register_checker
@@ -117,11 +117,9 @@ class GemmDispatchChecker(Checker):
                    "through the compute backend, not raw numpy "
                    "matmul/einsum or the '@' operator")
 
-    def check_module(self, module: Module,
-                     config: AnalysisConfig) -> List[Finding]:
-        if not _matches(module.pkg_path, config.gemm_dispatch_modules):
-            return []
-        if _matches(module.pkg_path, config.gemm_backend_modules):
+    def check_module(self, module: Module) -> List[Finding]:
+        if (not matches(module.pkg_path, GEMM_DISPATCH_MODULES)
+                or matches(module.pkg_path, GEMM_BACKEND_MODULES)):
             return []
         aliases, from_names = _numpy_bindings(module.tree)
         visitor = _GemmVisitor(aliases, from_names)

@@ -6,7 +6,7 @@ a ``family/vN`` schema tag that EXPERIMENTS.md documents and CI smoke
 jobs assert against.  The drift mode: a writer spells the tag inline, a
 reader spells it slightly differently, and the docs cover a third
 spelling.  This rule pins every tag literal to the central registry
-(:mod:`repro.schemas` — see ``AnalysisConfig.schema_registry_module``):
+(:mod:`repro.schemas` — see ``config.SCHEMA_REGISTRY_MODULE``):
 
 * inside the registry module, literals are the definitions — allowed;
 * anywhere else under ``src/``, a ``family/vN`` string literal is a
@@ -24,7 +24,7 @@ from __future__ import annotations
 from typing import List
 
 from ..callgraph import get_context
-from ..config import AnalysisConfig
+from ..config import SCHEMA_REGISTRY_MODULE
 from ..findings import Finding
 from ..project import Project
 from ..registry import Checker, register_checker
@@ -36,25 +36,22 @@ class SchemaDisciplineChecker(Checker):
     description = ("'family/vN' schema tags must come from the central "
                    "registry module, not inline string literals")
 
-    def check(self, project: Project,
-              config: AnalysisConfig) -> List[Finding]:
+    def check(self, project: Project) -> List[Finding]:
         context = get_context(project)
-        registry = config.schema_registry_module
         findings: List[Finding] = []
         for module_name in sorted(context.summaries):
-            if module_name == registry:
+            if module_name == SCHEMA_REGISTRY_MODULE:
                 continue
             summary = context.summaries[module_name]
             for tag in summary.schema_tags:
-                if tag.value in config.schema_exempt_tags:
-                    continue
                 symbol = self._enclosing(summary, tag.line)
                 findings.append(Finding(
                     rule=self.name, path=summary.rel_path,
                     line=tag.line, col=tag.col, symbol=symbol,
                     message=(f"schema tag '{tag.value}' spelled inline; "
                              f"import the registered constant from "
-                             f"{registry} so the format cannot drift")))
+                             f"{SCHEMA_REGISTRY_MODULE} so the format "
+                             f"cannot drift")))
         return findings
 
     @staticmethod

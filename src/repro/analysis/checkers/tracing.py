@@ -28,12 +28,9 @@ segment contains ``tracer`` (``tracer``, ``self.tracer``, ``step_tracer``).
 from __future__ import annotations
 
 import ast
-from fnmatch import fnmatch
 from typing import List, Optional, Set
 
-from ..config import AnalysisConfig
 from ..findings import Finding
-from ..imports import import_map
 from ..project import Module
 from ..registry import Checker, register_checker
 
@@ -96,31 +93,18 @@ class TracerDisciplineChecker(Checker):
                    "balance, and attr payloads are built only under a "
                    "tracer guard")
 
-    def check_module(self, module: Module,
-                     config: AnalysisConfig) -> List[Finding]:
-        if not self._in_scope(module, config):
-            return []
-        return self._check_module(module)
-
-    @staticmethod
-    def _in_scope(module: Module, config: AnalysisConfig) -> bool:
-        return any(fnmatch(module.pkg_path, pattern)
-                   for pattern in config.tracer_modules)
-
-    # ------------------------------------------------------------------
-    def _check_module(self, module: Module) -> List[Finding]:
+    def check_module(self, module: Module) -> List[Finding]:
         findings: List[Finding] = []
-        mapping = import_map(module)
         for node in ast.walk(module.tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                findings.extend(self._check_defaults(module, node, mapping))
+                findings.extend(self._check_defaults(module, node))
                 findings.extend(self._check_balance(module, node))
                 findings.extend(self._check_call_sites(module, node))
         return findings
 
     # -- defaults ------------------------------------------------------
-    def _check_defaults(self, module: Module, func: ast.AST,
-                        mapping) -> List[Finding]:
+    def _check_defaults(self, module: Module,
+                        func: ast.AST) -> List[Finding]:
         findings: List[Finding] = []
         args = func.args
         positional = args.posonlyargs + args.args
@@ -205,7 +189,7 @@ class TracerDisciplineChecker(Checker):
                 return
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                                  ast.Lambda)):
-                # Nested functions are visited on their own by _check_module.
+                # Nested functions are visited on their own by check_module.
                 return
             if (isinstance(node, ast.Call)
                     and isinstance(node.func, ast.Attribute)

@@ -13,7 +13,6 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .config import AnalysisConfig
 from .findings import AnalysisReport
 from .project import Project
 from .registry import available_checkers, run_analysis
@@ -60,7 +59,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: {error}", file=sys.stderr)
         return 2
 
-    run = run_analysis(project, AnalysisConfig(), rules)
+    run = run_analysis(project, rules)
     findings = run.findings
 
     rule_docs = [{"name": name, "description": description}

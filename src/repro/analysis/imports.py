@@ -74,21 +74,3 @@ def resolve_attribute(node: ast.AST, mapping: Dict[str, str]) -> Optional[str]:
     parts.append(base)
     return ".".join(reversed(parts))
 
-
-def enclosing_symbols(tree: ast.Module) -> Dict[int, str]:
-    """Map every AST node id to its enclosing function/class qualname."""
-    symbols: Dict[int, str] = {}
-
-    def visit(node: ast.AST, qualname: str) -> None:
-        for child in ast.iter_child_nodes(node):
-            child_qualname = qualname
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                  ast.ClassDef)):
-                child_qualname = (f"{qualname}.{child.name}"
-                                  if qualname else child.name)
-                symbols[id(child)] = child_qualname
-            symbols.setdefault(id(child), qualname)
-            visit(child, child_qualname)
-
-    visit(tree, "")
-    return {node_id: name for node_id, name in symbols.items() if name}

@@ -1,17 +1,21 @@
 """Checker registry and the analysis driver.
 
 A checker is a class with a ``name``, a ``description`` and a
-``check(project, config) -> List[Finding]`` method, registered via
+``check(project) -> List[Finding]`` method, registered via
 :func:`register_checker` (mirroring the scheme/sampler/workload registries
 elsewhere in the repo).
 
 Checkers come in two execution shapes:
 
 * **project checkers** implement ``check`` and see the whole project —
-  the interprocedural rules (determinism, race-discipline, stage-purity)
-  live here;
-* **per-file checkers** implement ``check_module(module, config)``
-  instead; the base ``check`` runs it over every module.
+  the interprocedural rules (determinism, race-discipline, stage-purity,
+  hot-path-alloc) live here;
+* **per-file checkers** implement ``check_module(module)`` instead; the
+  base ``check`` runs it over every module.
+
+What the rules mean for this repository (virtual-time modules, purity
+boundaries, worker entries, GEMM modules) is policy, kept as constants in
+:mod:`repro.analysis.config`.
 
 :func:`run_analysis` is the driver: it runs the selected rules, times
 each one and applies the pragma suppressions.
@@ -23,7 +27,6 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Type
 
-from .config import AnalysisConfig
 from .findings import Finding
 from .project import Module, Project
 
@@ -36,15 +39,13 @@ class Checker:
     name: str = ""
     description: str = ""
 
-    def check(self, project: Project,
-              config: AnalysisConfig) -> List[Finding]:
+    def check(self, project: Project) -> List[Finding]:
         findings: List[Finding] = []
         for module in project.modules:
-            findings.extend(self.check_module(module, config))
+            findings.extend(self.check_module(module))
         return findings
 
-    def check_module(self, module: Module,
-                     config: AnalysisConfig) -> List[Finding]:
+    def check_module(self, module: Module) -> List[Finding]:
         raise NotImplementedError
 
 
@@ -91,7 +92,6 @@ class AnalysisRun:
 
 
 def run_analysis(project: Project,
-                 config: Optional[AnalysisConfig] = None,
                  rules: Optional[Sequence[str]] = None) -> AnalysisRun:
     """Run checkers over ``project``, timing each rule.
 
@@ -100,7 +100,6 @@ def run_analysis(project: Project,
     prepended as ``syntax`` findings (never suppressible).
     """
     _ensure_builtin_checkers()
-    config = config or AnalysisConfig()
     names = list(rules) if rules is not None else [name for name, _
                                                    in available_checkers()]
     started = time.perf_counter()
@@ -109,7 +108,7 @@ def run_analysis(project: Project,
     raw: List[Finding] = []
     for name, checker in zip(names, checkers):
         rule_started = time.perf_counter()
-        raw.extend(checker.check(project, config))
+        raw.extend(checker.check(project))
         timing[name] = time.perf_counter() - rule_started
     timing["total"] = time.perf_counter() - started
 

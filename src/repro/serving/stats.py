@@ -85,29 +85,11 @@ class BatchRecord:
     eta: float = 0.0
 
 
-def _percentile(values: List[float], q: float) -> float:
-    if not values:
-        return 0.0
-    return float(np.percentile(np.asarray(values, dtype=np.float64), q))
-
-
-def _summary(values: List[float]) -> Dict[str, float]:
-    if not values:
-        return {"mean": 0.0, "p50": 0.0, "p95": 0.0, "max": 0.0}
-    return {
-        "mean": float(np.mean(values)),
-        "p50": _percentile(values, 50),
-        "p95": _percentile(values, 95),
-        "max": float(max(values)),
-    }
-
-
 def percentile_summary(values, quantiles=(50, 95, 99)) -> Dict[str, float]:
     """Mean/max plus the requested percentiles, as a JSON-ready dict.
 
-    The cluster report's latency blocks use this (p50/p95/p99); the
-    single-engine report keeps its original ``{mean, p50, p95, max}`` shape
-    via :func:`_summary` for compatibility with archived reports.
+    The cluster report's latency blocks use the default (p50/p95/p99); the
+    single-engine report asks for p50/p95.
     """
     if len(values) == 0:
         summary = {"mean": 0.0, "max": 0.0}
@@ -248,7 +230,8 @@ class ServingStats:
             targeted = [r for r in records if r.slo_met is not None]
             plans[label] = {
                 "count": len(records),
-                "latency_s": _summary([r.total_latency for r in records]),
+                "latency_s": percentile_summary(
+                    [r.total_latency for r in records], (50, 95)),
                 "by_scheme": by_scheme,
                 "slo": {
                     "with_target": len(targeted),
@@ -264,8 +247,10 @@ class ServingStats:
             "rejections": self.rejections(),
             "wall_time_s": self.wall_time,
             "throughput_rps": self.throughput,
-            "queue_wait_s": _summary([r.queue_wait for r in self.requests]),
-            "latency_s": _summary([r.total_latency for r in self.requests]),
+            "queue_wait_s": percentile_summary(
+                [r.queue_wait for r in self.requests], (50, 95)),
+            "latency_s": percentile_summary(
+                [r.total_latency for r in self.requests], (50, 95)),
             "batch": {
                 "count": self._batch_count,
                 "mean_size": (self._batch_size_sum / self._batch_count

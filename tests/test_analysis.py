@@ -15,7 +15,6 @@ from pathlib import Path
 import pytest
 
 from repro.analysis import (
-    AnalysisConfig,
     AnalysisReport,
     Finding,
     Project,
@@ -46,7 +45,7 @@ def write_tree(root: Path, files) -> Path:
 def analyze(root: Path, files, rules=None):
     src = write_tree(root, files)
     project = Project.load([src], repo_root=root)
-    run = run_analysis(project, AnalysisConfig(), rules)
+    run = run_analysis(project, rules)
     return run.findings, run.suppressed
 
 
@@ -235,6 +234,133 @@ class TestStagePurityRule:
         }, rules=["stage-purity"])
         assert len(findings) == 1
         assert findings[0].symbol == "Pipeline.generate"
+
+    def test_global_declaration_is_flagged(self, tmp_path):
+        findings, _ = analyze(tmp_path, {
+            "experiments/stages.py": """
+                _LAST = None
+
+                def add_stage(graph):
+                    def compute(value):
+                        global _LAST
+                        _LAST = value
+                        return value
+                    graph.append(compute)
+            """,
+        }, rules=["stage-purity"])
+        assert len(findings) == 1
+        assert "'global'" in findings[0].message
+
+    def test_pickle_and_subprocess_calls_are_flagged(self, tmp_path):
+        findings, _ = analyze(tmp_path, {
+            "experiments/stages.py": """
+                import pickle
+                import subprocess
+
+                def add_stage(graph):
+                    def compute(payload, handle):
+                        pickle.dump(payload, handle)
+                        subprocess.run(["true"])
+                    graph.append(compute)
+            """,
+        }, rules=["stage-purity"])
+        messages = sorted(finding.message for finding in findings)
+        assert len(messages) == 2
+        assert "'pickle.dump'" in messages[0]
+        assert "'subprocess.run'" in messages[1]
+
+    def test_item_deletion_from_module_dict_is_flagged(self, tmp_path):
+        findings, _ = analyze(tmp_path, {
+            "experiments/stages.py": """
+                _CACHE = {}
+
+                def add_stage(graph):
+                    def compute(key):
+                        del _CACHE[key]
+                    graph.append(compute)
+            """,
+        }, rules=["stage-purity"])
+        assert len(findings) == 1
+        assert "'_CACHE'" in findings[0].message
+
+    def test_closure_returned_by_reached_helper_is_scanned(self, tmp_path):
+        findings, _ = analyze(tmp_path, {
+            "experiments/stages.py": """
+                from .loaders import make_loader
+
+                def add_stage(graph):
+                    def compute():
+                        return make_loader()()
+                    graph.append(compute)
+            """,
+            "experiments/loaders.py": """
+                import os
+
+                def make_loader():
+                    def load():
+                        return os.getenv("DATA_ROOT")
+                    return load
+            """,
+        }, rules=["stage-purity"])
+        assert len(findings) == 1
+        assert findings[0].path.endswith("experiments/loaders.py")
+        assert "os.getenv" in findings[0].message
+
+    def test_constructed_local_used_in_nested_closure_is_followed(
+            self, tmp_path):
+        findings, _ = analyze(tmp_path, {
+            "experiments/stages.py": """
+                from ..diffusion.pipeline import Pipeline
+
+                def add_stage(graph):
+                    pipeline = Pipeline()
+                    def compute():
+                        return pipeline.generate()
+                    graph.append(compute)
+            """,
+            "diffusion/pipeline.py": """
+                import os
+
+                class Pipeline:
+                    def generate(self):
+                        return os.getenv("HIDDEN_KNOB")
+            """,
+        }, rules=["stage-purity"])
+        assert len(findings) == 1
+        assert findings[0].symbol == "Pipeline.generate"
+
+    def test_boundary_class_reached_through_constructed_local_is_clean(
+            self, tmp_path):
+        findings, _ = analyze(tmp_path, {
+            "experiments/stages.py": """
+                from .store import Store
+
+                def add_stage(graph):
+                    def compute(payload):
+                        store = Store()
+                        store.save(payload)
+                    graph.append(compute)
+            """,
+            "experiments/store.py": """
+                class Store:
+                    def save(self, payload):
+                        with open("/tmp/artifact.json", "w") as handle:
+                            handle.write(payload)
+            """,
+        }, rules=["stage-purity"])
+        assert findings == []
+
+    def test_filesystem_method_on_named_receiver_is_flagged(self, tmp_path):
+        findings, _ = analyze(tmp_path, {
+            "experiments/stages.py": """
+                def add_stage(graph, path):
+                    def compute():
+                        path.write_text("x")
+                    graph.append(compute)
+            """,
+        }, rules=["stage-purity"])
+        assert len(findings) == 1
+        assert "'.write_text()'" in findings[0].message
 
 
 # ----------------------------------------------------------------------

@@ -8,7 +8,7 @@ interprocedural rules (``race-discipline``, ``hot-path-alloc``,
 import textwrap
 from pathlib import Path
 
-from repro.analysis import AnalysisConfig, Project, run_analysis
+from repro.analysis import Project, run_analysis
 
 
 def write_tree(root: Path, files) -> Path:
@@ -29,7 +29,7 @@ def write_tree(root: Path, files) -> Path:
 def analyze(root: Path, files, rules=None):
     src = write_tree(root, files)
     project = Project.load([src], repo_root=root)
-    run = run_analysis(project, AnalysisConfig(), rules)
+    run = run_analysis(project, rules)
     return run.findings, run.suppressed
 
 
@@ -118,6 +118,28 @@ class TestRaceDiscipline:
         assert len(findings) == 1
         assert findings[0].symbol == "ServingEngine._drain"
         assert "'EVENTS'" in findings[0].message
+
+    def test_method_call_on_constructed_local_is_worker_reachable(
+            self, tmp_path):
+        findings, _ = analyze(tmp_path, {
+            "experiments/stages.py": """
+                from repro.metrics.registry import Registry
+
+                def add_stage(graph):
+                    registry = Registry()
+                    registry.record("stage")
+            """,
+            "metrics/registry.py": """
+                RECORDS = []
+
+                class Registry:
+                    def record(self, name):
+                        RECORDS.append(name)
+            """,
+        }, rules=["race-discipline"])
+        assert len(findings) == 1
+        assert findings[0].symbol == "Registry.record"
+        assert "'RECORDS'" in findings[0].message
 
     def test_pragma_suppresses_with_reason(self, tmp_path):
         findings, suppressed = analyze(tmp_path, {
@@ -288,6 +310,29 @@ class TestInterproceduralDeterminism:
         assert finding.path.endswith("serving/loop.py")
         assert finding.symbol == "tick"
         assert "helpers.stamp" in finding.message
+        assert "wall-clock 'time.time'" in finding.message
+
+    def test_method_call_on_constructed_local_is_followed(self, tmp_path):
+        findings, _ = analyze(tmp_path, {
+            "serving/engine.py": """
+                from repro.util.stamps import Stamper
+
+                def tick(events):
+                    stamper = Stamper()
+                    events.append(stamper.now())
+            """,
+            "util/stamps.py": """
+                import time
+
+                class Stamper:
+                    def now(self):
+                        return time.time()
+            """,
+        }, rules=["determinism"])
+        assert len(findings) == 1
+        finding = findings[0]
+        assert finding.symbol == "tick"
+        assert "call into 'Stamper.now'" in finding.message
         assert "wall-clock 'time.time'" in finding.message
 
     def test_clock_boundary_stops_the_taint(self, tmp_path):

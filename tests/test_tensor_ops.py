@@ -23,7 +23,7 @@ def numerical_gradient(fn, x: np.ndarray, eps: float = 1e-3) -> np.ndarray:
     return grad
 
 
-def assert_gradcheck(op, shape=(3, 4), seed=0, atol=2e-2):
+def assert_gradcheck(op, shape=(3, 4), seed=0, atol=2e-3):
     """Compare autograd gradient with a numerical gradient for ``op``."""
     rng = np.random.default_rng(seed)
     x = rng.uniform(0.2, 1.5, size=shape).astype(np.float64)
@@ -34,7 +34,7 @@ def assert_gradcheck(op, shape=(3, 4), seed=0, atol=2e-2):
 
     numeric = numerical_gradient(
         lambda arr: float(op(Tensor(arr.astype(np.float32))).sum().item()), x)
-    np.testing.assert_allclose(tensor.grad, numeric, atol=atol, rtol=1e-2)
+    np.testing.assert_allclose(tensor.grad, numeric, atol=atol, rtol=1e-3)
 
 
 class TestArithmetic:
