@@ -69,14 +69,16 @@ IO_CALLS = frozenset({
                      # stage usually signals an escape hatch; kept visible.
     "json.dump", "json.load", "shutil.copy", "shutil.copyfile",
     "shutil.copytree", "shutil.move", "shutil.rmtree", "tempfile.mkdtemp",
-    "tempfile.mkstemp",
+    "tempfile.mkstemp", "os.makedirs", "os.mkdir", "os.remove", "os.unlink",
+    "os.rename", "os.replace", "os.rmdir", "os.removedirs",
 })
 
 #: Dotted prefixes whose calls are never pure.
 IMPURE_PREFIXES = ("subprocess.", "socket.", "urllib.", "http.")
 
 #: Path-like methods that touch the filesystem, on any receiver that is not
-#: an imported module.
+#: an imported module, and called through ``pathlib.Path`` itself
+#: (``Path.mkdir(path)``).
 FS_METHODS = frozenset({
     "write_text", "write_bytes", "read_text", "read_bytes", "mkdir",
     "rmdir", "unlink", "touch", "symlink_to", "hardlink_to",
@@ -460,7 +462,9 @@ class _FunctionWalker(ast.NodeVisitor):
             method = node.func.attr
             if dotted is None and method in ALLOCATING_METHODS:
                 self._alloc("method", f".{method}", node)
-            if method in FS_METHODS and not self._imported_root(node.func):
+            if method in FS_METHODS and (
+                    not self._imported_root(node.func)
+                    or dotted == f"pathlib.Path.{method}"):
                 self.s.io.append(self._ref(f".{method}", node))
             if method in MUTATING_METHODS:
                 name = self._global_name(node.func.value)

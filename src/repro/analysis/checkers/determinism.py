@@ -61,6 +61,7 @@ class DeterminismChecker(Checker):
     description = ("virtual-time modules must not read wall clocks or "
                    "unseeded/global RNG, directly or through callees "
                    "(signature defaults excepted)")
+    uses_call_graph = True
 
     def check(self, project: Project) -> List[Finding]:
         context = get_context(project)

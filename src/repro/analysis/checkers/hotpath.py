@@ -50,6 +50,7 @@ class HotPathAllocChecker(Checker):
     description = ("functions marked '# repro: hot' must not allocate "
                    "per loop iteration or build Tensor graphs outside "
                    "inference_mode")
+    uses_call_graph = True
 
     def check(self, project: Project) -> List[Finding]:
         context = get_context(project)

@@ -63,6 +63,7 @@ class StagePurityChecker(Checker):
     description = ("functions reachable from experiment stages must not do "
                    "I/O, read the environment or mutate module globals "
                    "outside the RunStore/zoo boundaries")
+    uses_call_graph = True
 
     def check(self, project: Project) -> List[Finding]:
         graph = get_context(project).graph

@@ -42,6 +42,7 @@ class RaceDisciplineChecker(Checker):
     name = "race-discipline"
     description = ("module-global mutations reachable from worker threads "
                    "must hold a lock or be threading.local")
+    uses_call_graph = True
 
     def check(self, project: Project) -> List[Finding]:
         context = get_context(project)

@@ -35,6 +35,7 @@ class SchemaDisciplineChecker(Checker):
     name = "schema-discipline"
     description = ("'family/vN' schema tags must come from the central "
                    "registry module, not inline string literals")
+    uses_call_graph = True
 
     def check(self, project: Project) -> List[Finding]:
         context = get_context(project)

@@ -27,6 +27,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Type
 
+from .callgraph import get_context
 from .findings import Finding
 from .project import Module, Project
 
@@ -38,6 +39,9 @@ class Checker:
 
     name: str = ""
     description: str = ""
+    #: Whether ``check`` reads the shared call graph
+    #: (:func:`~repro.analysis.callgraph.get_context`).
+    uses_call_graph: bool = False
 
     def check(self, project: Project) -> List[Finding]:
         findings: List[Finding] = []
@@ -95,9 +99,11 @@ def run_analysis(project: Project,
                  rules: Optional[Sequence[str]] = None) -> AnalysisRun:
     """Run checkers over ``project``, timing each rule.
 
-    ``rules=None`` runs every registered checker.  Pragma-suppressed
-    findings are dropped (counted), parse errors from project loading are
-    prepended as ``syntax`` findings (never suppressible).
+    ``rules=None`` runs every registered checker.  The call graph the
+    graph rules share is built first, when one of them is selected, and
+    timed as ``"context"``.  Pragma-suppressed findings are dropped
+    (counted), parse errors from project loading are prepended as
+    ``syntax`` findings (never suppressible).
     """
     _ensure_builtin_checkers()
     names = list(rules) if rules is not None else [name for name, _
@@ -105,6 +111,9 @@ def run_analysis(project: Project,
     started = time.perf_counter()
     timing: Dict[str, float] = {}
     checkers = [get_checker(name) for name in names]
+    if any(checker.uses_call_graph for checker in checkers):
+        get_context(project)
+        timing["context"] = time.perf_counter() - started
     raw: List[Finding] = []
     for name, checker in zip(names, checkers):
         rule_started = time.perf_counter()

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .blocks import flat, map_blocks, spans
 from .formats import FPFormat
 
 
@@ -34,8 +35,13 @@ def quantize_fp(values: np.ndarray, fmt: FPFormat) -> np.ndarray:
 
     The input is clipped to ``[-c, c]`` where ``c`` is the format's largest
     magnitude, then each element is snapped to the nearest point of its
-    binade's grid.
+    binade's grid.  Runs block by block (:func:`~repro.core.blocks.map_blocks`).
     """
+    return map_blocks(lambda part, span: _quantize_fp(part, fmt), values)
+
+
+def _quantize_fp(values: np.ndarray, fmt: FPFormat) -> np.ndarray:
+    """:func:`quantize_fp` of one block."""
     values = np.asarray(values, dtype=np.float64)
     c = fmt.max_value
     clipped = np.clip(values, -c, c)
@@ -75,8 +81,20 @@ def quantize_fp_with_rounding(values: np.ndarray, fmt: FPFormat,
 
     This is the inference-time form of the learned rounding (Eq. 12 with the
     sigmoid hardened to 0/1): each element is floored onto its grid and then
-    bumped up by one step wherever ``round_up`` is true.
+    bumped up by one step wherever ``round_up`` is true.  Runs block by
+    block, ``round_up`` split alongside ``values``.
     """
+    values = np.asarray(values)
+    round_up_flat = flat(np.broadcast_to(round_up, values.shape))
+    return map_blocks(
+        lambda part, span: _quantize_fp_with_rounding(
+            part, fmt, round_up if span is None else round_up_flat[span]),
+        values)
+
+
+def _quantize_fp_with_rounding(values: np.ndarray, fmt: FPFormat,
+                               round_up: np.ndarray) -> np.ndarray:
+    """:func:`quantize_fp_with_rounding` of one block."""
     values = np.asarray(values, dtype=np.float64)
     c = fmt.max_value
     clipped = np.clip(values, -c, c)
@@ -98,13 +116,21 @@ def calibrate_block_biases(values: np.ndarray, fmt: FPFormat,
     """
     if block_size < 1:
         raise ValueError("block_size must be >= 1")
-    flat = np.abs(np.asarray(values, dtype=np.float64)).reshape(-1)
-    num_blocks = int(np.ceil(flat.size / block_size)) or 1
-    padded = np.zeros(num_blocks * block_size, dtype=np.float64)
-    padded[: flat.size] = flat
-    maxima = padded.reshape(num_blocks, block_size).max(axis=1)
+    values = np.asarray(values)
+    # Block maxima span by span (spans hold whole blocks), on the input
+    # dtype: a maximum magnitude is exact in any float type.
+    maxima = np.zeros(-(-values.size // block_size) or 1, dtype=np.float64)
+    source = flat(values)
+    for span in spans(values.size, block_size):
+        part = np.abs(source[span])
+        tail = -part.size % block_size
+        if tail:
+            part = np.concatenate([part, np.zeros(tail, dtype=part.dtype)])
+        blocks = part.reshape(-1, block_size)
+        first = span.start // block_size
+        maxima[first:first + blocks.shape[0]] = blocks.max(axis=1)
     default = FPFormat.default_bias(fmt.exponent_bits)
-    biases = np.full(num_blocks, default, dtype=np.float64)
+    biases = np.full(maxima.size, default, dtype=np.float64)
     positive = maxima > 0
     if np.any(positive):
         biases[positive] = [
@@ -121,20 +147,33 @@ def quantize_fp_blockwise(values: np.ndarray, fmt: FPFormat,
     ``biases`` must come from :func:`calibrate_block_biases` on a tensor of
     the same size (the block partition has to line up).  This is
     :func:`quantize_fp` with the scalar bias generalized to a per-element
-    array, vectorized over the whole tensor: all of Eq. 6-9 is elementwise
-    in the bias, so broadcasting a per-block bias costs one pass.
+    array: all of Eq. 6-9 is elementwise in the bias, so broadcasting a
+    per-block bias costs one pass.  Runs span by span, each span holding
+    whole bias blocks.
     """
-    values = np.asarray(values, dtype=np.float64)
-    flat = values.reshape(-1)
+    values = np.asarray(values)
     biases = np.asarray(biases, dtype=np.float64)
-    if biases.size * block_size < flat.size:
+    if biases.size * block_size < values.size:
         raise ValueError(
             f"{biases.size} blocks of {block_size} cannot cover a tensor of "
-            f"{flat.size} elements")
-    bias = np.repeat(biases, block_size)[: flat.size]
+            f"{values.size} elements")
+    return map_blocks(
+        lambda part, span: _quantize_fp_blockwise(
+            part, fmt, biases if span is None
+            else biases[span.start // block_size:-(-span.stop // block_size)],
+            block_size),
+        values, align=block_size)
+
+
+def _quantize_fp_blockwise(values: np.ndarray, fmt: FPFormat,
+                           biases: np.ndarray, block_size: int) -> np.ndarray:
+    """:func:`quantize_fp_blockwise` of a run of whole bias blocks."""
+    values = np.asarray(values, dtype=np.float64)
+    elements = values.reshape(-1)
+    bias = np.repeat(biases, block_size)[: elements.size]
     c = (2.0 - 2.0 ** (-fmt.mantissa_bits)) * np.power(
         2.0, 2 ** fmt.exponent_bits - bias - 1.0)
-    clipped = np.clip(flat, -c, c)
+    clipped = np.clip(elements, -c, c)
     with np.errstate(divide="ignore"):
         biased_exponent = np.floor(np.log2(np.abs(clipped)) + bias)
     subnormal = ~np.isfinite(biased_exponent) | (biased_exponent <= 1)

@@ -8,10 +8,12 @@ those integer methods.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Tuple
+from dataclasses import dataclass, replace
+from typing import Dict, Optional, Tuple
 
 import numpy as np
+
+from .blocks import map_blocks
 
 
 @dataclass(frozen=True)
@@ -77,8 +79,11 @@ class PerChannelIntFormat:
 
 
 def calibrate_int_format(values: np.ndarray, bitwidth: int) -> IntFormat:
-    """Derive scale and zero point from the min/max of calibration data (Eq. 4)."""
-    values = np.asarray(values, dtype=np.float64)
+    """Derive scale and zero point from the min/max of calibration data (Eq. 4).
+
+    The min and max are read in the input's dtype, where they are exact.
+    """
+    values = np.asarray(values)
     lo = float(values.min()) if values.size else 0.0
     hi = float(values.max()) if values.size else 0.0
     if hi <= lo:
@@ -108,19 +113,25 @@ def dequantize_int_levels(levels: np.ndarray, fmt: IntFormat) -> np.ndarray:
 
 
 def quantize_int(values: np.ndarray, fmt: IntFormat) -> np.ndarray:
-    """Simulated uniform integer quantization (quantize then dequantize)."""
-    return dequantize_int_levels(int_levels(values, fmt), fmt)
+    """Simulated uniform integer quantization (quantize then dequantize),
+    block by block (:func:`~repro.core.blocks.map_blocks`)."""
+    return map_blocks(
+        lambda part, span: dequantize_int_levels(int_levels(part, fmt), fmt),
+        values)
 
 
 def calibrate_int_format_per_channel(values: np.ndarray,
                                      bitwidth: int) -> PerChannelIntFormat:
-    """Per-output-channel min/max calibration (axis 0 indexes channels)."""
-    values = np.asarray(values, dtype=np.float64)
+    """Per-output-channel min/max calibration (axis 0 indexes channels).
+
+    The min and max are read in the input's dtype, where they are exact.
+    """
+    values = np.asarray(values)
     if values.ndim < 2:
         values = values.reshape(-1, 1)
     per_channel = values.reshape(values.shape[0], -1)
-    lo = per_channel.min(axis=1)
-    hi = per_channel.max(axis=1)
+    lo = per_channel.min(axis=1).astype(np.float64)
+    hi = per_channel.max(axis=1).astype(np.float64)
     hi = np.where(hi <= lo, lo + 1e-8, hi)
     scales = (hi - lo) / (2 ** bitwidth - 1)
     zero_points = np.round(-lo / scales).astype(np.int64)
@@ -135,10 +146,7 @@ def int_levels_per_channel(values: np.ndarray,
     values = np.asarray(values, dtype=np.float64)
     per_channel = (values.reshape(-1, 1) if values.ndim < 2
                    else values.reshape(values.shape[0], -1))
-    if per_channel.shape[0] != fmt.num_channels:
-        raise ValueError(
-            f"tensor has {per_channel.shape[0]} channels but format was "
-            f"calibrated for {fmt.num_channels}")
+    _check_channels(per_channel.shape[0], fmt)
     scales = np.asarray(fmt.scales, dtype=np.float64)[:, None]
     zero_points = np.asarray(fmt.zero_points, dtype=np.float64)[:, None]
     levels = np.round(per_channel / scales) + zero_points
@@ -154,9 +162,53 @@ def dequantize_int_levels_per_channel(levels: np.ndarray,
     return (scales * (levels - zero_points)).astype(np.float32)
 
 
+def _check_channels(channels: int, fmt: PerChannelIntFormat) -> None:
+    if channels != fmt.num_channels:
+        raise ValueError(
+            f"tensor has {channels} channels but format was "
+            f"calibrated for {fmt.num_channels}")
+
+
+def channel_row(values: np.ndarray, fmt: PerChannelIntFormat) -> int:
+    """Elements per channel row of ``values`` (axis 0 indexes channels; a
+    tensor of fewer than two dimensions has one element per channel),
+    after checking its channel count against ``fmt``."""
+    channels = values.shape[0] if values.ndim >= 2 else values.size
+    _check_channels(channels, fmt)
+    return values.size // channels if channels else 1
+
+
+def channel_part(part: np.ndarray, span: Optional[slice], row: int,
+                 fmt: PerChannelIntFormat):
+    """``(part, fmt)`` cut to the channel rows of a block.
+
+    For a :func:`~repro.core.blocks.map_blocks` block of whole rows of
+    ``row`` elements, the block as a ``(rows, row)`` array and the grids
+    of those rows; for the whole tensor (``span`` is ``None``) both as
+    given.
+    """
+    if span is None:
+        return part, fmt
+    rows = slice(span.start // row, span.stop // row)
+    return part.reshape(-1, row), replace(fmt, scales=fmt.scales[rows],
+                                          zero_points=fmt.zero_points[rows])
+
+
 def quantize_int_per_channel(values: np.ndarray,
                              fmt: PerChannelIntFormat) -> np.ndarray:
-    """Simulated per-channel uniform integer quantization along axis 0."""
+    """Simulated per-channel uniform integer quantization along axis 0,
+    block by block over whole channel rows."""
+    values = np.asarray(values)
+    row = channel_row(values, fmt)
+    return map_blocks(
+        lambda part, span: _quantize_int_per_channel(
+            *channel_part(part, span, row, fmt)),
+        values, align=row)
+
+
+def _quantize_int_per_channel(values: np.ndarray,
+                              fmt: PerChannelIntFormat) -> np.ndarray:
+    """:func:`quantize_int_per_channel` of one block."""
     shape = np.asarray(values).shape
     levels = int_levels_per_channel(values, fmt)
     return dequantize_int_levels_per_channel(levels, fmt).reshape(shape)

@@ -18,9 +18,10 @@ differ.
 from __future__ import annotations
 
 import itertools
+import math
 import threading
 import weakref
-from typing import Dict, Optional, Protocol, Union, runtime_checkable
+from typing import Callable, Dict, List, Optional, Protocol, Union, runtime_checkable
 
 import numpy as np
 
@@ -28,6 +29,7 @@ from .. import nn
 from ..tensor import Tensor, concatenate
 from ..tensor import functional as F
 from ..tensor.backend import PackedLevelsView
+from .blocks import BLOCK, flat, spans
 from .formats import FPFormat
 from .fp import calibrate_block_biases, quantize_fp, quantize_fp_blockwise
 from .integer import (
@@ -35,6 +37,8 @@ from .integer import (
     PerChannelIntFormat,
     calibrate_int_format,
     calibrate_int_format_per_channel,
+    channel_part,
+    channel_row,
     dequantize_int_levels,
     dequantize_int_levels_per_channel,
     int_levels,
@@ -62,6 +66,40 @@ def _unpack_levels(packed: np.ndarray, bitwidth: int, size: int) -> np.ndarray:
     levels[0::2] = packed & np.uint8(0x0F)
     levels[1::2] = packed >> np.uint8(4)
     return levels[:size]
+
+
+def _level_spans(size: int, bitwidth: int, row: int) -> List[slice]:
+    """Block spans over ``size`` levels of whole channel rows of ``row``
+    levels (1 for a per-tensor grid), each starting on a byte of packed
+    storage."""
+    return spans(size, math.lcm(row, 2) if bitwidth <= 4 else row)
+
+
+def _packed_span(span: slice, bitwidth: int) -> slice:
+    """The bytes of packed storage that hold the levels ``span``."""
+    if bitwidth > 4:
+        return span
+    return slice(span.start // 2, -(-span.stop // 2))
+
+
+def _pack_blocks(levels_of: Callable[[np.ndarray, Optional[slice]], np.ndarray],
+                 values: np.ndarray, bitwidth: int, row: int = 1) -> np.ndarray:
+    """Packed grid levels of ``values``, block by block.
+
+    ``levels_of(part, span)`` gives the levels of a block as a
+    :func:`~repro.core.blocks.map_blocks` kernel gives its values; blocks
+    hold whole channel rows of ``row`` elements.  A tensor of at most one
+    block is packed whole.
+    """
+    if values.size <= BLOCK:
+        return _pack_levels(levels_of(values, None), bitwidth)
+    packed = np.empty(_packed_span(slice(0, values.size), bitwidth).stop,
+                      dtype=np.uint8)
+    source = flat(values)
+    for span in _level_spans(values.size, bitwidth, row):
+        packed[_packed_span(span, bitwidth)] = _pack_levels(
+            levels_of(source[span], span), bitwidth)
+    return packed
 
 
 #: Byte budget of :data:`DEQUANTIZE_MEMO`.  It holds every float weight a
@@ -197,7 +235,7 @@ class PackedIntWeight:
 
     @property
     def num_elements(self) -> int:
-        return int(np.prod(self.shape))
+        return math.prod(self.shape)
 
     @property
     def nbytes(self) -> int:
@@ -221,14 +259,20 @@ class PackedIntWeight:
         The level arithmetic is :func:`~repro.core.integer.int_levels` /
         its per-channel sibling — the same helpers the simulated
         ``quantize_int*`` functions use, which is what guarantees
-        ``dequantize()`` reproduces them bit-for-bit.
+        ``dequantize()`` reproduces them bit-for-bit.  Packs block by
+        block, over whole channel rows for a per-channel grid.
         """
-        shape = np.asarray(values).shape
+        values = np.asarray(values)
         if isinstance(fmt, PerChannelIntFormat):
-            levels = int_levels_per_channel(values, fmt)
+            row = channel_row(values, fmt)
+            packed = _pack_blocks(
+                lambda part, span: int_levels_per_channel(
+                    *channel_part(part, span, row, fmt)),
+                values, fmt.bitwidth, row)
         else:
-            levels = int_levels(values, fmt)
-        return cls(_pack_levels(levels, fmt.bitwidth), shape, fmt)
+            packed = _pack_blocks(lambda part, span: int_levels(part, fmt),
+                                  values, fmt.bitwidth)
+        return cls(packed, values.shape, fmt)
 
     def levels(self) -> np.ndarray:
         """Unpacked integer levels, flattened."""
@@ -244,16 +288,50 @@ class PackedIntWeight:
         return values
 
     def _dequantize_levels(self) -> np.ndarray:
-        """The grid values by ``dequantize_int_levels*``, bypassing the memo."""
-        levels = self.levels()
-        if isinstance(self.fmt, PerChannelIntFormat):
-            values = dequantize_int_levels_per_channel(
-                levels.reshape(self.shape[0], -1), self.fmt)
+        """The grid values by ``dequantize_int_levels*``, bypassing the
+        memo; block by block for a weight of more than one block."""
+        if self.num_elements <= BLOCK:
+            values = self._dequantize_block(None)
         else:
-            values = dequantize_int_levels(levels, self.fmt)
+            values = np.empty(self.shape, dtype=np.float32)
+            target = values.reshape(-1)
+            for span in self._spans():
+                target[span] = self._dequantize_block(span)
         values = values.reshape(self.shape)
         values.flags.writeable = False
         return values
+
+    def _row(self) -> int:
+        """Levels per channel row (1 for a per-tensor grid)."""
+        if isinstance(self.fmt, PerChannelIntFormat):
+            return self.num_elements // max(self.fmt.num_channels, 1)
+        return 1
+
+    def _spans(self) -> List[slice]:
+        return _level_spans(self.num_elements, self.fmt.bitwidth, self._row())
+
+    def _dequantize_block(self, span: Optional[slice]) -> np.ndarray:
+        """Flat float32 grid values of the levels ``span`` of
+        :meth:`_spans` (of all levels when ``span`` is ``None``)."""
+        if span is None:
+            levels = self.levels()
+        else:
+            levels = _unpack_levels(
+                self.packed[_packed_span(span, self.fmt.bitwidth)],
+                self.fmt.bitwidth, span.stop - span.start)
+        if isinstance(self.fmt, PerChannelIntFormat):
+            row = self._row()
+            part, fmt = channel_part(levels, span, row, self.fmt)
+            return dequantize_int_levels_per_channel(
+                part.reshape(-1, row), fmt).reshape(-1)
+        return dequantize_int_levels(levels, self.fmt)
+
+    def _serves(self, values: np.ndarray) -> bool:
+        """Whether the dequantized levels equal ``values`` element for
+        element, compared block by block."""
+        source = flat(values)
+        return all(np.array_equal(self._dequantize_block(span), source[span])
+                   for span in self._spans())
 
     def drop_dequantized(self) -> None:
         """Discard this weight's memo entry (rebuilt on the next dequantize)."""
@@ -375,17 +453,22 @@ class FPTensorQuantizer(TensorQuantizer):
         if bitwidth > 8:
             return None
         unit = self.fmt.min_subnormal
-        levels = np.rint(np.asarray(values, dtype=np.float32) / np.float32(unit))
-        np.clip(levels + np.float32(max_level), 0, 2 * max_level, out=levels)
-        packed = PackedIntWeight(_pack_levels(levels, bitwidth),
-                                 np.shape(values),
+
+        def levels_of(part, span):
+            levels = np.rint(np.asarray(part, dtype=np.float32) / np.float32(unit))
+            np.clip(levels + np.float32(max_level), 0, 2 * max_level, out=levels)
+            return levels
+
+        values = np.asarray(values)
+        packed = PackedIntWeight(_pack_blocks(levels_of, values, bitwidth),
+                                 values.shape,
                                  IntFormat(bitwidth, unit, max_level))
         # Keep only storage that serves the same weight: equal element for
         # element (a -0.0 comes back as +0.0, which can only flip the sign
         # of a zero sum).  Off-grid values, or float rounding of u * level
         # against the grid's own step, would break that; such a weight
         # stays unpacked.
-        if not np.array_equal(packed._dequantize_levels(), values):
+        if not packed._serves(values):
             return None
         return packed
 

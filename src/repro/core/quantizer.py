@@ -28,7 +28,7 @@ from __future__ import annotations
 import copy
 import json
 from dataclasses import asdict, dataclass, field, replace
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -347,6 +347,21 @@ def _resolve_layer_schemes(config: QuantizationConfig, path: str, layer):
     return weight_scheme, activation_scheme, rule_label
 
 
+def _layers_to_quantize(unet: nn.Module, config: QuantizationConfig
+                        ) -> Iterator[Tuple[str, nn.Module, QuantScheme,
+                                            QuantScheme, Optional[str]]]:
+    """The layers :func:`quantize_model` replaces, breadth-first.
+
+    Yields ``(path, layer, weight_scheme, activation_scheme, rule_label)``
+    for every Conv2d/Linear layer not left FP32 on both sides.
+    """
+    for path, layer in quantizable_layer_paths(unet):
+        weight_scheme, activation_scheme, rule_label = _resolve_layer_schemes(
+            config, path, layer)
+        if not (weight_scheme.is_identity and activation_scheme.is_identity):
+            yield path, layer, weight_scheme, activation_scheme, rule_label
+
+
 def _skip_concat_activation_scheme(config: QuantizationConfig, path: str,
                                    module) -> QuantScheme:
     """Activation scheme for one side of a skip concat (policy-aware)."""
@@ -385,11 +400,8 @@ def quantize_model(model: DiffusionModel, pipeline: DiffusionPipeline,
     report = QuantizationReport(config=config)
     unet = model.unet
 
-    for path, layer in quantizable_layer_paths(unet):
-        weight_scheme, activation_scheme, rule_label = _resolve_layer_schemes(
-            config, path, layer)
-        if weight_scheme.is_identity and activation_scheme.is_identity:
-            continue
+    for (path, layer, weight_scheme, activation_scheme,
+         rule_label) in _layers_to_quantize(unet, config):
         record = LayerQuantizationRecord(
             path=path, layer_type=type(layer).__name__,
             weight_format="FP32", activation_format="FP32", weight_mse=0.0,
@@ -447,7 +459,13 @@ def quantize_pipeline(pipeline: DiffusionPipeline, config: QuantizationConfig,
     pipeline is always a distinct object — even for a full-precision config
     — so mutating it can never corrupt the baseline.
     """
-    quantized_model = clone_model(pipeline.model)
+    model = pipeline.model
+    # quantize_model reads the weights of the layers it replaces and keeps
+    # none of them, so the clone shares those instead of copying them; no
+    # array of the quantized model is the input model's.
+    replaced = {id(layer.weight): layer.weight for _path, layer, *_schemes
+                in _layers_to_quantize(model.unet, config)}
+    quantized_model = copy.deepcopy(model, replaced)
     if config.is_full_precision():
         report = QuantizationReport(config=config)
     else:

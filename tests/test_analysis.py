@@ -362,6 +362,26 @@ class TestStagePurityRule:
         assert len(findings) == 1
         assert "'.write_text()'" in findings[0].message
 
+    def test_os_and_pathlib_filesystem_calls_are_flagged(self, tmp_path):
+        findings, _ = analyze(tmp_path, {
+            "experiments/stages.py": """
+                import os
+                from pathlib import Path
+
+                def add_stage(graph, root):
+                    def compute():
+                        os.makedirs(root, exist_ok=True)
+                        Path.mkdir(Path(root))
+                        os.remove(root)
+                    graph.append(compute)
+            """,
+        }, rules=["stage-purity"])
+        messages = sorted(finding.message for finding in findings)
+        assert len(messages) == 3
+        assert "'.mkdir()'" in messages[0]
+        assert "'os.makedirs'" in messages[1]
+        assert "'os.remove'" in messages[2]
+
 
 # ----------------------------------------------------------------------
 # rule: fingerprint-coverage
@@ -734,6 +754,19 @@ class TestRegistryAndReport:
                               "fingerprint-coverage", "tracer-discipline",
                               "race-discipline", "hot-path-alloc",
                               "schema-discipline", "gemm-dispatch"}
+
+    def test_shared_call_graph_is_built_first_and_timed_as_context(
+            self, tmp_path):
+        src = write_tree(tmp_path, {"core/x.py": "VALUE = 1\n"})
+        project = Project.load([src], repo_root=tmp_path)
+        timing = run_analysis(project, rules=["fingerprint-coverage"]).timing
+        assert set(timing) == {"fingerprint-coverage", "total"}
+        assert project._context is None
+        timing = run_analysis(project, rules=["determinism",
+                                              "stage-purity"]).timing
+        assert set(timing) == {"context", "determinism", "stage-purity",
+                               "total"}
+        assert project._context is not None
 
     def test_unknown_rule_raises(self, tmp_path):
         src = write_tree(tmp_path, {"core/x.py": "VALUE = 1\n"})

@@ -1,5 +1,8 @@
 """Unit and property-based tests for the FP and INT quantization primitives."""
 
+import tracemalloc
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,15 +11,24 @@ from hypothesis.extra import numpy as hnp
 
 from repro.core import (
     FPFormat,
+    PackedIntWeight,
+    blocks,
+    calibrate_block_biases,
     calibrate_int_format,
+    calibrate_int_format_per_channel,
     fp_levels,
     fp_scales,
     int_quantization_mse,
+    qmodules,
     quantization_mse,
     quantize_fp,
+    quantize_fp_blockwise,
     quantize_fp_with_rounding,
     quantize_int,
+    quantize_int_per_channel,
 )
+from repro.core.blocks import BLOCK
+from repro.core.qmodules import FPTensorQuantizer
 
 from tiny_factories import fp_probe_values
 
@@ -221,3 +233,104 @@ class TestPrecisionRangeTradeoff:
         values = rng.uniform(-1, 1, size=4096).astype(np.float32)
         fp_fmt = FPFormat(4, 3, FPFormat.bias_for_max_value(4, 3, 1.0))
         assert int_quantization_mse(values, 8) < quantization_mse(values, fp_fmt)
+
+
+
+def prepared(values):
+    """``values`` with the formats every full-tensor pass takes calibrated
+    on it, and packed storages to dequantize."""
+    fp4 = E2M1.with_bias(FPFormat.bias_for_max_value(
+        2, 1, float(np.max(np.abs(values)))))
+    int8 = calibrate_int_format(values, 8)
+    pc4 = calibrate_int_format_per_channel(values, 4)
+    return SimpleNamespace(
+        values=values, fp4=fp4, int8=int8, int4=calibrate_int_format(values, 4),
+        pc4=pc4, biases=calibrate_block_biases(values, fp4, 64),
+        round_up=np.random.default_rng(1).random(np.shape(values)) > 0.5,
+        on_grid=quantize_fp(values, fp4),
+        packed8=PackedIntWeight.pack(values, int8),
+        packed_pc4=PackedIntWeight.pack(values, pc4))
+
+
+#: Every full-tensor quantize, pack and dequantize pass, on ``prepared``
+#: inputs.
+FULL_TENSOR_PASSES = {
+    "quantize_fp": lambda p: quantize_fp(p.values, p.fp4),
+    "quantize_fp_with_rounding":
+        lambda p: quantize_fp_with_rounding(p.values, p.fp4, p.round_up),
+    "quantize_fp_blockwise":
+        lambda p: quantize_fp_blockwise(p.values, p.fp4, p.biases, 64),
+    "calibrate_block_biases": lambda p: calibrate_block_biases(p.values, p.fp4, 64),
+    "quantize_int": lambda p: quantize_int(p.values, p.int8),
+    "quantize_int_per_channel": lambda p: quantize_int_per_channel(p.values, p.pc4),
+    "pack": lambda p: PackedIntWeight.pack(p.values, p.int4),
+    "pack_per_channel": lambda p: PackedIntWeight.pack(p.values, p.pc4),
+    "pack_weights_fp4": lambda p: FPTensorQuantizer(p.fp4).pack_weights(p.on_grid),
+    "dequantize": lambda p: p.packed8._dequantize_levels(),
+    "dequantize_per_channel": lambda p: p.packed_pc4._dequantize_levels(),
+    "calibrate_int_format": lambda p: calibrate_int_format(p.values, 8),
+    "calibrate_int_format_per_channel":
+        lambda p: calibrate_int_format_per_channel(p.values, 8),
+}
+
+
+def normal_weight(shape, seed=0):
+    return (np.random.default_rng(seed).standard_normal(shape) * 0.05).astype(np.float32)
+
+
+#: Inputs at and around block boundaries: contiguous, strided, a
+#: transposed weight (odd rows, so nibble-packed blocks hold two), 0-d.
+BLOCK_CASES = {
+    "BLOCK-1": lambda: normal_weight(BLOCK - 1),
+    "BLOCK": lambda: normal_weight(BLOCK),
+    "BLOCK+1": lambda: normal_weight(BLOCK + 1),
+    "3*BLOCK+7": lambda: normal_weight(3 * BLOCK + 7),
+    "strided": lambda: normal_weight(2 * (3 * BLOCK + 7))[::2],
+    "transposed": lambda: normal_weight((259, 773)).T,
+    "0-d": lambda: normal_weight(()),
+}
+
+
+def result_bits(result):
+    if isinstance(result, PackedIntWeight):
+        return result.shape, result.fmt, result.packed.tobytes()
+    if isinstance(result, np.ndarray):
+        return result.shape, result.dtype, result.tobytes()
+    return result  # a calibrated format: exact float fields
+
+
+class TestBlockwisePasses:
+    """Every full-tensor pass runs block by block: its temporaries stay
+    within a few blocks, and its output is the single-block kernel's, bit
+    for bit."""
+
+    # FP4 packing takes weights of at least one dimension.
+    @pytest.mark.parametrize("case,name", [
+        (case, name) for case in sorted(BLOCK_CASES)
+        for name in sorted(FULL_TENSOR_PASSES)
+        if (case, name) != ("0-d", "pack_weights_fp4")])
+    def test_blocks_equal_the_single_block_kernel(self, case, name,
+                                                  monkeypatch):
+        inputs = prepared(BLOCK_CASES[case]())
+        blocked = FULL_TENSOR_PASSES[name](inputs)
+        for module in (blocks, qmodules):
+            monkeypatch.setattr(module, "BLOCK", 2 ** 62)
+        assert result_bits(blocked) == result_bits(FULL_TENSOR_PASSES[name](inputs))
+
+    @pytest.fixture(scope="class")
+    def large_weight(self):
+        # 18.9 MB of float32: the largest weight of the ``generate``
+        # benchmark U-Net.
+        return prepared(normal_weight((1024, 4608)))
+
+    @pytest.mark.parametrize("name", sorted(FULL_TENSOR_PASSES))
+    def test_pass_holds_a_few_blocks_beyond_its_output(self, large_weight,
+                                                       name):
+        tracemalloc.start()
+        try:
+            result = FULL_TENSOR_PASSES[name](large_weight)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        output = result.nbytes if hasattr(result, "nbytes") else 0
+        assert peak <= output + 8 * 2 ** 20

@@ -11,7 +11,9 @@ import copy
 import gc
 import pickle
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,11 +22,15 @@ from repro import nn
 from repro.core import (
     DequantizeMemo,
     PackedIntWeight,
+    PolicyRule,
+    QuantizationPolicy,
+    collect_calibration_data,
     fp4_fp8_config,
     fp8_fp8_config,
     int4_int8_config,
     int8_int8_config,
     qmodules,
+    quantizable_layer_paths,
     quantize_pipeline,
     resident_nbytes,
 )
@@ -125,6 +131,71 @@ def test_pickled_variant_ships_levels_only(fp32_pipeline):
     restored = pickle.loads(pickle.dumps(quantized))
     assert resident_nbytes(restored) == resident_nbytes(quantized)
     assert all("weight" not in layer._parameters for layer in packed_layers(restored))
+
+
+def model_arrays(model):
+    """Every array ``model`` holds: parameters, buffers and packed storage."""
+    arrays = []
+    for sub in model.modules():
+        arrays += [param.data for param in sub._parameters.values()]
+        arrays += sub._buffers.values()
+        if isinstance(sub, QUANTIZED_LAYER_TYPES) and sub.packed_weight is not None:
+            arrays += sub.packed_weight.arrays()
+    return arrays
+
+
+@pytest.fixture(scope="module")
+def wide_pipeline():
+    """The tiny spec widened to 22.7 MiB of quantizable float32 weights."""
+    spec = make_tiny_spec()
+    spec = replace(spec, unet=replace(spec.unet, base_channels=48,
+                                      channel_multipliers=(1, 4)))
+    model = DiffusionModel(spec, rng=np.random.default_rng(0))
+    return DiffusionPipeline(model, num_steps=4)
+
+
+@pytest.mark.parametrize("scheme", ["int8", "fp4"])
+def test_quantizing_holds_less_than_the_quantizable_weights(wide_pipeline, scheme):
+    config = CONFIGS[scheme]().scaled_for_speed(num_bias_candidates=7)
+    calibration = collect_calibration_data(wide_pipeline, config.calibration)
+    quantizable = sum(layer.weight.data.nbytes for _, layer
+                      in quantizable_layer_paths(wide_pipeline.model.unet))
+    tracemalloc.start()
+    try:
+        quantize_pipeline(wide_pipeline, config, calibration=calibration)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # The clone copies none of the weights quantizing replaces, and every
+    # quantize and pack pass holds a few blocks beyond its output.
+    assert peak < quantizable
+
+
+@pytest.mark.parametrize("scheme", ["int8", "fp4", "fp8"])
+def test_quantized_model_shares_no_array_with_its_input(fp32_pipeline, scheme):
+    first = quantizable_layer_paths(fp32_pipeline.model.unet)[0][0]
+    policy = QuantizationPolicy([PolicyRule(pattern=first, weights="fp32",
+                                            activations="fp32")])
+    config = replace(CONFIGS[scheme](), policy=policy).scaled_for_speed(
+        num_bias_candidates=7)
+    quantized, report = quantize_pipeline(fp32_pipeline, config)
+    assert first not in {record.path for record in report.layers}
+    inputs = model_arrays(fp32_pipeline.model)
+    for array in model_arrays(quantized.model):
+        assert not any(np.shares_memory(array, other) for other in inputs)
+
+
+@pytest.mark.parametrize("config", [
+    int8_int8_config(), fp4_fp8_config(rounding_learning=True)], ids=["int8", "fp4-rl"])
+def test_quantizing_leaves_the_input_state_unchanged(fp32_pipeline, config):
+    model = fp32_pipeline.model
+    before = {key: value.copy() for key, value in model.state_dict().items()}
+    quantize_pipeline(fp32_pipeline, config.scaled_for_speed(
+        num_bias_candidates=7, rounding_iterations=5))
+    after = model.state_dict()
+    assert list(after) == list(before)
+    for key, value in before.items():
+        assert after[key].tobytes() == value.tobytes(), key
 
 
 def test_weight_surface_is_unchanged_by_packing(fp32_pipeline):
