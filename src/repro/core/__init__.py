@@ -32,11 +32,13 @@ Schemes and policies (the extensible quantization API)
       "keep first/last layer high precision" recipe.
 
 Orchestration
-    * :func:`quantize_pipeline` / :func:`quantize_model` — end-to-end PTQ of
-      a diffusion pipeline, dispatching through the scheme registry, with
-      :data:`PAPER_CONFIGS` providing the exact weight/activation settings
-      evaluated in the paper's tables and :func:`mixed_precision_config`
-      building a policy-driven mixed-precision experiment.
+    * :func:`quantize_pipeline` — end-to-end PTQ of a diffusion pipeline,
+      the one quantization path: it resolves every layer's schemes once,
+      on the input model, and quantizes a copy, dispatching through the
+      scheme registry, with :data:`PAPER_CONFIGS` providing the exact
+      weight/activation settings evaluated in the paper's tables and
+      :func:`mixed_precision_config` building a policy-driven
+      mixed-precision experiment.
     * :class:`QuantizationConfig` / :class:`QuantizationReport` /
       :class:`LayerQuantizationRecord` — serializable experiment descriptions
       and results (``to_dict`` / ``from_dict`` / ``to_json`` / ``from_json``).
@@ -129,21 +131,18 @@ from .policy import (
     PolicyRule,
     QuantizationPolicy,
     boundary_interior_policy,
-    layer_paths_matching,
 )
 from .quantizer import (
     PAPER_CONFIGS,
     LayerQuantizationRecord,
     QuantizationConfig,
     QuantizationReport,
-    clone_model,
     fp4_fp8_config,
     fp8_fp8_config,
     full_precision_config,
     int4_int8_config,
     int8_int8_config,
     mixed_precision_config,
-    quantize_model,
     quantize_pipeline,
 )
 from .sparsity import (
@@ -184,11 +183,11 @@ __all__ = [
     "available_schemes", "scheme_name",
     # policies
     "QuantizationPolicy", "PolicyRule", "PolicyDecision",
-    "boundary_interior_policy", "layer_paths_matching",
+    "boundary_interior_policy",
     # orchestration
     "QuantizationConfig", "QuantizationReport", "LayerQuantizationRecord",
-    "PAPER_CONFIGS", "quantize_pipeline", "quantize_model",
-    "clone_model", "full_precision_config", "fp8_fp8_config", "fp4_fp8_config",
+    "PAPER_CONFIGS", "quantize_pipeline", "full_precision_config",
+    "fp8_fp8_config", "fp4_fp8_config",
     "int8_int8_config", "int4_int8_config", "mixed_precision_config",
     # sparsity
     "SparsityReport", "measure_weight_sparsity", "sparsity_increase",

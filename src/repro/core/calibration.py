@@ -66,45 +66,27 @@ class CalibrationData:
         return sorted(self.activations)
 
 
-class _RecordingLayer(nn.Module):
-    """Forward shim that records the input of a Conv2d/Linear layer."""
+class _Recording(nn.Module):
+    """Forward shim recording the inputs of a module: its ``i``-th positional
+    input under ``names[i]`` (a Conv2d/Linear layer records one, a skip
+    concat its main and skip inputs)."""
 
-    def __init__(self, inner: nn.Module, name: str, data: CalibrationData,
-                 limit: int, stride: int):
+    def __init__(self, inner: nn.Module, names: Sequence[str],
+                 data: CalibrationData, limit: int, stride: int):
         super().__init__()
         self.inner = inner
-        self._name = name
+        self._names = names
         self._data = data
         self._limit = limit
         self._stride = max(stride, 1)
         self._calls = 0
 
-    def forward(self, x: Tensor, *args, **kwargs) -> Tensor:
+    def forward(self, *inputs: Tensor, **kwargs) -> Tensor:
         if self._calls % self._stride == 0:
-            self._data.record(self._name, x.data, self._limit)
+            for name, x in zip(self._names, inputs):
+                self._data.record(name, x.data, self._limit)
         self._calls += 1
-        return self.inner(x, *args, **kwargs)
-
-
-class _RecordingSkipConcat(nn.Module):
-    """Forward shim recording both inputs of a skip-connection concat."""
-
-    def __init__(self, inner: SkipConcat, name: str, data: CalibrationData,
-                 limit: int, stride: int):
-        super().__init__()
-        self.inner = inner
-        self._name = name
-        self._data = data
-        self._limit = limit
-        self._stride = max(stride, 1)
-        self._calls = 0
-
-    def forward(self, x: Tensor, skip: Tensor) -> Tensor:
-        if self._calls % self._stride == 0:
-            self._data.record(f"{self._name}.main", x.data, self._limit)
-            self._data.record(f"{self._name}.skip", skip.data, self._limit)
-        self._calls += 1
-        return self.inner(x, skip)
+        return self.inner(*inputs, **kwargs)
 
 
 def quantizable_layer_paths(unet: nn.Module) -> List[Tuple[str, nn.Module]]:
@@ -143,16 +125,13 @@ def collect_calibration_data(pipeline, config: Optional[CalibrationConfig] = Non
         1, int(np.ceil(config.num_samples / config.batch_size)))
     stride = max(1, expected_calls // config.max_records_per_layer)
 
-    originals: List[Tuple[str, nn.Module]] = []
-    for path, module in quantizable_layer_paths(unet):
-        originals.append((path, module))
-        unet.set_submodule(path, _RecordingLayer(module, path, data,
-                                                 config.max_records_per_layer, stride))
-    for path, module in skip_concat_paths(unet):
-        originals.append((path, module))
-        unet.set_submodule(path, _RecordingSkipConcat(module, path, data,
-                                                      config.max_records_per_layer,
-                                                      stride))
+    originals = ([(path, module, (path,))
+                  for path, module in quantizable_layer_paths(unet)]
+                 + [(path, module, (f"{path}.main", f"{path}.skip"))
+                    for path, module in skip_concat_paths(unet)])
+    for path, module, names in originals:
+        unet.set_submodule(path, _Recording(module, names, data,
+                                            config.max_records_per_layer, stride))
     try:
         if pipeline.is_text_to_image:
             if prompts is None:
@@ -164,6 +143,6 @@ def collect_calibration_data(pipeline, config: Optional[CalibrationConfig] = Non
             pipeline.generate(config.num_samples, seed=config.seed,
                               batch_size=config.batch_size)
     finally:
-        for path, module in originals:
+        for path, module, _names in originals:
             unet.set_submodule(path, module)
     return data

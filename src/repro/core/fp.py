@@ -15,19 +15,27 @@ from .blocks import flat, map_blocks, spans
 from .formats import FPFormat
 
 
-def fp_scales(values: np.ndarray, fmt: FPFormat) -> np.ndarray:
-    """Per-element quantization step ``s_i`` of the format's grid (Eq. 9).
+def _grid(values: np.ndarray, c, bias, mantissa_bits: int):
+    """``values`` clipped to ``[-c, c]`` (float64) and each clipped value's
+    grid step (Eq. 6-9).
 
     A floating-point format is a union of uniform grids, one per binade; the
     step for a value depends on which binade (power-of-two interval) the
     value falls into, with one shared subnormal grid below ``2^(1-b)``.
+    ``c`` and ``bias`` are scalars, or per-element arrays for block-wise
+    quantization.
     """
-    magnitude = np.abs(values).astype(np.float64)
+    clipped = np.clip(np.asarray(values, dtype=np.float64), -c, c)
     with np.errstate(divide="ignore"):
-        biased_exponent = np.floor(np.log2(magnitude) + fmt.bias)
+        biased_exponent = np.floor(np.log2(np.abs(clipped)) + bias)
     subnormal = ~np.isfinite(biased_exponent) | (biased_exponent <= 1)
     exponent = np.where(subnormal, 1.0, biased_exponent)
-    return np.power(2.0, exponent - fmt.bias - fmt.mantissa_bits)
+    return clipped, np.power(2.0, exponent - bias - mantissa_bits)
+
+
+def fp_scales(values: np.ndarray, fmt: FPFormat) -> np.ndarray:
+    """Per-element quantization step ``s_i`` of the format's grid (Eq. 9)."""
+    return _grid(values, np.inf, fmt.bias, fmt.mantissa_bits)[1]
 
 
 def quantize_fp(values: np.ndarray, fmt: FPFormat) -> np.ndarray:
@@ -42,10 +50,8 @@ def quantize_fp(values: np.ndarray, fmt: FPFormat) -> np.ndarray:
 
 def _quantize_fp(values: np.ndarray, fmt: FPFormat) -> np.ndarray:
     """:func:`quantize_fp` of one block."""
-    values = np.asarray(values, dtype=np.float64)
     c = fmt.max_value
-    clipped = np.clip(values, -c, c)
-    scales = fp_scales(clipped, fmt)
+    clipped, scales = _grid(values, c, fmt.bias, fmt.mantissa_bits)
     quantized = np.clip(scales * np.round(clipped / scales), -c, c)
     return quantized.astype(np.float32)
 
@@ -95,10 +101,8 @@ def quantize_fp_with_rounding(values: np.ndarray, fmt: FPFormat,
 def _quantize_fp_with_rounding(values: np.ndarray, fmt: FPFormat,
                                round_up: np.ndarray) -> np.ndarray:
     """:func:`quantize_fp_with_rounding` of one block."""
-    values = np.asarray(values, dtype=np.float64)
     c = fmt.max_value
-    clipped = np.clip(values, -c, c)
-    scales = fp_scales(clipped, fmt)
+    clipped, scales = _grid(values, c, fmt.bias, fmt.mantissa_bits)
     offsets = np.where(np.asarray(round_up, dtype=bool), 1.0, 0.0)
     quantized = np.clip(scales * (np.floor(clipped / scales) + offsets), -c, c)
     return quantized.astype(np.float32)
@@ -168,17 +172,11 @@ def quantize_fp_blockwise(values: np.ndarray, fmt: FPFormat,
 def _quantize_fp_blockwise(values: np.ndarray, fmt: FPFormat,
                            biases: np.ndarray, block_size: int) -> np.ndarray:
     """:func:`quantize_fp_blockwise` of a run of whole bias blocks."""
-    values = np.asarray(values, dtype=np.float64)
-    elements = values.reshape(-1)
-    bias = np.repeat(biases, block_size)[: elements.size]
+    values = np.asarray(values)
+    bias = np.repeat(biases, block_size)[: values.size]
     c = (2.0 - 2.0 ** (-fmt.mantissa_bits)) * np.power(
         2.0, 2 ** fmt.exponent_bits - bias - 1.0)
-    clipped = np.clip(elements, -c, c)
-    with np.errstate(divide="ignore"):
-        biased_exponent = np.floor(np.log2(np.abs(clipped)) + bias)
-    subnormal = ~np.isfinite(biased_exponent) | (biased_exponent <= 1)
-    exponent = np.where(subnormal, 1.0, biased_exponent)
-    scales = np.power(2.0, exponent - bias - fmt.mantissa_bits)
+    clipped, scales = _grid(values.reshape(-1), c, bias, fmt.mantissa_bits)
     quantized = np.clip(scales * np.round(clipped / scales), -c, c)
     return quantized.reshape(values.shape).astype(np.float32)
 

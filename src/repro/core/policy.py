@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import fnmatch
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional
 
 from .calibration import quantizable_layer_paths
 from .schemes import SchemeLike, scheme_name
@@ -172,9 +172,3 @@ def boundary_interior_policy(unet, boundary: SchemeLike,
     if interior is not None:
         rules.append(PolicyRule(weights=interior, name="interior"))
     return QuantizationPolicy(rules=rules)
-
-
-def layer_paths_matching(unet, pattern: str) -> List[Tuple[str, object]]:
-    """Quantizable layers whose dotted path matches an fnmatch pattern."""
-    return [(path, layer) for path, layer in quantizable_layer_paths(unet)
-            if fnmatch.fnmatchcase(path, pattern)]

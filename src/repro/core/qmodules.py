@@ -21,7 +21,7 @@ import itertools
 import math
 import threading
 import weakref
-from typing import Callable, Dict, List, Optional, Protocol, Union, runtime_checkable
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -169,30 +169,6 @@ class DequantizeMemo:
 
 #: The one memo every packed weight of the process shares.
 DEQUANTIZE_MEMO = DequantizeMemo(DEQUANTIZE_MEMO_BUDGET_BYTES)
-
-
-@runtime_checkable
-class QuantizedStorage(Protocol):
-    """The storage contract quantized layers and fused kernels consume.
-
-    Everything a layer wrapper (or the integer-GEMM entry points in
-    :mod:`repro.tensor.functional`) may do with a quantized weight goes
-    through these three methods — layer code never reaches into storage
-    internals such as the dequantization memo:
-
-    * :meth:`dequantize` — the float32 simulation for the reference
-      (dequantize-then-GEMM) path, served from :data:`DEQUANTIZE_MEMO`;
-    * :meth:`drop_dequantized` — discard this weight's memo entry;
-    * :meth:`packed_view` — a GEMM-ready
-      :class:`~repro.tensor.backend.PackedLevelsView` of the packed
-      bytes, or ``None`` when the storage cannot present one.
-    """
-
-    def dequantize(self) -> np.ndarray: ...
-
-    def drop_dequantized(self) -> None: ...
-
-    def packed_view(self) -> Optional[PackedLevelsView]: ...
 
 
 class PackedIntWeight:
@@ -455,7 +431,8 @@ class FPTensorQuantizer(TensorQuantizer):
         unit = self.fmt.min_subnormal
 
         def levels_of(part, span):
-            levels = np.rint(np.asarray(part, dtype=np.float32) / np.float32(unit))
+            levels = np.rint(np.asarray(part, dtype=np.float32).reshape(-1)
+                             / np.float32(unit))
             np.clip(levels + np.float32(max_level), 0, 2 * max_level, out=levels)
             return levels
 
@@ -476,19 +453,12 @@ class FPTensorQuantizer(TensorQuantizer):
         return f"FP{self.fmt.bitwidth}({self.fmt.name}, bias={self.fmt.bias:.2f})"
 
 
-class IntTensorQuantizer(TensorQuantizer):
-    """Per-tensor uniform integer quantizer with a fixed scale and zero point."""
+class _IntGridQuantizer(TensorQuantizer):
+    """An integer grid, whose weight levels pack into bytes."""
 
-    def __init__(self, fmt: IntFormat):
+    def __init__(self, fmt: Union[IntFormat, PerChannelIntFormat]):
         self.fmt = fmt
         self.bits = fmt.bitwidth
-
-    @classmethod
-    def calibrated(cls, values: np.ndarray, bitwidth: int) -> "IntTensorQuantizer":
-        return cls(calibrate_int_format(values, bitwidth))
-
-    def quantize(self, values: np.ndarray) -> np.ndarray:
-        return quantize_int(values, self.fmt)
 
     def pack_weights(self, values: np.ndarray) -> Optional[PackedIntWeight]:
         # Levels above 8 bits do not fit the byte-packed storage; such
@@ -497,16 +467,23 @@ class IntTensorQuantizer(TensorQuantizer):
             return None
         return PackedIntWeight.pack(values, self.fmt)
 
+
+class IntTensorQuantizer(_IntGridQuantizer):
+    """Per-tensor uniform integer quantizer with a fixed scale and zero point."""
+
+    @classmethod
+    def calibrated(cls, values: np.ndarray, bitwidth: int) -> "IntTensorQuantizer":
+        return cls(calibrate_int_format(values, bitwidth))
+
+    def quantize(self, values: np.ndarray) -> np.ndarray:
+        return quantize_int(values, self.fmt)
+
     def describe(self) -> str:
         return f"INT{self.fmt.bitwidth}(scale={self.fmt.scale:.3g})"
 
 
-class PerChannelIntTensorQuantizer(TensorQuantizer):
+class PerChannelIntTensorQuantizer(_IntGridQuantizer):
     """Per-output-channel uniform integer quantizer (weights only)."""
-
-    def __init__(self, fmt: PerChannelIntFormat):
-        self.fmt = fmt
-        self.bits = fmt.bitwidth
 
     @classmethod
     def calibrated(cls, values: np.ndarray,
@@ -515,11 +492,6 @@ class PerChannelIntTensorQuantizer(TensorQuantizer):
 
     def quantize(self, values: np.ndarray) -> np.ndarray:
         return quantize_int_per_channel(values, self.fmt)
-
-    def pack_weights(self, values: np.ndarray) -> Optional[PackedIntWeight]:
-        if self.fmt.bitwidth > 8:
-            return None
-        return PackedIntWeight.pack(values, self.fmt)
 
     def describe(self) -> str:
         return f"INT{self.fmt.bitwidth}(per-channel x{self.fmt.num_channels})"
@@ -560,14 +532,27 @@ class _QuantizedLayerBase(nn.Module):
     ``state_dict`` still present it as the layer's ``weight``, so module
     traversal sees the same parameters as with a float weight.  FP8 and
     block-FP schemes keep the float32 parameter.
+
+    A wrapper replaces ``original``, whose bias and :attr:`GEOMETRY`
+    attributes it keeps; ``quantized_weight`` is the weight it serves,
+    held as ``packed_weight`` when that is given.
     """
 
-    def _init_weight_storage(self, quantized_weight: np.ndarray,
-                             packed_weight: Optional[PackedIntWeight]) -> None:
+    #: Attributes of the wrapped layer a wrapper keeps.
+    GEOMETRY: Tuple[str, ...] = ()
+
+    def __init__(self, original: nn.Module, quantized_weight: np.ndarray,
+                 activation_quantizer: TensorQuantizer,
+                 packed_weight: Optional[PackedIntWeight] = None):
+        super().__init__()
+        for name in self.GEOMETRY:
+            setattr(self, name, getattr(original, name))
         self.packed_weight = packed_weight
         if packed_weight is None:
             self._parameters["weight"] = nn.Parameter(quantized_weight,
                                                       requires_grad=False)
+        self.bias = original.bias
+        self.activation_quantizer = activation_quantizer
 
     @property
     def weight(self) -> nn.Parameter:
@@ -614,20 +599,8 @@ class _QuantizedLayerBase(nn.Module):
 class QuantizedConv2d(_QuantizedLayerBase):
     """Conv2d with a pre-quantized weight and on-the-fly activation quantization."""
 
-    def __init__(self, original: nn.Conv2d, quantized_weight: np.ndarray,
-                 activation_quantizer: TensorQuantizer,
-                 weight_quantizer: TensorQuantizer,
-                 packed_weight: Optional[PackedIntWeight] = None):
-        super().__init__()
-        self.stride = original.stride
-        self.padding = original.padding
-        self.in_channels = original.in_channels
-        self.out_channels = original.out_channels
-        self.kernel_size = original.kernel_size
-        self._init_weight_storage(quantized_weight, packed_weight)
-        self.bias = original.bias
-        self.activation_quantizer = activation_quantizer
-        self.weight_quantizer = weight_quantizer
+    GEOMETRY = ("stride", "padding", "in_channels", "out_channels",
+                "kernel_size")
 
     def forward(self, x: Tensor) -> Tensor:
         if self.packed_weight is not None:
@@ -648,17 +621,7 @@ class QuantizedConv2d(_QuantizedLayerBase):
 class QuantizedLinear(_QuantizedLayerBase):
     """Linear layer with a pre-quantized weight and activation quantization."""
 
-    def __init__(self, original: nn.Linear, quantized_weight: np.ndarray,
-                 activation_quantizer: TensorQuantizer,
-                 weight_quantizer: TensorQuantizer,
-                 packed_weight: Optional[PackedIntWeight] = None):
-        super().__init__()
-        self.in_features = original.in_features
-        self.out_features = original.out_features
-        self._init_weight_storage(quantized_weight, packed_weight)
-        self.bias = original.bias
-        self.activation_quantizer = activation_quantizer
-        self.weight_quantizer = weight_quantizer
+    GEOMETRY = ("in_features", "out_features")
 
     def forward(self, x: Tensor) -> Tensor:
         if self.packed_weight is not None:

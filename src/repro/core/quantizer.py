@@ -3,17 +3,18 @@
 This module ties the pieces of the paper's method together into a single
 entry point, :func:`quantize_pipeline`:
 
-1. collect the initialization/calibration datasets by running the
+1. walk the full-precision U-Net's Conv2d and Linear layers in
+   breadth-first order, and its skip concats, once, resolving each one's
+   weight/activation :class:`~repro.core.schemes.QuantScheme` (config
+   defaults, optionally overridden per layer by a
+   :class:`~repro.core.policy.QuantizationPolicy`),
+2. collect the initialization/calibration datasets by running the
    full-precision pipeline (Section V),
-2. walk the U-Net's Conv2d and Linear layers in breadth-first order and, for
-   each, resolve the weight/activation :class:`~repro.core.schemes.QuantScheme`
-   (config defaults, optionally overridden per layer by a
-   :class:`~repro.core.policy.QuantizationPolicy`) and let the scheme
-   calibrate and quantize the tensors — for the paper's FP schemes that is
-   the greedy format search (Algorithm 1) plus optional gradient-based
-   rounding learning (Section V-B),
-3. install quantized layer wrappers, including the separate quantization of
-   skip-connection concat inputs, and
+3. on a copy of the model, let each layer's scheme calibrate and quantize
+   its tensors — for the paper's FP schemes that is the greedy format
+   search (Algorithm 1) plus optional gradient-based rounding learning
+   (Section V-B) — and install quantized layer wrappers, including the
+   separate quantization of skip-connection concat inputs, and
 4. return a new pipeline around the quantized model plus a per-layer report.
 
 Schemes are looked up in the registry of :mod:`repro.core.schemes`, so
@@ -28,7 +29,7 @@ from __future__ import annotations
 import copy
 import json
 from dataclasses import asdict, dataclass, field, replace
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -69,8 +70,6 @@ class QuantizationConfig:
     rounding_learning: bool = False
     num_bias_candidates: int = DEFAULT_NUM_BIAS_CANDIDATES
     quantize_skip_connections: bool = True
-    max_search_elements: int = 16384
-    subsample_seed: int = 0
     calibration: CalibrationConfig = field(default_factory=CalibrationConfig)
     rounding: RoundingLearningConfig = field(default_factory=RoundingLearningConfig)
     policy: Optional[QuantizationPolicy] = None
@@ -137,8 +136,6 @@ class QuantizationConfig:
             "rounding_learning": self.rounding_learning,
             "num_bias_candidates": self.num_bias_candidates,
             "quantize_skip_connections": self.quantize_skip_connections,
-            "max_search_elements": self.max_search_elements,
-            "subsample_seed": self.subsample_seed,
             "calibration": asdict(self.calibration),
             "rounding": asdict(self.rounding),
             "policy": self.policy.to_dict() if self.policy is not None else None,
@@ -153,8 +150,6 @@ class QuantizationConfig:
             num_bias_candidates=data.get("num_bias_candidates",
                                          DEFAULT_NUM_BIAS_CANDIDATES),
             quantize_skip_connections=data.get("quantize_skip_connections", True),
-            max_search_elements=data.get("max_search_elements", 16384),
-            subsample_seed=data.get("subsample_seed", 0),
             calibration=CalibrationConfig(**data.get("calibration", {})),
             rounding=RoundingLearningConfig(**data.get("rounding", {})),
             policy=QuantizationPolicy.from_dict(data.get("policy")),
@@ -322,13 +317,8 @@ class QuantizationReport:
 # ----------------------------------------------------------------------
 # helpers
 # ----------------------------------------------------------------------
-def clone_model(model: DiffusionModel) -> DiffusionModel:
-    """Deep copy of a diffusion model bundle (weights included)."""
-    return copy.deepcopy(model)
-
-
-def _resolve_layer_schemes(config: QuantizationConfig, path: str, layer):
-    """Resolve the (weight, activation) schemes for one layer.
+def _resolve_layer_schemes(config: QuantizationConfig, path: str, module):
+    """Resolve the (weight, activation) schemes for one layer or concat.
 
     The policy (if any) wins where it matches; the config defaults fill the
     rest.  Returns ``(weight_scheme, activation_scheme, rule_label)``.
@@ -337,7 +327,7 @@ def _resolve_layer_schemes(config: QuantizationConfig, path: str, layer):
     activation_scheme = config.activation_scheme()
     rule_label = None
     if config.policy is not None:
-        decision = config.policy.resolve(path, layer)
+        decision = config.policy.resolve(path, module)
         if decision.weights is not None:
             weight_scheme = get_scheme(decision.weights)
             rule_label = decision.weight_rule
@@ -347,49 +337,57 @@ def _resolve_layer_schemes(config: QuantizationConfig, path: str, layer):
     return weight_scheme, activation_scheme, rule_label
 
 
-def _layers_to_quantize(unet: nn.Module, config: QuantizationConfig
-                        ) -> Iterator[Tuple[str, nn.Module, QuantScheme,
-                                            QuantScheme, Optional[str]]]:
-    """The layers :func:`quantize_model` replaces, breadth-first.
+def _plan(unet: nn.Module, config: QuantizationConfig):
+    """What quantizing ``unet`` replaces, its schemes resolved once.
 
-    Yields ``(path, layer, weight_scheme, activation_scheme, rule_label)``
-    for every Conv2d/Linear layer not left FP32 on both sides.
+    Returns ``(layers, concats)``: ``(path, layer, weight_scheme,
+    activation_scheme, rule_label)`` for every Conv2d/Linear layer, in
+    breadth-first order, not left FP32 on both sides, and ``(path,
+    activation_scheme)`` for every skip concat quantized.
     """
+    layers = []
     for path, layer in quantizable_layer_paths(unet):
-        weight_scheme, activation_scheme, rule_label = _resolve_layer_schemes(
-            config, path, layer)
-        if not (weight_scheme.is_identity and activation_scheme.is_identity):
-            yield path, layer, weight_scheme, activation_scheme, rule_label
-
-
-def _skip_concat_activation_scheme(config: QuantizationConfig, path: str,
-                                   module) -> QuantScheme:
-    """Activation scheme for one side of a skip concat (policy-aware)."""
-    scheme = config.activation_scheme()
-    if config.policy is not None:
-        decision = config.policy.resolve(path, module)
-        if decision.activations is not None:
-            scheme = get_scheme(decision.activations)
-    return scheme
+        weights, activations, rule = _resolve_layer_schemes(config, path, layer)
+        if not (weights.is_identity and activations.is_identity):
+            layers.append((path, layer, weights, activations, rule))
+    concats = []
+    if config.quantize_skip_connections:
+        for path, module in skip_concat_paths(unet):
+            scheme = _resolve_layer_schemes(config, path, module)[1]
+            if not scheme.is_identity:
+                concats.append((path, scheme))
+    return layers, concats
 
 
 # ----------------------------------------------------------------------
-# main entry points
+# main entry point
 # ----------------------------------------------------------------------
-def quantize_model(model: DiffusionModel, pipeline: DiffusionPipeline,
-                   config: QuantizationConfig,
-                   calibration: Optional[CalibrationData] = None,
-                   prompts: Optional[Sequence[str]] = None
-                   ) -> QuantizationReport:
-    """Quantize ``model`` in place (its U-Net layers are replaced).
+def quantize_pipeline(pipeline: DiffusionPipeline, config: QuantizationConfig,
+                      prompts: Optional[Sequence[str]] = None,
+                      calibration: Optional[CalibrationData] = None):
+    """Return ``(quantized_pipeline, report)`` leaving the input pipeline intact.
 
-    ``pipeline`` must wrap the *full-precision* model and is only used to
-    collect calibration data when ``calibration`` is not supplied.
+    This is the main public entry point used by the examples and benchmarks:
+    it resolves every layer's schemes on the full-precision model (a
+    policy's predicates see the input's own layers), copies the model,
+    quantizes the copy according to ``config`` and wraps it in a new
+    pipeline with identical sampling settings so seed-matched comparisons
+    are possible.  ``pipeline`` also collects the calibration data when
+    ``calibration`` is not supplied.  The returned pipeline is always a
+    distinct object — even for a full-precision config — so mutating it
+    can never corrupt the baseline.
     """
+    model = pipeline.model
     # Resolving the default schemes up front also validates the dtype
     # strings, so typos fail fast with the registry's error message.
     config.weight_scheme()
     config.activation_scheme()
+    layers, concats = _plan(model.unet, config)
+    # The layers replaced below are read and none of their weights kept,
+    # so the copy shares those weights instead of copying them; no array
+    # of the quantized model is the input model's.
+    quantized_model = copy.deepcopy(
+        model, {id(layer.weight): layer.weight for _path, layer, *_ in layers})
     if calibration is None:
         if config.requires_calibration():
             calibration = collect_calibration_data(pipeline, config.calibration,
@@ -398,10 +396,9 @@ def quantize_model(model: DiffusionModel, pipeline: DiffusionPipeline,
             calibration = CalibrationData()
 
     report = QuantizationReport(config=config)
-    unet = model.unet
-
-    for (path, layer, weight_scheme, activation_scheme,
-         rule_label) in _layers_to_quantize(unet, config):
+    unet = quantized_model.unet
+    for path, _layer, weight_scheme, activation_scheme, rule_label in layers:
+        layer = unet.get_submodule(path)
         record = LayerQuantizationRecord(
             path=path, layer_type=type(layer).__name__,
             weight_format="FP32", activation_format="FP32", weight_mse=0.0,
@@ -420,57 +417,21 @@ def quantize_model(model: DiffusionModel, pipeline: DiffusionPipeline,
         packed_weight = weight_quantizer.pack_weights(quantized_weight)
         if packed_weight is not None:
             record.packed_bytes = packed_weight.nbytes
-
-        if isinstance(layer, nn.Conv2d):
-            wrapper = QuantizedConv2d(layer, quantized_weight,
-                                      activation_quantizer, weight_quantizer,
-                                      packed_weight=packed_weight)
-        else:
-            wrapper = QuantizedLinear(layer, quantized_weight,
-                                      activation_quantizer, weight_quantizer,
-                                      packed_weight=packed_weight)
-        unet.set_submodule(path, wrapper)
+        wrapper_type = (QuantizedConv2d if isinstance(layer, nn.Conv2d)
+                        else QuantizedLinear)
+        unet.set_submodule(path, wrapper_type(layer, quantized_weight,
+                                              activation_quantizer,
+                                              packed_weight=packed_weight))
         report.layers.append(record)
 
-    if config.quantize_skip_connections:
-        for path, module in skip_concat_paths(unet):
-            scheme = _skip_concat_activation_scheme(config, path, module)
-            if scheme.is_identity:
-                continue
-            main_quantizer = scheme.build_activation_quantizer(
-                calibration.concatenated(f"{path}.main"), config)
-            skip_quantizer = scheme.build_activation_quantizer(
-                calibration.concatenated(f"{path}.skip"), config)
-            unet.set_submodule(path, QuantizedSkipConcat(main_quantizer,
-                                                         skip_quantizer))
-            report.skip_concats.append(path)
-    return report
-
-
-def quantize_pipeline(pipeline: DiffusionPipeline, config: QuantizationConfig,
-                      prompts: Optional[Sequence[str]] = None,
-                      calibration: Optional[CalibrationData] = None):
-    """Return ``(quantized_pipeline, report)`` leaving the input pipeline intact.
-
-    This is the main public entry point used by the examples and benchmarks:
-    it clones the full-precision model, quantizes the clone according to
-    ``config`` and wraps it in a new pipeline with identical sampling
-    settings so seed-matched comparisons are possible.  The returned
-    pipeline is always a distinct object — even for a full-precision config
-    — so mutating it can never corrupt the baseline.
-    """
-    model = pipeline.model
-    # quantize_model reads the weights of the layers it replaces and keeps
-    # none of them, so the clone shares those instead of copying them; no
-    # array of the quantized model is the input model's.
-    replaced = {id(layer.weight): layer.weight for _path, layer, *_schemes
-                in _layers_to_quantize(model.unet, config)}
-    quantized_model = copy.deepcopy(model, replaced)
-    if config.is_full_precision():
-        report = QuantizationReport(config=config)
-    else:
-        report = quantize_model(quantized_model, pipeline, config,
-                                calibration=calibration, prompts=prompts)
+    for path, scheme in concats:
+        main_quantizer = scheme.build_activation_quantizer(
+            calibration.concatenated(f"{path}.main"), config)
+        skip_quantizer = scheme.build_activation_quantizer(
+            calibration.concatenated(f"{path}.skip"), config)
+        unet.set_submodule(path, QuantizedSkipConcat(main_quantizer,
+                                                     skip_quantizer))
+        report.skip_concats.append(path)
     quantized_pipeline = DiffusionPipeline(quantized_model, spec=pipeline.spec,
                                            num_steps=pipeline.num_steps)
     return quantized_pipeline, report

@@ -28,7 +28,7 @@ from .. import nn
 from ..tensor import Tensor
 from ..tensor import functional as F
 from .formats import FPFormat
-from .fp import fp_scales, quantize_fp_with_rounding
+from .fp import _grid, quantize_fp_with_rounding
 
 
 @dataclass
@@ -58,17 +58,13 @@ def regularizer_value(sigmoid_alpha: np.ndarray, exponent: float = 20.0) -> np.n
     return 1.0 - np.power(np.abs(sigmoid_alpha - 0.5) * 2.0, exponent)
 
 
-def _initial_alpha(weights: np.ndarray, fmt: FPFormat) -> np.ndarray:
+def _initial_alpha(fraction: np.ndarray) -> np.ndarray:
     """Initialize alpha so that sigmoid(alpha) equals the fractional remainder.
 
     This makes the soft-quantized weights start exactly at round-to-nearest
     behaviour, which is the standard AdaRound initialization and keeps early
     iterations stable.
     """
-    c = fmt.max_value
-    clipped = np.clip(weights, -c, c)
-    scales = fp_scales(clipped, fmt)
-    fraction = clipped / scales - np.floor(clipped / scales)
     fraction = np.clip(fraction, 1e-4, 1.0 - 1e-4)
     return np.log(fraction / (1.0 - fraction)).astype(np.float32)
 
@@ -104,11 +100,11 @@ def learn_rounding(layer: nn.Module, fmt: FPFormat,
     rng = np.random.default_rng(config.seed)
     weights = layer.weight.data.astype(np.float64)
     c = fmt.max_value
-    clipped = np.clip(weights, -c, c)
-    scales = fp_scales(clipped, fmt)
-    floor_levels = np.floor(clipped / scales)
+    clipped, scales = _grid(weights, c, fmt.bias, fmt.mantissa_bits)
+    levels = clipped / scales
+    floor_levels = np.floor(levels)
 
-    alpha = nn.Parameter(_initial_alpha(weights, fmt))
+    alpha = nn.Parameter(_initial_alpha(levels - floor_levels))
     scales_t = Tensor(scales.astype(np.float32))
     floor_t = Tensor(floor_levels.astype(np.float32))
     full_weight = Tensor(weights.astype(np.float32))
@@ -135,7 +131,7 @@ def learn_rounding(layer: nn.Module, fmt: FPFormat,
     result = RoundingLearningResult(round_up=np.zeros_like(weights, dtype=bool))
     result.initial_output_mse = output_mse(Tensor(
         quantize_fp_with_rounding(
-            weights, fmt, np.round(clipped / scales) > floor_levels)))
+            weights, fmt, np.round(levels) > floor_levels)))
 
     for _ in range(config.iterations):
         chosen = rng.integers(0, len(calibration_inputs),

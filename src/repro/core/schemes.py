@@ -9,7 +9,7 @@ build-quantizer logic behind a common interface:
 * :meth:`QuantScheme.quantize_weights` — quantize one layer's weight tensor
   ahead of time, filling in the per-layer report record and returning the
   quantized array plus the :class:`~repro.core.qmodules.TensorQuantizer`
-  that describes it;
+  whose ``pack_weights`` may store it as packed levels;
 * :meth:`QuantScheme.build_activation_quantizer` — calibrate an on-the-fly
   activation quantizer from initialization-dataset samples.
 
@@ -39,8 +39,7 @@ from typing import Dict, List, Tuple, Union
 
 import numpy as np
 
-from .fp import quantize_fp, quantize_fp_with_rounding
-from .integer import calibrate_int_format, calibrate_int_format_per_channel
+from .fp import quantize_fp_with_rounding
 from .qmodules import (
     BlockFPTensorQuantizer,
     FPTensorQuantizer,
@@ -51,6 +50,11 @@ from .qmodules import (
 )
 from .rounding import learn_rounding
 from .search import search_tensor_format
+
+
+#: Algorithm 1's search and the integer activation calibration see at most
+#: this many elements of a tensor, a :func:`subsample` drawn with seed 0.
+MAX_SEARCH_ELEMENTS = 16384
 
 
 def subsample(values: np.ndarray, limit: int, seed: int = 0) -> np.ndarray:
@@ -64,11 +68,22 @@ def subsample(values: np.ndarray, limit: int, seed: int = 0) -> np.ndarray:
 
 
 def _search_format(values: np.ndarray, bits: int, config):
-    """Algorithm 1's search on a config-bounded subsample of ``values``."""
+    """Algorithm 1's search on a bounded subsample of ``values``."""
     return search_tensor_format(
-        subsample(values, config.max_search_elements,
-                  seed=config.subsample_seed),
-        bits, num_bias_candidates=config.num_bias_candidates)
+        subsample(values, MAX_SEARCH_ELEMENTS), bits,
+        num_bias_candidates=config.num_bias_candidates)
+
+
+def _quantized_weights(quantizer: TensorQuantizer, weights: np.ndarray,
+                       record, weight_format: str, quantized=None):
+    """``(quantized, quantizer)`` as :meth:`QuantScheme.quantize_weights`
+    returns them, with the weight-side fields of ``record`` filled in;
+    ``quantized`` defaults to ``quantizer.quantize(weights)``."""
+    if quantized is None:
+        quantized = quantizer.quantize(weights)
+    record.weight_format = weight_format
+    record.weight_mse = float(np.mean((weights - quantized) ** 2))
+    return quantized, quantizer
 
 
 class QuantScheme:
@@ -98,7 +113,9 @@ class QuantScheme:
 
         Returns ``(quantized_weight, weight_quantizer)`` and fills in the
         weight-side fields of ``record`` (a
-        :class:`~repro.core.quantizer.LayerQuantizationRecord`).
+        :class:`~repro.core.quantizer.LayerQuantizationRecord`).  The layer
+        keeps ``weight_quantizer.pack_weights(quantized_weight)`` when that
+        is not ``None``, else the float32 ``quantized_weight``.
         """
         raise NotImplementedError
 
@@ -144,21 +161,20 @@ class FPSearchScheme(QuantScheme):
 
     def quantize_weights(self, layer, config, calibration, path, record):
         weights = layer.weight.data
-        fmt = _search_format(weights, self.bits, config).fmt
-        record.weight_format = f"FP{self.bits}({fmt.name}, bias={fmt.bias:.2f})"
-        quantized = quantize_fp(weights, fmt)
-        record.weight_mse = float(np.mean((weights - quantized) ** 2))
-
+        quantizer = FPTensorQuantizer(_search_format(weights, self.bits,
+                                                     config).fmt)
         use_rounding = config.rounding_learning and self.supports_rounding_learning
         samples = calibration.samples(path)
-        if use_rounding and samples:
-            result = learn_rounding(layer, fmt, samples, config.rounding)
-            quantized = quantize_fp_with_rounding(weights, fmt, result.round_up)
-            record.rounding_learning_used = True
-            record.rounding_mse_before = result.initial_output_mse
-            record.rounding_mse_after = result.final_output_mse
-            record.weight_mse = float(np.mean((weights - quantized) ** 2))
-        return quantized, FPTensorQuantizer(fmt)
+        if not (use_rounding and samples):
+            return _quantized_weights(quantizer, weights, record,
+                                      quantizer.describe())
+        result = learn_rounding(layer, quantizer.fmt, samples, config.rounding)
+        record.rounding_learning_used = True
+        record.rounding_mse_before = result.initial_output_mse
+        record.rounding_mse_after = result.final_output_mse
+        return _quantized_weights(
+            quantizer, weights, record, quantizer.describe(),
+            quantize_fp_with_rounding(weights, quantizer.fmt, result.round_up))
 
     def build_activation_quantizer(self, samples, config):
         if samples.size == 0:
@@ -176,18 +192,15 @@ class IntScheme(QuantScheme):
 
     def quantize_weights(self, layer, config, calibration, path, record):
         weights = layer.weight.data
-        quantizer = IntTensorQuantizer(calibrate_int_format(weights, self.bits))
-        record.weight_format = f"INT{self.bits}"
-        quantized = quantizer.quantize(weights)
-        record.weight_mse = float(np.mean((weights - quantized) ** 2))
-        return quantized, quantizer
+        return _quantized_weights(
+            IntTensorQuantizer.calibrated(weights, self.bits), weights, record,
+            f"INT{self.bits}")
 
     def build_activation_quantizer(self, samples, config):
         if samples.size == 0:
             return IdentityQuantizer()
-        samples = subsample(samples, config.max_search_elements,
-                            seed=config.subsample_seed)
-        return IntTensorQuantizer.calibrated(samples, self.bits)
+        return IntTensorQuantizer.calibrated(
+            subsample(samples, MAX_SEARCH_ELEMENTS), self.bits)
 
 
 class PerChannelIntScheme(IntScheme):
@@ -204,12 +217,9 @@ class PerChannelIntScheme(IntScheme):
 
     def quantize_weights(self, layer, config, calibration, path, record):
         weights = layer.weight.data
-        fmt = calibrate_int_format_per_channel(weights, self.bits)
-        quantizer = PerChannelIntTensorQuantizer(fmt)
-        record.weight_format = f"INT{self.bits}(per-channel)"
-        quantized = quantizer.quantize(weights)
-        record.weight_mse = float(np.mean((weights - quantized) ** 2))
-        return quantized, quantizer
+        return _quantized_weights(
+            PerChannelIntTensorQuantizer.calibrated(weights, self.bits),
+            weights, record, f"INT{self.bits}(per-channel)")
 
 
 class BlockFPScheme(QuantScheme):
@@ -230,14 +240,10 @@ class BlockFPScheme(QuantScheme):
 
     def quantize_weights(self, layer, config, calibration, path, record):
         weights = layer.weight.data
-        search = _search_format(weights, self.bits, config)
-        quantizer = BlockFPTensorQuantizer.calibrated(weights, search.fmt,
-                                                      self.block_size)
-        record.weight_format = (f"FP{self.bits}({search.fmt.name}, "
-                                f"block={self.block_size})")
-        quantized = quantizer.quantize(weights)
-        record.weight_mse = float(np.mean((weights - quantized) ** 2))
-        return quantized, quantizer
+        fmt = _search_format(weights, self.bits, config).fmt
+        return _quantized_weights(
+            BlockFPTensorQuantizer.calibrated(weights, fmt, self.block_size),
+            weights, record, f"FP{self.bits}({fmt.name}, block={self.block_size})")
 
     def build_activation_quantizer(self, samples, config):
         if samples.size == 0:

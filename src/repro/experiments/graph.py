@@ -51,7 +51,6 @@ class Stage:
     compute: Callable[[Dict[str, Any]], Any] = None
     encode: Callable[[Any], Any] = _identity
     decode: Callable[[Any], Any] = _identity
-    cacheable: bool = True
 
 
 class StageGraph:

@@ -220,7 +220,7 @@ class Runner:
         cache_hit = False
         artifact_path: Optional[Path] = None
         value = None
-        if self.store is not None and self.use_cache and stage.cacheable:
+        if self.store is not None and self.use_cache:
             payload = self.store.load(key)
             if payload is not None:
                 value = stage.decode(payload)
@@ -228,7 +228,7 @@ class Runner:
                 artifact_path = self.store.find(key)
         if not cache_hit:
             value = stage.compute(dep_values)
-            if self.store is not None and stage.cacheable:
+            if self.store is not None:
                 artifact_path = self.store.save(
                     key, stage.encode(value), stage.encoding,
                     meta={"stage_id": stage.stage_id, "kind": stage.kind,

@@ -21,6 +21,7 @@ reuse experiment artifacts.
 
 from __future__ import annotations
 
+import copy
 import re
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -28,7 +29,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core import QuantizationConfig, QuantizationReport, clone_model, quantize_pipeline
+from ..core import QuantizationConfig, QuantizationReport, quantize_pipeline
 from ..core.calibration import CalibrationConfig, CalibrationData, collect_calibration_data
 from ..core.hashing import content_hash
 from ..data import PromptDataset, rooms, shapes10
@@ -113,7 +114,7 @@ def add_calibration_stage(graph: StageGraph, model: str, pretrain_id: str,
         # it must run on a private clone: with a parallel runner, another
         # stage forwarding through the shared checkpoint at the same time
         # would otherwise pollute the recorded activations.
-        pipeline = DiffusionPipeline(clone_model(deps[pretrain_id]),
+        pipeline = DiffusionPipeline(copy.deepcopy(deps[pretrain_id]),
                                      num_steps=num_steps)
         return collect_calibration_data(pipeline, calibration, prompts=used_prompts)
 

@@ -207,10 +207,9 @@ def fused_linear(x: Tensor, storage, bias: Optional[Tensor] = None,
 
     ``x`` is the *unquantized* input and ``act_format`` its per-tensor
     integer or floating-point grid (``None`` when the activations have
-    neither); ``storage`` is a ``QuantizedStorage`` (see
-    :mod:`repro.core.qmodules`) whose :meth:`packed_view` levels go to the
-    active backend's integer GEMM as the 1x1 case of
-    :func:`fused_conv2d`.  Returns ``None`` whenever that path does not
+    neither); ``storage`` is a :class:`~repro.core.qmodules.PackedIntWeight`
+    whose :meth:`packed_view` levels go to the active backend's integer
+    GEMM as the 1x1 case of :func:`fused_conv2d`.  Returns ``None`` whenever that path does not
     apply — outside inference mode, without an activation grid, when the
     storage has no row-aligned view, or when the backend declines — and
     the caller falls back to fake-quantizing ``x`` and the dequantized
@@ -240,7 +239,8 @@ def fused_conv2d(x: Tensor, storage, bias: Optional[Tensor] = None,
 
     The backend quantizes the unquantized input ``x`` onto ``act_format``
     while gathering it into the im2col patch matrix, then multiplies the
-    patch levels with the packed ``(C_out, K)`` weight levels.  Same
+    patch levels with the packed ``(C_out, K)`` weight levels of
+    ``storage``, a :class:`~repro.core.qmodules.PackedIntWeight`.  Same
     ``None``-fallback contract as :func:`fused_linear`.
     """
     if act_format is None or not is_inference_mode():

@@ -429,7 +429,7 @@ class TestIntegerGuards:
             layer.weight.data, 8))
         module = QuantizedLinear(
             layer, quantizer.quantize(layer.weight.data), IdentityQuantizer(),
-            quantizer, packed_weight=quantizer.pack_weights(layer.weight.data))
+            packed_weight=quantizer.pack_weights(layer.weight.data))
         assert module._integer_activations() is None
         x = Tensor(RNG.standard_normal((2, ELIGIBLE_K)).astype(np.float32))
         with inference_mode(), use_backend("accelerated"):
@@ -463,7 +463,7 @@ def _fp_quantized(cls, layer, weight_name: str, act_name: str):
                                              float(np.abs(weight).max())))
     served = quantizer.quantize(weight)
     module = cls(layer, served, FPTensorQuantizer(_fp_format(act_name, 3.0)),
-                 quantizer, packed_weight=quantizer.pack_weights(served))
+                 packed_weight=quantizer.pack_weights(served))
     return module, served
 
 
@@ -860,7 +860,7 @@ def _quantized(cls, layer, bits, per_channel, samples):
     else:
         quantizer = IntTensorQuantizer(calibrate_int_format(weight, bits))
     return cls(layer, quantizer.quantize(weight),
-               IntTensorQuantizer.calibrated(samples, 8), quantizer,
+               IntTensorQuantizer.calibrated(samples, 8),
                packed_weight=quantizer.pack_weights(weight))
 
 

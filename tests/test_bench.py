@@ -342,7 +342,6 @@ def test_packed_layer_drops_stale_levels_on_state_dict_load():
     weights = layer.weight.data
     quantizer = IntTensorQuantizer(calibrate_int_format(weights, 8))
     wrapped = QuantizedLinear(layer, quantizer.quantize(weights), quantizer,
-                              quantizer,
                               packed_weight=quantizer.pack_weights(weights))
     new_weights = rng.standard_normal(weights.shape).astype(np.float32)
     wrapped.load_state_dict({"weight": new_weights})

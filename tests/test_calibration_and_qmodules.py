@@ -132,7 +132,7 @@ class TestQuantizedLayers:
         quantized_weight = quantize_fp(original.weight.data, fmt)
         act_fmt = FPFormat(4, 3, FPFormat.bias_for_max_value(4, 3, 3.0))
         wrapper = QuantizedLinear(original, quantized_weight,
-                                  FPTensorQuantizer(act_fmt), FPTensorQuantizer(fmt))
+                                  FPTensorQuantizer(act_fmt))
         x = rng.standard_normal((2, 8)).astype(np.float32)
         expected = quantize_fp(x, act_fmt) @ quantized_weight.T + original.bias.data
         np.testing.assert_allclose(wrapper(Tensor(x)).data, expected, atol=1e-5)
@@ -141,7 +141,7 @@ class TestQuantizedLayers:
         rng = np.random.default_rng(3)
         original = nn.Conv2d(3, 6, kernel_size=3, stride=2, padding=1, rng=rng)
         wrapper = QuantizedConv2d(original, original.weight.data.copy(),
-                                  IdentityQuantizer(), IdentityQuantizer())
+                                  IdentityQuantizer())
         x = Tensor(rng.standard_normal((1, 3, 8, 8)).astype(np.float32))
         np.testing.assert_allclose(wrapper(x).data, original(x).data, atol=1e-5)
 

@@ -304,11 +304,9 @@ class TestBlockwisePasses:
     within a few blocks, and its output is the single-block kernel's, bit
     for bit."""
 
-    # FP4 packing takes weights of at least one dimension.
     @pytest.mark.parametrize("case,name", [
         (case, name) for case in sorted(BLOCK_CASES)
-        for name in sorted(FULL_TENSOR_PASSES)
-        if (case, name) != ("0-d", "pack_weights_fp4")])
+        for name in sorted(FULL_TENSOR_PASSES)])
     def test_blocks_equal_the_single_block_kernel(self, case, name,
                                                   monkeypatch):
         inputs = prepared(BLOCK_CASES[case]())

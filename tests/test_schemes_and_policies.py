@@ -280,14 +280,17 @@ class TestSerialization:
         config = QuantizationConfig(
             weight_dtype="fp4", activation_dtype="fp8",
             rounding_learning=True, num_bias_candidates=13,
-            subsample_seed=5,
             policy=QuantizationPolicy(rules=[
                 PolicyRule(pattern="*.conv", weights="fp8", name="convs")]))
         restored = QuantizationConfig.from_json(config.to_json())
         assert restored.to_dict() == config.to_dict()
         assert restored.label == config.label
         assert restored.policy.rules[0].pattern == "*.conv"
-        assert restored.subsample_seed == 5
+
+    def test_config_json_with_the_dropped_search_fields_loads(self):
+        data = {**QuantizationConfig().to_dict(),
+                "max_search_elements": 16384, "subsample_seed": 0}
+        assert QuantizationConfig.from_dict(data) == QuantizationConfig()
 
     def test_config_without_policy_round_trips(self):
         for config in PAPER_CONFIGS.values():
@@ -380,7 +383,6 @@ class TestSatellites:
         c = subsample(values, 64, seed=1)
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
-        assert QuantizationConfig().subsample_seed == 0
 
     def test_full_precision_policy_only_config_not_passthrough(self, tiny_pipeline):
         # fp32 defaults + a policy quantizing one layer must NOT shortcut.

@@ -27,6 +27,7 @@ from repro.core import (
     collect_calibration_data,
     fp4_fp8_config,
     fp8_fp8_config,
+    full_precision_config,
     int4_int8_config,
     int8_int8_config,
     qmodules,
@@ -180,6 +181,21 @@ def test_quantized_model_shares_no_array_with_its_input(fp32_pipeline, scheme):
         num_bias_candidates=7)
     quantized, report = quantize_pipeline(fp32_pipeline, config)
     assert first not in {record.path for record in report.layers}
+    inputs = model_arrays(fp32_pipeline.model)
+    for array in model_arrays(quantized.model):
+        assert not any(np.shares_memory(array, other) for other in inputs)
+
+
+def test_predicates_are_evaluated_on_the_input_models_layers(fp32_pipeline):
+    chosen = quantizable_layer_paths(fp32_pipeline.model.unet)[:3]
+    ids = {id(layer) for _path, layer in chosen}
+    policy = QuantizationPolicy([PolicyRule(
+        predicate=lambda path, layer: id(layer) in ids,
+        weights="int8", activations="int8")])
+    config = replace(full_precision_config(), policy=policy).scaled_for_speed(
+        num_bias_candidates=7)
+    quantized, report = quantize_pipeline(fp32_pipeline, config)
+    assert [record.path for record in report.layers] == [path for path, _ in chosen]
     inputs = model_arrays(fp32_pipeline.model)
     for array in model_arrays(quantized.model):
         assert not any(np.shares_memory(array, other) for other in inputs)
