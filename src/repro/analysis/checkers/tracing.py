@@ -132,32 +132,30 @@ class TracerDisciplineChecker(Checker):
 
     # -- span balance --------------------------------------------------
     def _check_balance(self, module: Module, func: ast.AST) -> List[Finding]:
-        findings: List[Finding] = []
         opens = closes = 0
         first_open: Optional[ast.Call] = None
         with_items: Set[int] = set()
+        spans: List[ast.Call] = []
         for node in ast.walk(func):
             if isinstance(node, (ast.With, ast.AsyncWith)):
-                for item in node.items:
-                    with_items.add(id(item.context_expr))
-        for node in ast.walk(func):
-            if not (isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Attribute)):
-                continue
-            if not _is_tracer_key(_receiver_key(node.func.value)):
-                continue
-            if node.func.attr in SPAN_OPENERS:
-                opens += 1
-                first_open = first_open or node
-            elif node.func.attr in SPAN_CLOSERS:
-                closes += 1
-            elif node.func.attr == "span" and id(node) not in with_items:
-                findings.append(Finding(
-                    rule="tracer-discipline", path=module.rel_path,
-                    line=node.lineno, col=node.col_offset,
-                    message=("tracer.span(...) outside a 'with' block "
-                             "leaks an unbalanced span"),
-                    symbol=func.name))
+                with_items.update(id(item.context_expr) for item in node.items)
+            elif (isinstance(node, ast.Call)
+                  and isinstance(node.func, ast.Attribute)
+                  and _is_tracer_key(_receiver_key(node.func.value))):
+                if node.func.attr in SPAN_OPENERS:
+                    opens += 1
+                    first_open = first_open or node
+                elif node.func.attr in SPAN_CLOSERS:
+                    closes += 1
+                elif node.func.attr == "span":
+                    spans.append(node)
+        # Decided after the walk, once every ``with`` item is known.
+        findings = [Finding(
+            rule="tracer-discipline", path=module.rel_path,
+            line=node.lineno, col=node.col_offset,
+            message=("tracer.span(...) outside a 'with' block "
+                     "leaks an unbalanced span"),
+            symbol=func.name) for node in spans if id(node) not in with_items]
         if opens != closes:
             anchor = first_open or func
             findings.append(Finding(

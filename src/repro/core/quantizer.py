@@ -104,7 +104,9 @@ class QuantizationConfig:
                        for name in self.policy.referenced_schemes())
 
     def requires_calibration(self) -> bool:
-        """Whether quantization needs recorded activations for this config."""
+        """Whether quantization may need recorded activations for this
+        config, decided before any layer is resolved (a rule may match no
+        layer; :func:`quantize_pipeline` decides from its plan)."""
         activation_schemes = [self.activation_scheme()]
         weight_schemes = [self.weight_scheme()]
         if self.policy is not None:
@@ -359,6 +361,20 @@ def _plan(unet: nn.Module, config: QuantizationConfig):
     return layers, concats
 
 
+def _plan_needs_calibration(layers, concats,
+                            config: QuantizationConfig) -> bool:
+    """Whether quantizing what :func:`_plan` returned reads recorded
+    activations: a planned layer quantizes its activations, a skip concat
+    is quantized, or rounding learning applies to a planned weight scheme.
+    (:meth:`QuantizationConfig.requires_calibration` answers the same
+    question from the config alone, before any plan exists.)"""
+    if concats or any(not activations.is_identity
+                      for _path, _layer, _weights, activations, _rule in layers):
+        return True
+    return config.rounding_learning and any(
+        weights.supports_rounding_learning for _path, _layer, weights, *_ in layers)
+
+
 # ----------------------------------------------------------------------
 # main entry point
 # ----------------------------------------------------------------------
@@ -373,7 +389,8 @@ def quantize_pipeline(pipeline: DiffusionPipeline, config: QuantizationConfig,
     quantizes the copy according to ``config`` and wraps it in a new
     pipeline with identical sampling settings so seed-matched comparisons
     are possible.  ``pipeline`` also collects the calibration data when
-    ``calibration`` is not supplied.  The returned pipeline is always a
+    ``calibration`` is not supplied and a planned layer or skip concat
+    reads it.  The returned pipeline is always a
     distinct object — even for a full-precision config — so mutating it
     can never corrupt the baseline.
     """
@@ -389,7 +406,7 @@ def quantize_pipeline(pipeline: DiffusionPipeline, config: QuantizationConfig,
     quantized_model = copy.deepcopy(
         model, {id(layer.weight): layer.weight for _path, layer, *_ in layers})
     if calibration is None:
-        if config.requires_calibration():
+        if _plan_needs_calibration(layers, concats, config):
             calibration = collect_calibration_data(pipeline, config.calibration,
                                                    prompts=prompts)
         else:

@@ -117,12 +117,14 @@ def learn_rounding(layer: nn.Module, fmt: FPFormat,
     def quantized_weight() -> Tensor:
         return (scales_t * (floor_t + alpha.sigmoid())).clip(-c, c)
 
+    # The full-precision output of each sample, computed once.
+    references = [_layer_forward(layer, Tensor(sample), full_weight).detach()
+                  for sample in calibration_inputs]
+
     def output_mse(weight_tensor: Tensor) -> float:
         total, count = 0.0, 0
-        for sample in calibration_inputs:
-            inputs = Tensor(sample)
-            reference = _layer_forward(layer, inputs, full_weight)
-            produced = _layer_forward(layer, inputs, weight_tensor)
+        for sample, reference in zip(calibration_inputs, references):
+            produced = _layer_forward(layer, Tensor(sample), weight_tensor)
             diff = produced.data - reference.data
             total += float(np.mean(diff * diff))
             count += 1
@@ -139,10 +141,9 @@ def learn_rounding(layer: nn.Module, fmt: FPFormat,
                                        len(calibration_inputs)))
         loss_total: Optional[Tensor] = None
         for index in chosen:
-            inputs = Tensor(calibration_inputs[index])
-            reference = _layer_forward(layer, inputs, full_weight).detach()
-            produced = _layer_forward(layer, inputs, quantized_weight())
-            loss = F.mse_loss(produced, reference)
+            produced = _layer_forward(layer, Tensor(calibration_inputs[index]),
+                                      quantized_weight())
+            loss = F.mse_loss(produced, references[index])
             loss_total = loss if loss_total is None else loss_total + loss
         loss_total = loss_total * (1.0 / len(chosen))
         sig = alpha.sigmoid()

@@ -6,7 +6,9 @@ import pytest
 from repro.core import (
     PAPER_CONFIGS,
     CalibrationConfig,
+    PolicyRule,
     QuantizationConfig,
+    QuantizationPolicy,
     QuantizedConv2d,
     QuantizedLinear,
     QuantizedSkipConcat,
@@ -17,6 +19,7 @@ from repro.core import (
     measure_weight_sparsity,
     quantizable_layer_paths,
     quantize_pipeline,
+    quantizer,
     sparsity_increase,
     tensor_sparsity,
 )
@@ -115,6 +118,52 @@ class TestQuantizePipeline:
         assert all(record.activation_format == "FP32" for record in report.layers)
         # No skip concat quantization when activations stay FP32.
         assert report.skip_concats == []
+
+    @staticmethod
+    def _count_calibrations(monkeypatch):
+        calls = []
+        collect = quantizer.collect_calibration_data
+        monkeypatch.setattr(quantizer, "collect_calibration_data",
+                            lambda *args, **kwargs: calls.append(1)
+                            or collect(*args, **kwargs))
+        return calls
+
+    def test_a_plan_reading_no_activations_collects_no_calibration(
+            self, tiny_pipeline, monkeypatch):
+        calls = self._count_calibrations(monkeypatch)
+        config = fast_config(QuantizationConfig(
+            weight_dtype="fp32", activation_dtype="fp32",
+            quantize_skip_connections=False,
+            policy=QuantizationPolicy([PolicyRule(pattern="no.such.layer",
+                                                  activations="int8")])))
+        assert config.requires_calibration()
+        _, report = quantize_pipeline(tiny_pipeline, config)
+        assert report.num_quantized_layers == 0
+        assert report.skip_concats == []
+        assert calls == []
+
+    def test_one_activation_quantized_layer_collects_calibration_once(
+            self, tiny_pipeline, monkeypatch):
+        calls = self._count_calibrations(monkeypatch)
+        config = fast_config(QuantizationConfig(
+            weight_dtype="fp32", activation_dtype="fp32",
+            policy=QuantizationPolicy([PolicyRule(pattern="output_conv",
+                                                  activations="int8")])))
+        _, report = quantize_pipeline(tiny_pipeline, config)
+        assert [record.path for record in report.layers] == ["output_conv"]
+        assert report.layers[0].activation_format.startswith("INT8")
+        assert calls == [1]
+
+    def test_rounding_learning_alone_collects_calibration_once(
+            self, tiny_pipeline, monkeypatch):
+        calls = self._count_calibrations(monkeypatch)
+        config = fast_config(QuantizationConfig(
+            weight_dtype="fp4", activation_dtype="fp32", rounding_learning=True))
+        _, report = quantize_pipeline(tiny_pipeline, config)
+        assert report.skip_concats == []
+        assert all(record.activation_format == "FP32" for record in report.layers)
+        assert all(record.rounding_learning_used for record in report.layers)
+        assert calls == [1]
 
     def test_rounding_learning_flag_recorded(self, tiny_pipeline):
         config = fast_config(fp4_fp8_config(rounding_learning=True))

@@ -5,18 +5,95 @@ import pytest
 
 from repro import nn
 from repro.core import (
+    CalibrationConfig,
     FPFormat,
     RoundingLearningConfig,
+    SearchResult,
     bias_candidates,
+    collect_calibration_data,
+    encoding_candidates,
     learn_rounding,
+    quantizable_layer_paths,
     quantization_mse,
     quantize_fp,
     quantize_fp_with_rounding,
     regularizer_value,
+    rounding,
+    search,
     search_tensor_format,
 )
+from repro.core.schemes import MAX_SEARCH_ELEMENTS, subsample
 from repro.tensor import Tensor
 from repro.tensor import functional as F
+
+
+def exhaustive_search(values, bitwidth, num_bias_candidates, encodings=None):
+    """Algorithm 1 with one exact pass per (encoding, bias) pair: the oracle
+    the screened search must match bit for bit."""
+    values = np.asarray(values, dtype=np.float32)
+    encodings = list(encodings) if encodings is not None else encoding_candidates(bitwidth)
+    best_fmt, best_mse, evaluated = None, np.inf, 0
+    for encoding in encodings:
+        for bias in bias_candidates(values, encoding, num_bias_candidates):
+            candidate = encoding.with_bias(bias)
+            mse = quantization_mse(values, candidate)
+            evaluated += 1
+            if mse < best_mse:
+                best_mse, best_fmt = mse, candidate
+    return SearchResult(fmt=best_fmt, mse=float(best_mse),
+                        candidates_evaluated=evaluated)
+
+
+def assert_same_search(values, bitwidth, num_bias_candidates, encodings=None):
+    got = search_tensor_format(values, bitwidth, num_bias_candidates, encodings)
+    expected = exhaustive_search(values, bitwidth, num_bias_candidates, encodings)
+    assert got.fmt == expected.fmt
+    assert got.mse == expected.mse
+    assert got.candidates_evaluated == expected.candidates_evaluated
+
+
+def _on_grid_format():
+    """E4M3 with bias 14, whose maximum is 3.75: for data whose largest
+    magnitude is 3.75 the last E4M3 bias candidate is exactly this format,
+    whatever the number of candidates, and its points and midpoints are
+    exact float32 values."""
+    fmt = FPFormat(4, 3, 14.0)
+    assert bias_candidates(np.array([fmt.max_value]), fmt, 7)[-1] == fmt.bias
+    return fmt
+
+
+def _oracle_inputs():
+    rng = np.random.default_rng(7)
+    grid = _on_grid_format().representable_values()
+    return {
+        "zeros": np.zeros(16),
+        "constant": np.full(16, -0.37),
+        "one element": np.array([0.7]),
+        "two elements": np.array([0.7, -2.5]),
+        "three elements": np.array([1e-3, 0.5, -3.0]),
+        "negatives only": -np.abs(rng.standard_normal(300)),
+        "on a candidate's grid": np.concatenate([grid, -grid[1::2]]),
+        "on its midpoints": np.append((grid[1:] + grid[:-1]) / 2, grid[-1]),
+        "around 1e-30": rng.standard_normal(300) * 1e-30,
+        "one 1e6 outlier": np.append(rng.standard_normal(999), 1e6),
+    }
+
+
+ORACLE_INPUTS = _oracle_inputs()
+
+
+@pytest.fixture(scope="module")
+def unet_tensors(tiny_pipeline):
+    """Every weight and recorded input activation the tiny U-Net's
+    quantization searches, activations subsampled as the schemes do."""
+    calibration = collect_calibration_data(
+        tiny_pipeline, CalibrationConfig(num_samples=2, max_records_per_layer=2,
+                                         batch_size=2))
+    tensors = [layer.weight.data for _, layer
+               in quantizable_layer_paths(tiny_pipeline.model.unet)]
+    tensors += [subsample(calibration.concatenated(name), MAX_SEARCH_ELEMENTS)
+                for name in sorted(calibration.activations)]
+    return tensors
 
 
 class TestBiasCandidates:
@@ -74,6 +151,64 @@ class TestFormatSearch:
         mse8 = search_tensor_format(values, 8, num_bias_candidates=21).mse
         mse4 = search_tensor_format(values, 4, num_bias_candidates=21).mse
         assert mse8 < mse4 / 10
+
+
+class TestScreenedSearch:
+    """The screen and confirm steps pick the exhaustive loop's format."""
+
+    @pytest.mark.parametrize("num_bias", [1, 7, 21, 111])
+    @pytest.mark.parametrize("bitwidth", [4, 8])
+    @pytest.mark.parametrize("name", sorted(ORACLE_INPUTS))
+    def test_matches_exhaustive_search(self, name, bitwidth, num_bias):
+        assert_same_search(ORACLE_INPUTS[name], bitwidth, num_bias)
+
+    @pytest.mark.parametrize("num_bias", [1, 7, 21, 111])
+    def test_matches_exhaustive_search_with_explicit_encodings(self, num_bias):
+        encodings = [FPFormat.from_name("E3M4"), FPFormat.from_name("E2M1"),
+                     FPFormat(3, 0, 4.0)]
+        for values in ORACLE_INPUTS.values():
+            assert_same_search(values, 8, num_bias, encodings)
+
+    @pytest.mark.parametrize("num_bias", [1, 7, 21])
+    def test_matches_exhaustive_search_on_a_large_tensor(self, num_bias):
+        values = np.random.default_rng(8).laplace(size=2 ** 20) * 0.1
+        for bitwidth in (4, 8):
+            assert_same_search(values, bitwidth, num_bias)
+
+    @pytest.mark.parametrize("num_bias", [1, 7, 21, 111])
+    def test_matches_exhaustive_search_on_unet_tensors(self, unet_tensors,
+                                                       num_bias):
+        for values in unet_tensors:
+            for bitwidth in (4, 8):
+                assert_same_search(values, bitwidth, num_bias)
+
+    def test_confirms_few_candidates_exactly(self, unet_tensors, monkeypatch):
+        passes = []
+        monkeypatch.setattr(search, "quantization_mse",
+                            lambda values, fmt: passes.append(fmt)
+                            or quantization_mse(values, fmt))
+        searches = 0
+        for values in unet_tensors:
+            for bitwidth in (4, 8):
+                result = search_tensor_format(values, bitwidth, 21)
+                searches += 1
+                assert result.fmt in passes
+        assert len(passes) / searches <= 2
+
+    def test_on_grid_data_is_quantized_exactly(self):
+        fmt = _on_grid_format()
+        values = ORACLE_INPUTS["on a candidate's grid"]
+        result = search_tensor_format(values, 8, 7, encodings=[fmt])
+        assert result.mse == 0.0
+        assert result.fmt == fmt
+
+    @pytest.mark.parametrize("bitwidth", [4, 8])
+    @pytest.mark.parametrize("values", [[1.0, np.nan, 2.0], [1.0, np.inf],
+                                        [-np.inf, 0.5, np.nan]])
+    def test_non_finite_values_are_rejected(self, values, bitwidth):
+        bad = int(np.sum(~np.isfinite(values)))
+        with pytest.raises(ValueError, match=f"{bad} non-finite"):
+            search_tensor_format(np.array(values), bitwidth, 7)
 
 
 class TestRegularizer:
@@ -149,6 +284,29 @@ class TestRoundingLearning:
         adversarial = output_mse(quantize_fp_with_rounding(
             layer.weight.data, fp4_format, ~result.round_up))
         assert learned < adversarial
+
+    def test_reference_outputs_are_computed_once_per_sample(self, fp4_format,
+                                                             monkeypatch):
+        rng = np.random.default_rng(4)
+        layer = nn.Linear(6, 3, rng=rng)
+        layer.weight.data = (rng.standard_normal((3, 6)) * 0.5).astype(np.float32)
+        calibration = [rng.standard_normal((2, 6)).astype(np.float32)
+                       for _ in range(3)]
+        full_weight_forwards = []
+        forward = rounding._layer_forward
+
+        def counting(module, inputs, weight):
+            if np.array_equal(weight.data, layer.weight.data):
+                full_weight_forwards.append(inputs.data)
+            return forward(module, inputs, weight)
+
+        monkeypatch.setattr(rounding, "_layer_forward", counting)
+        learn_rounding(layer, fp4_format, calibration,
+                       RoundingLearningConfig(iterations=4,
+                                              samples_per_iteration=2))
+        assert len(full_weight_forwards) == len(calibration)
+        for sample, seen in zip(calibration, full_weight_forwards):
+            np.testing.assert_array_equal(seen, sample)
 
     def test_requires_calibration_inputs(self, fp4_format):
         layer = nn.Linear(4, 4)
