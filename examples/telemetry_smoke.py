@@ -8,7 +8,8 @@ cost-model calibration loop and writes:
 
 * ``telemetry_trace.json``     — Chrome trace-event JSON; open it in
   ui.perfetto.dev to see runner stages, per-request serving segments and
-  per-replica cluster lanes side by side.
+  per-replica cluster lanes side by side.  Every ``batch.execute`` span
+  carries ``predicted_s``, the router's price of the batch's routed plan.
 * ``calibration_report.json``  — predicted-vs-measured sampler latency
   per (workload, scheme), with the fitted cost-model scale.
 * ``metrics_snapshot.json``    — serving counters/histograms snapshot.
@@ -27,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from repro import schemas
-from repro.diffusion import DiffusionPipeline
+from repro.diffusion import DiffusionPipeline, GenerationPlan
 from repro.experiments import BenchSettings, ExperimentSpec, RunStore, \
     run_experiment
 from repro.models import DiffusionModel, ModelSpec, UNetConfig
@@ -123,10 +124,15 @@ def main():
     print(f"  admitted {report['requests']['admitted']}"
           f"/{report['requests']['offered']}")
 
-    # 4. Roofline calibration: predicted vs measured sampler-loop latency.
+    # 4. Roofline calibration: predicted vs measured sampler-loop latency,
+    #    on the harness's default workloads (spelled out so each cell's
+    #    plan is known).
     print("calibration: roofline cost model vs measured sampler loops ...")
+    plans = {"sampler_loop.ddim": GenerationPlan(sampler="ddim", num_steps=4),
+             "sampler_loop.dpm2": GenerationPlan(sampler="dpm2", num_steps=4)}
     calibration = run_cost_model_calibration(schemes=("fp32", "int8"),
-                                             repeats=2, tracer=tracer)
+                                             workloads=plans, repeats=2,
+                                             tracer=tracer)
     document = calibration.to_dict()
     schemas.validate_document(document, expect=schemas.OBS_CALIBRATION)
     summary = document["summary"]
@@ -144,11 +150,24 @@ def main():
 
     # Checked after the artifacts are written, so a failing run still
     # leaves them behind for inspection.
-    processes = {event["args"]["name"] for event in document["traceEvents"]
+    processes = {event["pid"]: event["args"]["name"]
+                 for event in document["traceEvents"]
                  if event["ph"] == "M" and event["name"] == "process_name"}
-    assert {"runner", "serving", "cluster"} <= processes, processes
+    assert {"runner", "serving", "cluster"} <= set(processes.values()), \
+        processes
+    for process in ("serving", "cluster"):
+        executes = [event for event in document["traceEvents"]
+                    if event["ph"] == "X" and event["name"] == "batch.execute"
+                    and processes[event["pid"]] == process]
+        unpriced = [event for event in executes
+                    if not event["args"].get("predicted_s", 0.0) > 0.0]
+        assert executes and not unpriced, (process, unpriced[:3])
     assert summary["num_cells"] >= 4, summary
     assert summary["median_abs_error_pct"] < 50.0, summary
+    # The calibration fixture samples 4 steps of an 8-step training grid.
+    for cell in calibration.cells:
+        assert cell["model_evals"] == \
+            plans[cell["workload"]].model_evals(4, 8), cell
 
     lanes = sorted({event.get("pid") for event in document["traceEvents"]})
     print(f"\ntrace: {len(document['traceEvents'])} events across "

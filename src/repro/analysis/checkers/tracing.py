@@ -6,10 +6,10 @@ promise is enforced socially at every call site, which is exactly the kind
 of invariant that erodes one innocent-looking diff at a time.  This checker
 makes it mechanical:
 
-* **Defaults** — a ``tracer`` parameter may default only to ``None`` or
-  ``NULL_TRACER``.  A default of ``Tracer()`` would silently make every
-  caller pay for event booking (and share one mutable buffer between
-  unrelated runs, the classic mutable-default bug).
+* **Defaults** — a ``tracer`` parameter may default only to ``None``, the
+  one way to turn tracing off.  A default of ``Tracer()`` would silently
+  make every caller pay for event booking (and share one mutable buffer
+  between unrelated runs, the classic mutable-default bug).
 * **Span balance** — ``tracer.span(...)`` returns a context manager that
   books the span on ``__exit__``; calling it outside a ``with`` leaks an
   unbalanced span that never lands in the trace.  Counted APIs
@@ -18,8 +18,8 @@ makes it mechanical:
   f-string to an emit method (``add_span``/``async_span``/``instant``/
   ``span``) builds the payload even when the receiver is a no-op.  Such
   call sites must sit under a narrowing guard: ``if tracer is not None:``,
-  ``if tracer.enabled:``, a truthiness test, or an early
-  ``if tracer is None: return`` at the top of the function.
+  a truthiness test, or an early ``if tracer is None: return`` at the top
+  of the function.
 
 Receivers are recognized syntactically: any name or attribute whose last
 segment contains ``tracer`` (``tracer``, ``self.tracer``, ``step_tracer``).
@@ -67,29 +67,30 @@ def _expensive_arg(call: ast.Call) -> Optional[str]:
     return None
 
 
+def _is_none(node: ast.AST) -> bool:
+    return isinstance(node, ast.Constant) and node.value is None
+
+
 def _guard_keys(test: ast.AST) -> Set[str]:
     """Tracer receivers narrowed by an ``if`` test.
 
-    Matches ``x is not None``, ``x.enabled``, plain truthiness and ``and``
-    conjunctions thereof; ``x`` itself and every dotted prefix count as
-    guarded (``if self.tracer is not None`` guards ``self.tracer``).
+    Matches ``x is not None``, plain truthiness (``if self.tracer:``) and
+    ``and`` conjunctions thereof.
     """
-    keys: Set[str] = set()
-    for node in ast.walk(test):
-        key = _receiver_key(node)
-        if _is_tracer_key(key):
-            keys.add(key)
-        elif isinstance(node, ast.Attribute) and node.attr == "enabled":
-            inner = _receiver_key(node.value)
-            if _is_tracer_key(inner):
-                keys.add(inner)
-    return keys
+    if isinstance(test, ast.BoolOp) and isinstance(test.op, ast.And):
+        return set().union(*(_guard_keys(value) for value in test.values))
+    if (isinstance(test, ast.Compare) and len(test.ops) == 1
+            and isinstance(test.ops[0], ast.IsNot)
+            and _is_none(test.comparators[0])):
+        test = test.left
+    key = _receiver_key(test)
+    return {key} if _is_tracer_key(key) else set()
 
 
 @register_checker
 class TracerDisciplineChecker(Checker):
     name = "tracer-discipline"
-    description = ("tracer params default to None/NULL_TRACER, spans "
+    description = ("tracer params default to None, spans "
                    "balance, and attr payloads are built only under a "
                    "tracer guard")
 
@@ -116,16 +117,13 @@ class TracerDisciplineChecker(Checker):
         for arg, default in pairs:
             if "tracer" not in arg.arg.lower():
                 continue
-            if isinstance(default, ast.Constant) and default.value is None:
-                continue
-            name = _receiver_key(default)
-            if name is not None and name.rsplit(".", 1)[-1] == "NULL_TRACER":
+            if _is_none(default):
                 continue
             findings.append(Finding(
                 rule="tracer-discipline", path=module.rel_path,
                 line=default.lineno, col=default.col_offset,
                 message=(f"tracer parameter '{arg.arg}' defaults to "
-                         f"something other than None/NULL_TRACER; shared "
+                         f"something other than None; shared "
                          f"live tracers leak events across runs"),
                 symbol=func.name))
         return findings
@@ -202,8 +200,8 @@ class TracerDisciplineChecker(Checker):
                             message=(f"builds {expensive} at an unguarded "
                                      f"'{key}.{node.func.attr}(...)' call "
                                      f"site; guard with 'if {key} is not "
-                                     f"None:'/'.enabled' so disabled runs "
-                                     f"pay nothing"),
+                                     f"None:' so disabled runs pay "
+                                     f"nothing"),
                             symbol=func.name))
             for child in ast.iter_child_nodes(node):
                 visit(child, guarded)
@@ -230,8 +228,7 @@ class TracerDisciplineChecker(Checker):
             is_none = (isinstance(test, ast.Compare)
                        and len(test.ops) == 1
                        and isinstance(test.ops[0], ast.Is)
-                       and isinstance(test.comparators[0], ast.Constant)
-                       and test.comparators[0].value is None)
+                       and _is_none(test.comparators[0]))
             not_truthy = (isinstance(test, ast.UnaryOp)
                           and isinstance(test.op, ast.Not))
             if is_none:

@@ -26,7 +26,6 @@ from .registry import (
     WORKLOAD_REGISTRY,
     Workload,
     available_suites,
-    bench_workload,
     register_workload,
     unregister_workload,
     workloads_for_suite,
@@ -46,7 +45,7 @@ from .timer import BenchTimer, Measurement
 
 __all__ = [
     "BenchTimer", "Measurement",
-    "Workload", "WORKLOAD_REGISTRY", "register_workload", "bench_workload",
+    "Workload", "WORKLOAD_REGISTRY", "register_workload",
     "unregister_workload", "workloads_for_suite", "available_suites",
     "PRE_ARM", "FAST_ARM",
     "run_suite", "run_suite_merged", "build_report", "confirm_regressions",

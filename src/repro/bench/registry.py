@@ -84,14 +84,6 @@ def register_workload(name: str, setup: SetupFn,
     return workload
 
 
-def bench_workload(name: str, suites: Tuple[str, ...] = ("full",), **kwargs):
-    """Decorator form of :func:`register_workload` for setup functions."""
-    def decorate(setup: SetupFn) -> SetupFn:
-        register_workload(name, setup, suites=suites, **kwargs)
-        return setup
-    return decorate
-
-
 def unregister_workload(name: str) -> None:
     """Remove a workload (mainly for tests)."""
     WORKLOAD_REGISTRY.pop(name, None)

@@ -94,6 +94,8 @@ def search_tensor_format(values: np.ndarray, bitwidth: int,
     """Algorithm 1 for a single tensor: best (encoding, bias) pair by MSE."""
     values = np.asarray(values, dtype=np.float32)
     encodings = list(encodings) if encodings is not None else encoding_candidates(bitwidth)
+    if values.size == 0:
+        raise ValueError("cannot search a format for an empty tensor")
     nonfinite = values.size - int(np.count_nonzero(np.isfinite(values)))
     if nonfinite:
         raise ValueError(f"cannot search a format for a tensor with {nonfinite} "
@@ -118,7 +120,7 @@ def search_tensor_format(values: np.ndarray, bitwidth: int,
         if mse < best_mse:
             best_mse = mse
             best_fmt = candidate
-    if best_fmt is None:  # pragma: no cover - no encodings, or an empty tensor
+    if best_fmt is None:  # pragma: no cover - no encodings
         raise RuntimeError("no encoding candidates were provided")
     return SearchResult(fmt=best_fmt, mse=float(best_mse),
                         candidates_evaluated=len(screened))

@@ -48,10 +48,6 @@ class DiffusionPipeline:
     # helpers
     # ------------------------------------------------------------------
     @property
-    def is_latent(self) -> bool:
-        return self.spec.latent
-
-    @property
     def is_text_to_image(self) -> bool:
         return self.spec.task == "text-to-image"
 
@@ -140,8 +136,7 @@ class DiffusionPipeline:
     def generate_batch(self, seeds: Sequence[int],
                        context: Optional[Tensor] = None,
                        trace=None,
-                       plan: Optional[GenerationPlan] = None,
-                       tracer=None, step_attrs=None) -> np.ndarray:
+                       plan: Optional[GenerationPlan] = None) -> np.ndarray:
         """Serving path: generate one already-formed batch in a single pass.
 
         Unlike :meth:`generate` / :meth:`generate_from_prompts` (which chunk a
@@ -182,25 +177,15 @@ class DiffusionPipeline:
                 row_context = (Tensor(context.data[position:position + 1])
                                if context is not None else None)
                 rows.append(self.generate_batch([seed], context=row_context,
-                                                trace=trace, plan=plan,
-                                                tracer=tracer,
-                                                step_attrs=step_attrs))
+                                                trace=trace, plan=plan))
             return np.concatenate(rows, axis=0)
         sampler = plan.build_sampler(self.schedule, self.num_steps)
         model = plan.wrap_model(self.model)
         noise = np.concatenate([self.initial_noise(1, s) for s in seeds], axis=0)
         rng = np.random.default_rng(seeds[0] + 1)
-        if tracer is None:
-            # Not just an optimization: third-party samplers registered
-            # before telemetry existed may not accept the tracer kwargs.
-            latents = sampler.sample(model, self.sample_shape(len(seeds)),
-                                     rng, context=context, trace=trace,
-                                     initial_noise=noise)
-        else:
-            latents = sampler.sample(model, self.sample_shape(len(seeds)),
-                                     rng, context=context, trace=trace,
-                                     initial_noise=noise, tracer=tracer,
-                                     step_attrs=step_attrs)
+        latents = sampler.sample(model, self.sample_shape(len(seeds)), rng,
+                                 context=context, trace=trace,
+                                 initial_noise=noise)
         return self.decode_latents(latents)
 
     def _run(self, num_images: int, seed: int, batch_size: int,

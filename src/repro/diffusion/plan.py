@@ -25,6 +25,7 @@ import json
 from dataclasses import asdict, dataclass, replace
 from typing import Dict, Optional
 
+from ..profiling.cost_model import plan_model_evals
 from .samplers import GuidedDenoiser, get_sampler_info
 from .schedule import NoiseSchedule
 
@@ -108,6 +109,21 @@ class GenerationPlan:
         if not info.uses_step_budget and train_steps is not None:
             return train_steps
         return self.num_steps if self.num_steps is not None else default_steps
+
+    def model_evals(self, default_steps: int,
+                    train_steps: Optional[int] = None) -> int:
+        """U-Net evaluations this plan performs on a model with the given
+        defaults: its :meth:`resolve_steps` times the sampler's evaluations
+        per step (less a first-order last step), doubled under guidance.
+
+        The one count every latency price multiplies a per-forward roofline
+        by — the router, the calibration harness and
+        :func:`repro.profiling.estimate_plan_latency` all ask the plan.
+        """
+        info = get_sampler_info(self.sampler)
+        return plan_model_evals(self.resolve_steps(default_steps, train_steps),
+                                self.guidance_scale, info.evals_per_step,
+                                info.first_order_final_step)
 
     def build_sampler(self, schedule: NoiseSchedule, default_steps: int):
         """Instantiate the registered sampler for ``schedule``."""

@@ -36,11 +36,10 @@ timesteps (the paper's "initialization dataset" and "calibration dataset",
 Section V).
 
 ``tracer`` (a :class:`repro.obs.Tracer`) books one span per denoising step;
-``step_attrs`` is attached to every step span, which is how callers stamp
-steps with roofline cost-model predictions for the calibration report.  The
-default ``tracer=None`` skips even the clock reads — the loops guard with
-``if tracer is not None`` so disabled telemetry costs nothing (guarded by
-the ``telemetry.overhead`` bench workload).
+``step_attrs`` is attached to every step span.  The default ``tracer=None``
+skips even the clock reads — the loops guard with ``if tracer is not None``
+so disabled telemetry costs nothing (guarded by the ``telemetry.overhead``
+bench workload).
 """
 
 from __future__ import annotations
@@ -62,10 +61,6 @@ def _predict_noise(model, x: np.ndarray, t: np.ndarray,
     # repro: allow[hot-path-alloc] -- every sampler loop calls this under 'with inference_mode():'; the wrapper is graph-free
     prediction = model(Tensor(x), t, context=context)
     return prediction.data
-
-
-def _predict_x0(x: np.ndarray, eps: np.ndarray, alpha_bar: float) -> np.ndarray:
-    return (x - np.sqrt(1.0 - alpha_bar) * eps) / np.sqrt(alpha_bar)
 
 
 def _resolve_initial_noise(shape, rng: np.random.Generator,
@@ -301,19 +296,14 @@ class DDIMSampler:
         return x
 
 
-def _ddim_step(x: np.ndarray, eps: np.ndarray, alpha_bar: float,
-               alpha_bar_prev: float) -> np.ndarray:
-    """One deterministic (eta=0) DDIM update from alpha_bar to alpha_bar_prev."""
-    x0_pred = _predict_x0(x, eps, alpha_bar)
-    direction = np.sqrt(max(1.0 - alpha_bar_prev, 0.0)) * eps
-    return (np.sqrt(alpha_bar_prev) * x0_pred + direction).astype(np.float32)
-
-
 def _ddim_step_into(x: np.ndarray, eps: np.ndarray, alpha_bar: float,
                     alpha_bar_prev: float, buffers: _StepBuffers,
                     out: np.ndarray) -> np.ndarray:
-    """Buffer-reusing :func:`_ddim_step`; bit-identical, writes into ``out``.
+    """One deterministic (eta=0) DDIM update from ``alpha_bar`` to
+    ``alpha_bar_prev``, computed in ``buffers`` and written into ``out``.
 
+    Predicts ``x0 = (x - sqrt(1 - alpha_bar) eps) / sqrt(alpha_bar)`` and
+    returns ``sqrt(alpha_bar_prev) x0 + sqrt(1 - alpha_bar_prev) eps``.
     ``out`` may alias ``x``: every read of ``x`` happens before the final
     cast into ``out``.
     """
@@ -408,7 +398,7 @@ class SamplerInfo:
     evaluations a predictor-corrector saves on its last step, and
     ``uses_step_budget`` is False for samplers that always walk the full
     training grid (DDPM) — all three feed the serving cost model through
-    :func:`repro.profiling.plan_model_evals`.
+    :meth:`repro.diffusion.GenerationPlan.model_evals`.
     ``deterministic`` is False for samplers that draw transition noise from
     the rng every step (DDPM); ``uses_eta`` marks samplers whose trajectory
     actually responds to the plan's ``eta`` — a plan normalizes away knobs

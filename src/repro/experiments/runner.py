@@ -194,7 +194,6 @@ class Runner:
     """
 
     def __init__(self, store: Optional[RunStore] = None, max_workers: int = 1,
-                 use_cache: bool = True,
                  zoo_cache_dir: Optional[Path] = None,
                  clock=time.perf_counter, tracer=None):
         """``clock`` is any zero-argument seconds callable (consistent with
@@ -207,11 +206,9 @@ class Runner:
             raise ValueError("max_workers must be >= 1")
         self.store = store
         self.max_workers = max_workers
-        self.use_cache = use_cache
         self.zoo_cache_dir = zoo_cache_dir
         self.clock = clock
-        self.tracer = tracer if (tracer is not None
-                                 and getattr(tracer, "enabled", True)) else None
+        self.tracer = tracer
 
     # ------------------------------------------------------------------
     def _run_stage(self, stage: Stage, key: str, dep_values: Dict[str, Any],
@@ -220,7 +217,7 @@ class Runner:
         cache_hit = False
         artifact_path: Optional[Path] = None
         value = None
-        if self.store is not None and self.use_cache:
+        if self.store is not None:
             payload = self.store.load(key)
             if payload is not None:
                 value = stage.decode(payload)
@@ -345,7 +342,7 @@ class Runner:
 
 
 def run_experiment(spec: ExperimentSpec, store: Optional[RunStore] = None,
-                   max_workers: int = 1, use_cache: bool = True,
+                   max_workers: int = 1,
                    zoo_cache_dir: Optional[Path] = None,
                    tracer=None) -> ExperimentRun:
     """One-call entry point: run ``spec`` against ``store``.
@@ -359,6 +356,6 @@ def run_experiment(spec: ExperimentSpec, store: Optional[RunStore] = None,
         store = default_run_store()
     elif store is False:
         store = None
-    runner = Runner(store=store, max_workers=max_workers, use_cache=use_cache,
+    runner = Runner(store=store, max_workers=max_workers,
                     zoo_cache_dir=zoo_cache_dir, tracer=tracer)
     return runner.run(spec)

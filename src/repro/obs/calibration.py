@@ -33,45 +33,15 @@ from typing import Callable, Dict, List, Optional, Sequence
 import numpy as np
 
 from ..profiling import (
-    BYTES_FP32,
     GPU_V100,
     DeviceProfile,
-    estimate_latency,
     estimate_plan_latency,
     measure_latency,
-    plan_model_evals,
     unet_layer_costs,
 )
-from .tracer import NULL_TRACER
 from .. import schemas
 
 SCHEMA = schemas.OBS_CALIBRATION
-
-#: Scheme names whose traffic the roofline prices at full precision (no
-#: registered quantization scheme to resolve byte widths from).
-_FULL_PRECISION = ("fp32", "none", None)
-
-
-def predict_plan_seconds(costs, device: DeviceProfile, scheme,
-                         num_steps: int, guidance_scale: float = 1.0,
-                         solver_evals_per_step: int = 1,
-                         first_order_final_step: bool = False) -> float:
-    """Roofline end-to-end seconds for one (scheme, plan) cell.
-
-    Same contract as :func:`repro.profiling.estimate_plan_latency`, plus
-    a full-precision spelling (``scheme="fp32"``) that prices traffic at
-    4 bytes/element instead of resolving a registered scheme.
-    """
-    if scheme in _FULL_PRECISION:
-        per_forward = estimate_latency(costs, device,
-                                       bytes_per_element=BYTES_FP32)
-        return per_forward * plan_model_evals(num_steps, guidance_scale,
-                                              solver_evals_per_step,
-                                              first_order_final_step)
-    return estimate_plan_latency(costs, device, scheme, num_steps,
-                                 guidance_scale=guidance_scale,
-                                 solver_evals_per_step=solver_evals_per_step,
-                                 first_order_final_step=first_order_final_step)
 
 
 class CalibrationReport:
@@ -157,7 +127,7 @@ def _fixture_pipeline(scheme: str):
         seed=3)
     pipeline = DiffusionPipeline(DiffusionModel(
         spec, rng=np.random.default_rng(17)), num_steps=4)
-    if scheme in _FULL_PRECISION:
+    if scheme == "fp32":
         return pipeline
     config = QuantizationConfig(weight_dtype=scheme, activation_dtype="int8",
                                 rounding_learning=False).scaled_for_speed()
@@ -178,30 +148,27 @@ def run_cost_model_calibration(
     :class:`~repro.diffusion.GenerationPlan` (default: ddim/dpm2 at the
     fixture's 4 steps).  Per cell the fixture pipeline runs a full
     trajectory ``repeats`` times under ``clock`` (best-of, to shed
-    scheduler noise) while the roofline predicts the same trajectory from
-    the fixture's own :class:`~repro.models.UNetConfig`.
+    scheduler noise) while the roofline predicts the same trajectory —
+    the plan's steps resolved against the fixture's — from the fixture's
+    own :class:`~repro.models.UNetConfig`.
     """
     from ..diffusion import GenerationPlan
-    from ..diffusion.samplers import get_sampler_info
 
     if workloads is None:
         workloads = {"sampler_loop.ddim": GenerationPlan(sampler="ddim",
                                                          num_steps=4),
                      "sampler_loop.dpm2": GenerationPlan(sampler="dpm2",
                                                          num_steps=4)}
-    tracer = tracer or NULL_TRACER
     report = CalibrationReport(device=device.name)
     for workload, plan in sorted(workloads.items()):
         for scheme in schemes:
             pipeline = _fixture_pipeline(scheme)
-            info = get_sampler_info(plan.sampler)
+            # The steps the trajectory below walks (plan.build_sampler).
+            steps = (pipeline.num_steps, pipeline.schedule.num_timesteps)
             costs = unet_layer_costs(pipeline.spec.unet,
                                      sample_size=pipeline.spec.image_size)
-            predicted = predict_plan_seconds(
-                costs, device, scheme, pipeline.num_steps,
-                guidance_scale=plan.guidance_scale,
-                solver_evals_per_step=info.evals_per_step,
-                first_order_final_step=info.first_order_final_step)
+            predicted = estimate_plan_latency(costs, device, scheme, plan,
+                                              *steps)
 
             noise = pipeline.initial_noise(1, seed=11)
 
@@ -212,10 +179,10 @@ def run_cost_model_calibration(
                                       np.random.default_rng(1),
                                       initial_noise=noise.copy())
 
-            started = tracer.time()
+            started = tracer.time() if tracer is not None else None
             measurement = measure_latency(run, clock=clock, repeats=repeats)
             measured = measurement["best_s"]
-            if tracer.enabled:
+            if tracer is not None:
                 tracer.add_span(f"calibrate.{workload}", started,
                                 tracer.time(), category="calibration",
                                 process="calibration", lane=scheme,
@@ -223,9 +190,5 @@ def run_cost_model_calibration(
                                        "predicted_s": predicted,
                                        "measured_s": measured})
             report.add(workload, scheme, predicted, measured,
-                       repeats=repeats,
-                       model_evals=plan_model_evals(
-                           pipeline.num_steps, plan.guidance_scale,
-                           info.evals_per_step,
-                           info.first_order_final_step))
+                       repeats=repeats, model_evals=plan.model_evals(*steps))
     return report

@@ -30,10 +30,10 @@ separate naturally.  Export follows the Chrome trace-event JSON format
 (``X`` complete events, ``b``/``e`` async pairs, ``i`` instants, ``M``
 metadata), loadable at https://ui.perfetto.dev.
 
-:data:`NULL_TRACER` is the shared no-op implementation components default
-to; its methods return immediately and hot loops may additionally guard
-with ``if tracer is not None`` to skip even the call.  The event buffer
-is bounded (``max_events``); once full, further events are counted in
+Tracing is off when a component's ``tracer`` is ``None`` (every
+instrumented call site's default): call sites guard with ``if tracer is
+not None`` and skip even building the span payload.  The event buffer is
+bounded (``max_events``); once full, further events are counted in
 :attr:`Tracer.dropped` instead of growing without limit.
 """
 
@@ -83,78 +83,6 @@ class _Span:
         })
 
 
-class _NullSpan:
-    """Shared do-nothing span so the disabled path allocates nothing."""
-
-    __slots__ = ()
-    attrs: Dict = {}
-
-    def set(self, key: str, value) -> "_NullSpan":
-        return self
-
-    def __enter__(self) -> "_NullSpan":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        return None
-
-
-_NULL_SPAN = _NullSpan()
-
-
-class NullTracer:
-    """No-op tracer: the default everywhere, bench-guarded near-zero cost.
-
-    Every method returns immediately; :meth:`span` hands back one shared
-    :class:`_NullSpan` instance.  ``enabled`` is ``False`` so hot paths can
-    skip even the call (``tracer if tracer.enabled else None``).
-    """
-
-    enabled = False
-    dropped = 0
-
-    def time(self) -> float:
-        return 0.0
-
-    def span(self, name: str, category: str = "span", lane=None,
-             process=None, attrs=None) -> _NullSpan:
-        return _NULL_SPAN
-
-    def add_span(self, name: str, started: float, finished: float,
-                 category: str = "span", lane=None, process=None,
-                 attrs=None) -> None:
-        return None
-
-    def async_span(self, name: str, correlation_id: int, started: float,
-                   finished: float, category: str = "span", lane=None,
-                   process=None, attrs=None) -> None:
-        return None
-
-    def instant(self, name: str, ts: Optional[float] = None,
-                category: str = "event", lane=None, process=None,
-                attrs=None) -> None:
-        return None
-
-    def events(self) -> List[Dict]:
-        return []
-
-    def clear(self) -> None:
-        return None
-
-    def to_chrome_trace(self) -> Dict:
-        return {"traceEvents": [], "displayTimeUnit": "ms"}
-
-    def save(self, path) -> Path:
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(self.to_chrome_trace()) + "\n")
-        return path
-
-
-#: The shared no-op tracer instance instrumented components default to.
-NULL_TRACER = NullTracer()
-
-
 class Tracer:
     """Collects spans/instants on an injectable clock; exports Chrome JSON.
 
@@ -168,8 +96,6 @@ class Tracer:
     Thread-safe: the experiment Runner records stage spans from worker
     threads concurrently.
     """
-
-    enabled = True
 
     def __init__(self, clock: Callable[[], float] = time.perf_counter,
                  max_events: int = 1_000_000,

@@ -12,10 +12,8 @@ from .cost_model import (
     flops_by_kind,
     paper_scale_stable_diffusion_config,
     total_flops,
-    total_macs,
     total_weight_elements,
     unet_layer_costs,
-    weight_traffic_bytes,
 )
 from .latency import (
     CPU_XEON,
@@ -33,8 +31,8 @@ from .latency import (
 from .memory import MemoryEstimate, estimate_peak_memory, memory_vs_batch_size
 
 __all__ = [
-    "LayerCost", "unet_layer_costs", "total_flops", "total_macs",
-    "total_weight_elements", "weight_traffic_bytes",
+    "LayerCost", "unet_layer_costs", "total_flops",
+    "total_weight_elements",
     "flops_by_kind", "paper_scale_stable_diffusion_config",
     "BYTES_FP32", "BYTES_FP16", "BYTES_FP8", "BYTES_FP4",
     "scheme_bytes_per_element", "plan_model_evals", "estimate_utilization",

@@ -244,8 +244,9 @@ def plan_model_evals(num_steps: int, guidance_scale: float = 1.0,
     grid point to correct against — this is per-sampler metadata, see
     :class:`repro.diffusion.samplers.SamplerInfo`), and classifier-free
     guidance (``guidance_scale != 1``) doubles *every* evaluation with the
-    unconditional pass.  This is the multiplier the SLO router applies on
-    top of the per-forward roofline latency.
+    unconditional pass.  :meth:`repro.diffusion.GenerationPlan.model_evals`
+    applies it to a plan's resolved steps and sampler metadata; every
+    latency price multiplies the per-forward roofline by that count.
     """
     if num_steps < 1:
         raise ValueError(f"num_steps must be >= 1, got {num_steps}")
@@ -288,65 +289,12 @@ def estimate_utilization(arrival_rate: float, seconds_per_request: float,
     return arrival_rate * seconds_per_request / replicas
 
 
-#: Layer kinds whose FLOPs are GEMM-shaped multiply-accumulates (the
-#: products the compute backends dispatch; norms and activations do
-#: arithmetic but no MACs).
-GEMM_KINDS = frozenset({"conv", "linear", "attention"})
-
-
 def total_flops(costs: List[LayerCost]) -> float:
     return float(sum(cost.flops for cost in costs))
 
 
-def total_macs(costs: List[LayerCost]) -> float:
-    """Multiply-accumulates of one forward pass (GEMM-shaped layers only).
-
-    The analytic counterpart of what :func:`repro.tensor.count_macs`
-    observes at runtime: every conv / linear / attention product the
-    active backend dispatches, at FLOPs = 2 x MACs.
-    """
-    return float(sum(cost.flops for cost in costs
-                     if cost.kind in GEMM_KINDS)) / 2.0
-
-
 def total_weight_elements(costs: List[LayerCost]) -> float:
     return float(sum(cost.weight_elements for cost in costs))
-
-
-def weight_traffic_bytes(costs: List[LayerCost],
-                         bytes_per_element: float = BYTES_FP32,
-                         backend: str = "reference") -> float:
-    """Weight bytes one forward pass streams through memory, per backend.
-
-    On the ``reference`` backend every layer reads float32 weights — the
-    quantized path dequantizes into a float32 memo once, so steady-state
-    traffic is float32 regardless of scheme.  On the ``accelerated``
-    backend, layers whose GEMM passes the integer-GEMM gates (output
-    rows and weight size, read from
-    :class:`repro.tensor.backend.AcceleratedBackend` so the model can
-    never drift from the implementation) stream the packed integer
-    levels instead; ``bytes_per_element`` is then the packed width from
-    :func:`scheme_bytes_per_element`.  The gap between the two calls is
-    the analytic upper bound on the ``qforward`` bench pair's win.
-    """
-    if backend == "reference":
-        return float(sum(cost.weight_bytes() for cost in costs))
-    if backend != "accelerated":
-        raise ValueError(f"unknown backend '{backend}'; expected "
-                         f"'reference' or 'accelerated'")
-    from ..tensor.backend import AcceleratedBackend
-
-    max_m = AcceleratedBackend._FUSED_MAX_M
-    min_weight = AcceleratedBackend._FUSED_MIN_WEIGHT
-    total = 0.0
-    for cost in costs:
-        gemm_m = cost.extra.get("gemm_m")
-        if (gemm_m is not None and gemm_m <= max_m
-                and cost.weight_elements >= min_weight):
-            total += cost.weight_elements * bytes_per_element
-        else:
-            total += cost.weight_bytes()
-    return float(total)
 
 
 def flops_by_kind(costs: List[LayerCost]) -> Dict[str, float]:

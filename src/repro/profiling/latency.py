@@ -16,12 +16,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional
 
-from .cost_model import (
-    BYTES_FP32,
-    LayerCost,
-    plan_model_evals,
-    scheme_bytes_per_element,
-)
+from .cost_model import BYTES_FP32, LayerCost, scheme_bytes_per_element
 
 
 @dataclass(frozen=True)
@@ -93,24 +88,22 @@ def estimate_scheme_latency(costs: Iterable[LayerCost], device: DeviceProfile,
 
 
 def estimate_plan_latency(costs: Iterable[LayerCost], device: DeviceProfile,
-                          weight_scheme, num_steps: int,
-                          guidance_scale: float = 1.0,
-                          solver_evals_per_step: int = 1,
-                          first_order_final_step: bool = False,
+                          weight_scheme, plan, default_steps: int,
+                          train_steps: Optional[int] = None,
                           activation_scheme=None) -> float:
     """End-to-end generation latency of a (scheme, generation-plan) pair.
 
-    One forward pass is priced by :func:`estimate_scheme_latency`; the plan
-    multiplies it by :func:`~repro.profiling.cost_model.plan_model_evals`
-    (steps x solver order, doubled under classifier-free guidance).  This is
-    the two-dimensional quantity the serving router minimizes over: schemes
-    change the per-forward cost, plans change how many forwards are paid.
+    One forward pass is priced by :func:`estimate_scheme_latency`; the
+    :class:`~repro.diffusion.GenerationPlan` multiplies it by its
+    :meth:`~repro.diffusion.GenerationPlan.model_evals` on a model whose
+    default and training step counts are ``default_steps`` and
+    ``train_steps``.  This is the two-dimensional quantity the serving
+    router minimizes over: schemes change the per-forward cost, plans
+    change how many forwards are paid.
     """
     per_forward = estimate_scheme_latency(costs, device, weight_scheme,
                                           activation_scheme)
-    return per_forward * plan_model_evals(num_steps, guidance_scale,
-                                          solver_evals_per_step,
-                                          first_order_final_step)
+    return per_forward * plan.model_evals(default_steps, train_steps)
 
 
 def measure_latency(fn: Callable[[], object],

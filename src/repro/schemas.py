@@ -49,11 +49,6 @@ def register_schema(tag: str, description: str,
     return tag
 
 
-def registered_schemas() -> Dict[str, SchemaSpec]:
-    """Snapshot of the registry (tag -> spec), for docs and tests."""
-    return dict(_REGISTRY)
-
-
 def validate_document(doc: Mapping, expect: str = "") -> None:
     """Check ``doc`` carries a registered ``schema`` tag and required keys.
 

@@ -49,10 +49,6 @@ class Batch:
     def __len__(self) -> int:
         return len(self.requests)
 
-    @property
-    def oldest_arrival(self) -> float:
-        return min(r.arrival_time or self.formed_at for r in self.requests)
-
 
 @dataclass
 class _PendingGroup:

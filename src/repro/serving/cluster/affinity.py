@@ -115,9 +115,9 @@ class AffinityPolicy(RoutingPolicy):
 
     score(replica) = backlog_seconds                       (queued work)
                    + pending * amortized request seconds   (unbatched work)
-                   + variant_load_seconds * load_weight    (if not resident)
+                   + variant_load_seconds * LOAD_WEIGHT    (if not resident)
 
-    ``load_weight`` > 1 biases toward residency beyond the raw one-off
+    ``LOAD_WEIGHT`` > 1 biases toward residency beyond the raw one-off
     load cost, which is what pays when a reload would also *evict* a
     variant other traffic still wants.  Deterministic; ties break on the
     lowest replica id.
@@ -125,8 +125,8 @@ class AffinityPolicy(RoutingPolicy):
 
     name = "affinity"
 
-    def __init__(self, load_weight: float = 2.0):
-        self.load_weight = load_weight
+    #: Weight of a non-resident variant's load cost in the score.
+    LOAD_WEIGHT = 2.0
 
     def choose(self, replicas, request, decision, now, cost_model):
         active = self.active(replicas)
@@ -139,7 +139,7 @@ class AffinityPolicy(RoutingPolicy):
             model, scheme, plan, batch_size_hint=max(
                 active[0].config.max_batch_size / 2.0, 1.0))
         load_penalty = (cost_model.variant_load_seconds(model, scheme)
-                        * self.load_weight)
+                        * self.LOAD_WEIGHT)
 
         def score(replica: Replica) -> Tuple[float, int]:
             cost = (replica.backlog_seconds(now)

@@ -86,8 +86,7 @@ class FrontDoor:
         #: becomes an instant event on the cluster's "frontdoor" lane
         #: (timestamped explicitly with the virtual now, so the tracer's
         #: own clock never matters here).
-        self.tracer = tracer if (tracer is not None
-                                 and getattr(tracer, "enabled", True)) else None
+        self.tracer = tracer
         #: Rejection bookkeeping (per tenant/tier/reason) reuses the
         #: serving stats counters, so the report format matches the
         #: single-engine ``report()["rejections"]`` block.

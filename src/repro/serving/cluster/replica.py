@@ -68,6 +68,21 @@ STOPPED = "stopped"
 GPU_L4_SERVING = DeviceProfile(name="gpu-l4-serving", peak_flops=60e12,
                                memory_bandwidth=120e9, layer_overhead=5e-6)
 
+#: Extra service time of each image after the first in a batch, as a
+#: fraction of the shared sampler walk.
+MARGINAL_BATCH_FRACTION = 0.15
+
+#: Streaming a cold variant's packed weights from the artifact store:
+#: PCIe-class bandwidth (bytes per second) on top of a fixed floor.
+VARIANT_BYTES_PER_SECOND = 16e9
+VARIANT_LOAD_FLOOR_S = 0.05
+
+#: Text-encoder cost of one prompt that misses a replica's prompt cache.
+EMBED_SECONDS_PER_PROMPT = 0.004
+
+#: Prompts each replica's prompt cache holds (LRU).
+PROMPT_CACHE_CAPACITY = 512
+
 
 class SimPipeline:
     """Stand-in pipeline for cluster simulation: shapes without work.
@@ -97,8 +112,7 @@ class SimPipeline:
         self.num_steps = spec.default_sampling_steps
         self.schedule = SimPipeline._Schedule(spec.train_timesteps)
 
-    def generate_batch(self, seeds, context=None, trace=None, plan=None,
-                       tracer=None, step_attrs=None):
+    def generate_batch(self, seeds, context=None, trace=None, plan=None):
         return [SimPipeline._PLACEHOLDER] * len(seeds)
 
 
@@ -134,36 +148,18 @@ class ClusterCostModel:
     """Deterministic service/load/embedding cost model for replicas.
 
     Every quantity is an exact function of the analytic roofline model
-    (conf_iiswc_ChenGM24's characterization) and the knobs below, so the
-    simulator's latency numbers are reproducible bit-for-bit.
+    (conf_iiswc_ChenGM24's characterization) and the module constants
+    above, so the simulator's latency numbers are reproducible
+    bit-for-bit.  A single-image trajectory costs exactly the router's
+    price of its (model, scheme, plan) — the price the request was routed
+    on and the one its engine stamps on the ``batch.execute`` span.
+    ``costs_fn`` sizes each variant's weights (paper scale by default).
     """
 
     def __init__(self, router,
-                 costs_fn: Optional[Callable[[str], List[LayerCost]]] = None,
-                 device: DeviceProfile = GPU_L4_SERVING,
-                 marginal_batch_fraction: float = 0.15,
-                 service_scale: float = 1.0,
-                 variant_bytes_per_second: float = 16e9,
-                 variant_load_floor_s: float = 0.05,
-                 embed_seconds_per_prompt: float = 0.004):
-        """
-        ``router`` supplies (and caches) per-forward roofline latencies;
-        ``marginal_batch_fraction`` is the extra cost of each additional
-        image in a batch relative to the shared sampler walk;
-        ``variant_bytes_per_second`` models streaming a cold variant's
-        packed weights from the artifact store (PCIe-class bandwidth), on
-        top of a fixed ``variant_load_floor_s``; ``service_scale``
-        uniformly rescales service time (useful to sweep utilization
-        without regenerating traces).
-        """
+                 costs_fn: Optional[Callable[[str], List[LayerCost]]] = None):
         self.router = router
         self.costs_fn = costs_fn or paper_costs_fn()
-        self.device = device
-        self.marginal_batch_fraction = marginal_batch_fraction
-        self.service_scale = service_scale
-        self.variant_bytes_per_second = variant_bytes_per_second
-        self.variant_load_floor_s = variant_load_floor_s
-        self.embed_seconds_per_prompt = embed_seconds_per_prompt
         self._plan_seconds: Dict[Tuple, float] = {}
         self._variant_bytes: Dict[Tuple[str, str], float] = {}
 
@@ -173,8 +169,7 @@ class ClusterCostModel:
         key = (model, scheme, plan)
         cached = self._plan_seconds.get(key)
         if cached is None:
-            cached = (self.router.predicted_plan_latency(model, scheme, plan)
-                      * self.service_scale)
+            cached = self.router.predicted_plan_latency(model, scheme, plan)
             self._plan_seconds[key] = cached
         return cached
 
@@ -182,7 +177,7 @@ class ClusterCostModel:
                               batch_size: int) -> float:
         """Service time of one batch: shared walk + marginal per image."""
         base = self.plan_seconds(model, scheme, plan)
-        return base * (1.0 + self.marginal_batch_fraction * (batch_size - 1))
+        return base * (1.0 + MARGINAL_BATCH_FRACTION * (batch_size - 1))
 
     def amortized_request_seconds(self, model: str, scheme: str, plan,
                                   batch_size_hint: float) -> float:
@@ -203,9 +198,8 @@ class ClusterCostModel:
 
     def variant_load_seconds(self, model: str, scheme: str) -> float:
         """Modeled time to stream a cold variant into a replica's pool."""
-        return (self.variant_load_floor_s
-                + self.variant_bytes(model, scheme)
-                / self.variant_bytes_per_second)
+        return (VARIANT_LOAD_FLOOR_S
+                + self.variant_bytes(model, scheme) / VARIANT_BYTES_PER_SECOND)
 
 
 class ReplicaConfig:
@@ -214,7 +208,6 @@ class ReplicaConfig:
     def __init__(self, max_batch_size: int = 8, max_wait: float = 0.1,
                  capacity: int = 96,
                  memory_budget_bytes: Optional[float] = 4.5e9,
-                 prompt_cache_capacity: int = 512,
                  keep_records: bool = False):
         """
         ``capacity`` bounds in-flight requests (pending in the batcher plus
@@ -231,7 +224,6 @@ class ReplicaConfig:
         self.max_wait = max_wait
         self.capacity = capacity
         self.memory_budget_bytes = memory_budget_bytes
-        self.prompt_cache_capacity = prompt_cache_capacity
         self.keep_records = keep_records
 
 
@@ -359,9 +351,9 @@ class Replica:
                 misses += 1
                 self.prompt_misses += 1
                 cache[prompt] = True
-                while len(cache) > self.config.prompt_cache_capacity:
+                while len(cache) > PROMPT_CACHE_CAPACITY:
                     cache.popitem(last=False)
-        cost += misses * self.cost_model.embed_seconds_per_prompt
+        cost += misses * EMBED_SECONDS_PER_PROMPT
         started = max(now, self.busy_until)
         finished = started + cost
         self.busy_until = finished

@@ -51,7 +51,6 @@ from .replica import (
     Replica,
     ReplicaConfig,
     default_cluster_router,
-    paper_costs_fn,
 )
 from .report import ClusterStats, build_cluster_report, save_cluster_report
 from .trace import Trace
@@ -79,15 +78,13 @@ class ClusterConfig:
                  autoscaler: Optional[AutoscalerConfig] = None,
                  policy: Union[str, RoutingPolicy] = "affinity",
                  schemes=None,
-                 device=GPU_L4_SERVING,
-                 service_scale: float = 1.0):
+                 device=GPU_L4_SERVING):
         """
         ``autoscaler=None`` runs a fixed fleet of ``initial_replicas``;
         pass an :class:`AutoscalerConfig` to enable scaling.  ``policy``
         is a registry name (``affinity`` / ``round_robin`` /
         ``least_loaded``) or a policy instance.  ``schemes`` overrides the
-        router's candidate ladder; ``service_scale`` uniformly rescales
-        modeled service time (sweep utilization without a new trace).
+        router's candidate ladder and ``device`` its roofline device.
         """
         if initial_replicas < 1:
             raise ValueError(
@@ -99,7 +96,6 @@ class ClusterConfig:
         self.policy = policy
         self.schemes = schemes
         self.device = device
-        self.service_scale = service_scale
 
 
 class ClusterSimulation:
@@ -116,16 +112,12 @@ class ClusterSimulation:
         a traced run's report stays byte-identical to an untraced one."""
         self.config = config or ClusterConfig()
         self.clock = VirtualClock()
-        self.tracer = tracer if (tracer is not None
-                                 and getattr(tracer, "enabled", True)) else None
-        costs_fn = paper_costs_fn()
+        self.tracer = tracer
         if router is None:
             router = default_cluster_router(schemes=self.config.schemes,
                                             device=self.config.device)
         self.router = CachedRouter(router)
-        self.cost_model = ClusterCostModel(
-            self.router, costs_fn=costs_fn, device=self.config.device,
-            service_scale=self.config.service_scale)
+        self.cost_model = ClusterCostModel(self.router)
         self.policy = (make_policy(self.config.policy)
                        if isinstance(self.config.policy, str)
                        else self.config.policy)

@@ -48,11 +48,10 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Optional, Sequence
+from typing import Callable, Iterator, List, Optional, Sequence
 
 from ..diffusion import DiffusionPipeline
 from ..models import get_model_spec
-from ..profiling import GPU_V100, unet_layer_costs
 from ..tensor import Tensor
 from .batcher import Batch, BatchKey, DynamicBatcher
 from .embedding_cache import EmbeddingCache
@@ -69,7 +68,6 @@ class EngineConfig:
     max_batch_size: int = 8
     max_wait: float = 0.02          # seconds a partial batch may age
     queue_capacity: int = 256
-    embedding_cache_capacity: int = 1024
 
 
 class ServingEngine:
@@ -78,44 +76,40 @@ class ServingEngine:
     def __init__(self, pool: ModelVariantPool,
                  router: Optional[SLORouter] = None,
                  config: Optional[EngineConfig] = None,
-                 embedding_cache: Optional[EmbeddingCache] = None,
                  stats: Optional[ServingStats] = None,
                  clock: Callable[[], float] = time.perf_counter,
                  tracer=None, trace_lane: Optional[str] = None,
                  trace_process: str = "serving",
-                 trace_steps: bool = False,
                  metrics=None):
-        """``tracer`` (:class:`repro.obs.Tracer`, default off) books the
-        request lifecycle — queue wait, batch build, embed, execute — as
-        spans on the ``(trace_process, trace_lane)`` track, plus one async
-        span per request; ``trace_steps`` additionally threads the tracer
-        into the sampler loop for per-step spans stamped with roofline
-        predictions.  ``metrics`` (:class:`repro.obs.MetricsRegistry`)
+        """``tracer`` (:class:`repro.obs.Tracer`; ``None``, the default,
+        turns tracing off) books the request lifecycle — queue wait, batch
+        build, embed, execute — as spans on the ``(trace_process,
+        trace_lane)`` track, plus one async span per request.  Each
+        ``batch.execute`` span carries ``predicted_s``, the router's price
+        of the batch's routed (model, scheme, plan): the number the request
+        was routed on.  ``metrics`` (:class:`repro.obs.MetricsRegistry`)
         receives labeled counters/histograms for the same lifecycle.  All
         telemetry timestamps come off the engine ``clock``, so a virtual-
-        clock engine traces in virtual time."""
+        clock engine traces in virtual time.  Prompt embeddings are cached
+        in :attr:`embedding_cache` (an :class:`EmbeddingCache` at its
+        default capacity)."""
         self.pool = pool
         self.router = router or SLORouter()
         self.config = config or EngineConfig()
         self.clock = clock
-        if pool.clock is None:
-            # The pool stamps variant build times; adopting the engine's
-            # clock keeps every engine-owned timestamp on one (possibly
-            # virtual) timeline.
-            pool.clock = clock
+        # The pool stamps variant build times; adopting the engine's clock
+        # keeps every engine-owned timestamp on one (possibly virtual)
+        # timeline.
+        pool.clock = clock
         self.queue = RequestQueue(self.config.queue_capacity)
         self.batcher = DynamicBatcher(self.config.max_batch_size,
                                       self.config.max_wait, clock=clock)
-        self.embedding_cache = embedding_cache or EmbeddingCache(
-            self.config.embedding_cache_capacity)
+        self.embedding_cache = EmbeddingCache()
         self.stats = stats or ServingStats()
-        self.tracer = tracer if (tracer is not None
-                                 and getattr(tracer, "enabled", True)) else None
+        self.tracer = tracer
         self.trace_lane = trace_lane
         self.trace_process = trace_process
-        self.trace_steps = trace_steps
         self.metrics = metrics
-        self._predicted_cache: Dict = {}
         self._next_id = 0
 
     # ------------------------------------------------------------------
@@ -172,40 +166,9 @@ class ServingEngine:
     # ------------------------------------------------------------------
     # telemetry
     # ------------------------------------------------------------------
-    def _predicted_seconds(self, pipeline: DiffusionPipeline,
-                           key: BatchKey) -> Optional[float]:
-        """Roofline end-to-end seconds for this batch key (cached).
-
-        Stamped onto execute/step spans so the calibration report can
-        compare the cost model's prediction against the measured span —
-        priced on the reference device profile, so only relative error is
-        meaningful.
-        """
-        cache_key = (key.model, key.scheme, key.plan.fingerprint())
-        if cache_key not in self._predicted_cache:
-            from ..diffusion.samplers import get_sampler_info
-            from ..obs.calibration import predict_plan_seconds
-            info = get_sampler_info(key.plan.sampler)
-            try:
-                costs = unet_layer_costs(
-                    pipeline.spec.unet,
-                    sample_size=pipeline.spec.sample_shape[-1])
-                predicted = predict_plan_seconds(
-                    costs, GPU_V100, key.scheme, pipeline.num_steps,
-                    guidance_scale=key.plan.guidance_scale,
-                    solver_evals_per_step=info.evals_per_step,
-                    first_order_final_step=info.first_order_final_step)
-            except (AttributeError, KeyError, ValueError):
-                # Pipeline stand-ins (e.g. the cluster's SimPipeline) have
-                # no spec to price; their cost model prices batches itself.
-                predicted = None
-            self._predicted_cache[cache_key] = predicted
-        return self._predicted_cache[cache_key]
-
     def _trace_batch(self, batch: Batch, started: float, finished: float,
                      num_steps: int, embed_started: Optional[float],
-                     embed_finished: Optional[float],
-                     pipeline: DiffusionPipeline) -> None:
+                     embed_finished: Optional[float]) -> None:
         """Book the batch lifecycle segments on the engine's trace lane."""
         if self.tracer is None:
             return
@@ -227,13 +190,12 @@ class ServingEngine:
             self.tracer.add_span("batch.embed", embed_started, embed_finished,
                                  category="batch", lane=lane, process=process,
                                  attrs={"batch_size": len(batch)})
-        exec_attrs = dict(attrs)
-        predicted = self._predicted_seconds(pipeline, batch.key)
-        if predicted is not None:
-            exec_attrs["predicted_s"] = predicted
+        # The price the router routed this batch's requests on.
+        predicted = self.router.predicted_plan_latency(
+            batch.key.model, batch.key.scheme, batch.key.plan)
         self.tracer.add_span("batch.execute", started, finished,
                              category="batch", lane=lane, process=process,
-                             attrs=exec_attrs)
+                             attrs={**attrs, "predicted_s": predicted})
 
     def complete_batch(self, batch: Batch,
                        started: Optional[float] = None,
@@ -264,26 +226,8 @@ class ServingEngine:
             if self.tracer is not None:
                 embed_finished = self.clock()
         seeds = [request.seed for request in batch.requests]
-        step_tracer = self.tracer if self.trace_steps else None
-        step_attrs = None
-        if step_tracer is not None:
-            step_attrs = {"model": batch.key.model,
-                          "scheme": batch.key.scheme,
-                          "batch_size": len(batch)}
-            predicted = self._predicted_seconds(pipeline, batch.key)
-            if predicted is not None:
-                step_attrs["predicted_step_s"] = (
-                    predicted / max(pipeline.num_steps, 1))
-        if step_tracer is None:
-            # Keep the call identical to the pre-telemetry spelling so
-            # pipeline stand-ins without the tracer kwargs keep working.
-            images = pipeline.generate_batch(seeds, context=context,
-                                             plan=batch.key.plan)
-        else:
-            images = pipeline.generate_batch(seeds, context=context,
-                                             plan=batch.key.plan,
-                                             tracer=step_tracer,
-                                             step_attrs=step_attrs)
+        images = pipeline.generate_batch(seeds, context=context,
+                                         plan=batch.key.plan)
         if finished is None:
             finished = self.clock()
         self.stats.mark_finish(finished)
@@ -301,7 +245,7 @@ class ServingEngine:
             guidance_scale=plan.guidance_scale, eta=plan.eta))
         if self.tracer is not None:
             self._trace_batch(batch, started, finished, num_steps,
-                              embed_started, embed_finished, pipeline)
+                              embed_started, embed_finished)
         if self.metrics is not None:
             self.metrics.histogram("serving.batch_latency_s",
                                    {"scheme": batch.key.scheme}) \

@@ -78,8 +78,7 @@ class ModelVariantPool:
                  builder: Optional[Callable[[str, str], DiffusionPipeline]] = None,
                  cost_fn: Optional[Callable[[str, str], float]] = None,
                  run_store=None,
-                 clock: Optional[Callable[[], float]] = None,
-                 fallback_clock: Callable[[], float] = time.perf_counter):
+                 clock: Callable[[], float] = time.perf_counter):
         """
         ``builder`` overrides how a ``(model, scheme)`` pipeline is built
         (tests inject stubs; production uses the zoo + quantizer default).
@@ -96,15 +95,13 @@ class ModelVariantPool:
         :class:`repro.experiments.RunStore`) makes the default builder load
         pre-quantized variants from the content-addressed artifact store,
         falling back to a cold quantize that populates the store.
-        ``clock`` stamps build/prewarm durations; ``None`` means
-        ``fallback_clock`` (wall time by default) until an engine adopts
-        the pool, at which point the engine threads its own (possibly
-        virtual) clock through so the pool's timing stats are
-        deterministic whenever the engine's are.
+        ``clock`` stamps build/prewarm durations (wall time by default);
+        an engine serving from the pool replaces it with its own (possibly
+        virtual) clock, so the pool's timing stats are deterministic
+        whenever the engine's are.
         """
         self.memory_budget_bytes = memory_budget_bytes
         self.clock = clock
-        self._fallback_clock = fallback_clock
         self.batch_size = batch_size
         self.pretrain = pretrain or PretrainConfig()
         self.cache_dir = cache_dir
@@ -127,9 +124,6 @@ class ModelVariantPool:
         self.cold_builds = 0
 
     # ------------------------------------------------------------------
-    def _now(self) -> float:
-        return (self.clock or self._fallback_clock)()
-
     @staticmethod
     def _default_quantization(scheme: str) -> QuantizationConfig:
         return QuantizationConfig(weight_dtype=scheme, activation_dtype=scheme)
@@ -207,9 +201,9 @@ class ModelVariantPool:
             self._unmeasured.add(key)
             return pipeline
         self._last_build_source = None
-        started = self._now()
+        started = self.clock()
         pipeline = self._builder(model, scheme)
-        build_time = self._now() - started
+        build_time = self.clock() - started
         source = self._last_build_source or "custom"
         if source == "store":
             self.store_loads += 1
@@ -283,12 +277,12 @@ class ModelVariantPool:
         pairs = list(dict.fromkeys(pairs))
         loads_before = self.store_loads
         cold_before = self.cold_builds
-        started = self._now()
+        started = self.clock()
         for model, scheme in pairs:
             self.get(model, scheme)
         return {
             "prewarmed": [f"{model}/{scheme}" for model, scheme in pairs],
-            "duration_s": self._now() - started,
+            "duration_s": self.clock() - started,
             # deltas for *this* prewarm, not pool-lifetime totals
             "store_loads": self.store_loads - loads_before,
             "cold_builds": self.cold_builds - cold_before,

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, Optional
+from typing import Deque, Optional
 
 import numpy as np
 
@@ -116,10 +116,3 @@ class RequestQueue:
         if not self._queue:
             raise IndexError("pop from an empty request queue")
         return self._queue.popleft()
-
-    def depth_by_model(self) -> Dict[str, int]:
-        """Waiting-request counts per model (for load-aware routing/ops)."""
-        depths: Dict[str, int] = {}
-        for request in self._queue:
-            depths[request.model] = depths.get(request.model, 0) + 1
-        return depths

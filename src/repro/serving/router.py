@@ -12,7 +12,7 @@ anything).
 
 For a candidate ``(scheme, plan)`` the router predicts end-to-end latency as
 
-    plan_model_evals(steps, guidance, solver order)
+    plan.model_evals(steps, guidance, solver order)
         x roofline(U-Net forward @ scheme bytes-per-element)
 
 using :func:`repro.profiling.estimate_plan_latency` semantics, then picks
@@ -24,7 +24,9 @@ candidate — an overloaded system serves *something* rather than nothing.
 Requests without an SLO get the best-quality scheme at the full plan.
 
 :meth:`SLORouter.decide` returns the full :class:`RoutingDecision`
-(scheme + concrete plan + predicted latency).
+(scheme + concrete plan + predicted latency).  That price is the one the
+whole serving stack reads for a (model, scheme, plan): the engine stamps it
+on ``batch.execute`` spans and the cluster's service model charges it.
 """
 
 from __future__ import annotations
@@ -41,7 +43,6 @@ from ..profiling import (
     DeviceProfile,
     LayerCost,
     estimate_scheme_latency,
-    plan_model_evals,
     unet_layer_costs,
 )
 from .request import Request
@@ -70,8 +71,7 @@ class SLORouter:
                  device: DeviceProfile = GPU_V100,
                  batch_size: int = 1,
                  context_tokens: int = 16,
-                 costs_fn: Optional[Callable[[str], List[LayerCost]]] = None,
-                 step_fractions: Sequence[float] = DEFAULT_STEP_FRACTIONS):
+                 costs_fn: Optional[Callable[[str], List[LayerCost]]] = None):
         """
         ``costs_fn`` maps a model name to the per-layer cost list the
         roofline runs over; the default walks the model's own (scaled-down)
@@ -79,23 +79,14 @@ class SLORouter:
         unet_layer_costs(paper_scale_stable_diffusion_config(), 64)`` routes
         with paper-scale costs — useful because the reproduction's stand-in
         models are so small that launch overhead flattens the scheme spread.
-
-        ``step_fractions`` are the step budgets the router may degrade a
-        request's plan to (fractions of the requested budget).  The full
-        budget is always a candidate; fractions outside ``(0, 1]`` are
-        rejected.
+        A request's plan may be degraded to the step budgets of
+        :data:`DEFAULT_STEP_FRACTIONS`.
         """
         if not schemes:
             raise ValueError("router needs at least one candidate scheme")
         # Sort best quality (most bits) first; ties keep caller order.
         self.schemes: List[str] = sorted(
             schemes, key=lambda s: -get_scheme(s).bits)
-        for fraction in step_fractions:
-            if not 0.0 < fraction <= 1.0:
-                raise ValueError(
-                    f"step fractions must be in (0, 1], got {fraction}")
-        fractions = sorted(set(step_fractions) | {1.0}, reverse=True)
-        self.step_fractions: Tuple[float, ...] = tuple(fractions)
         self.device = device
         self.batch_size = batch_size
         self.context_tokens = context_tokens
@@ -138,16 +129,13 @@ class SLORouter:
                                plan: GenerationPlan) -> float:
         """Predicted end-to-end latency of serving ``plan`` at ``scheme``.
 
-        The same quantity as :func:`repro.profiling.estimate_plan_latency`,
-        built from the cached per-forward roofline: accounts for the
-        solver's evaluations per step and the 2x model evaluations of
-        classifier-free guidance.
+        The same quantity as :func:`repro.profiling.estimate_plan_latency`:
+        the cached per-forward roofline times the plan's
+        :meth:`~repro.diffusion.GenerationPlan.model_evals` on ``model``.
         """
-        info = get_sampler_info(plan.sampler)
-        evals = plan_model_evals(
-            self.plan_steps(model, plan), plan.guidance_scale,
-            info.evals_per_step, info.first_order_final_step)
-        return self.predicted_step_latency(model, scheme) * evals
+        spec = get_model_spec(model)
+        return self.predicted_step_latency(model, scheme) * plan.model_evals(
+            spec.default_sampling_steps, spec.train_timesteps)
 
     def predictions(self, model: str, num_steps: int) -> Dict[str, float]:
         """Predicted latency for every candidate scheme (debug/ops view)."""
@@ -176,7 +164,7 @@ class SLORouter:
             return [plan]
         budgets = dict.fromkeys(
             max(1, int(round(plan.num_steps * fraction)))
-            for fraction in self.step_fractions)
+            for fraction in DEFAULT_STEP_FRACTIONS)
         return [plan.with_(num_steps=steps) for steps in budgets]
 
     def decide(self, request: Request) -> RoutingDecision:

@@ -24,7 +24,7 @@ record-derived blocks (latency summaries, per-plan breakdown) are empty.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional
 
@@ -274,7 +274,3 @@ class ServingStats:
             path.parent.mkdir(parents=True, exist_ok=True)
             path.write_text(text + "\n")
         return text
-
-    def request_records(self) -> List[Dict]:
-        """Raw per-request records as dicts (for debugging / notebooks)."""
-        return [asdict(record) for record in self.requests]

@@ -106,7 +106,6 @@ def clear_model_memo() -> None:
 
 def load_pretrained(name: str, config: Optional[PretrainConfig] = None,
                     cache_dir: Optional[Path] = None,
-                    use_cache: bool = True,
                     refresh: bool = False) -> DiffusionModel:
     """Load (or train and cache) the pre-trained checkpoint for ``name``.
 
@@ -118,14 +117,14 @@ def load_pretrained(name: str, config: Optional[PretrainConfig] = None,
     """
     config = config or PretrainConfig()
     key = _memo_key(name, config, cache_dir)
-    if use_cache and not refresh:
+    if not refresh:
         with _MEMO_LOCK:
             cached = _LOADED_MODELS.get(key)
         if cached is not None:
             return cached
     path = zoo_cache_path(name, config, cache_dir)
     spec = get_model_spec(name)
-    if use_cache and path.exists():
+    if path.exists():
         model = build_model(name, rng=np.random.default_rng(spec.seed))
         with np.load(path) as archive:
             model.load_state_dict({key: archive[key] for key in archive.files})
@@ -134,10 +133,9 @@ def load_pretrained(name: str, config: Optional[PretrainConfig] = None,
             _LOADED_MODELS[key] = model
         return model
     model = pretrain(name, config)
-    if use_cache:
-        save_checkpoint_atomic(path, model.state_dict())
-        with _MEMO_LOCK:
-            _LOADED_MODELS[key] = model
+    save_checkpoint_atomic(path, model.state_dict())
+    with _MEMO_LOCK:
+        _LOADED_MODELS[key] = model
     return model
 
 

@@ -507,12 +507,9 @@ class TestTracerDisciplineRule:
     def test_live_tracer_default_is_flagged(self, tmp_path):
         findings, _ = analyze(tmp_path, {
             "obs/report.py": """
-                from .tracer import Tracer, NULL_TRACER
+                from .tracer import Tracer
 
                 def fine(tracer=None):
-                    return tracer
-
-                def also_fine(tracer=NULL_TRACER):
                     return tracer
 
                 def bad(tracer=Tracer()):
@@ -521,6 +518,22 @@ class TestTracerDisciplineRule:
         }, rules=["tracer-discipline"])
         assert len(findings) == 1
         assert findings[0].symbol == "bad"
+
+    def test_only_none_turns_tracing_off(self, tmp_path):
+        findings, _ = analyze(tmp_path, {
+            "serving/engine.py": """
+                from .tracer import NULL_TRACER
+
+                def null_default(tracer=NULL_TRACER):
+                    return tracer
+
+                def enabled_guard(tracer, start, end):
+                    if tracer.enabled:
+                        tracer.add_span("a", start, end, attrs={"k": "a"})
+            """,
+        }, rules=["tracer-discipline"])
+        assert sorted(f.symbol for f in findings) == \
+            ["enabled_guard", "null_default"]
 
     def test_span_outside_with_is_flagged(self, tmp_path):
         findings, _ = analyze(tmp_path, {

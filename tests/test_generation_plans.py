@@ -444,13 +444,11 @@ class TestPlanAwareServing:
         from repro.profiling import GPU_V100, estimate_plan_latency
 
         costs = unet_layer_costs(paper_scale_stable_diffusion_config(), 64)
-        expected = estimate_plan_latency(costs, GPU_V100, "fp4", num_steps=10,
-                                         guidance_scale=2.0,
-                                         solver_evals_per_step=2,
-                                         first_order_final_step=True)
+        plan = GenerationPlan(sampler="dpm2", num_steps=10, guidance_scale=2.0)
+        expected = estimate_plan_latency(costs, GPU_V100, "fp4", plan,
+                                         default_steps=10, train_steps=100)
         predicted = paper_router.predicted_plan_latency(
-            "stable-diffusion", "fp4",
-            GenerationPlan(sampler="dpm2", num_steps=10, guidance_scale=2.0))
+            "stable-diffusion", "fp4", plan)
         assert predicted == pytest.approx(expected)
 
     def test_router_ddpm_plan_priced_at_training_grid(self, paper_router):

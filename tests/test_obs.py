@@ -26,20 +26,24 @@ from repro.diffusion import DiffusionPipeline, GenerationPlan
 from repro.experiments import Runner, RunStore, Stage, StageGraph
 from repro.models import DiffusionModel
 from repro.obs import (
-    NULL_TRACER,
     CalibrationReport,
     MetricsRegistry,
-    NullTracer,
     Tracer,
     load_chrome_trace,
-    predict_plan_seconds,
     run_cost_model_calibration,
     validate_chrome_trace,
 )
-from repro.profiling import GPU_V100, measure_latency, unet_layer_costs
+from repro.obs.calibration import _fixture_pipeline
+from repro.profiling import (
+    GPU_V100,
+    estimate_plan_latency,
+    measure_latency,
+    unet_layer_costs,
+)
 from repro.serving import (
     EngineConfig,
     ModelVariantPool,
+    Request,
     ServingEngine,
     SLORouter,
     WorkloadConfig,
@@ -170,16 +174,6 @@ class TestTracer:
         tracer.clear()
         assert tracer.events() == [] and tracer.dropped == 0
 
-    def test_null_tracer_is_inert(self, tmp_path):
-        assert NULL_TRACER.enabled is False
-        with NULL_TRACER.span("anything", attrs={"a": 1}) as span:
-            span.set("b", 2)
-        NULL_TRACER.add_span("x", 0.0, 1.0)
-        NULL_TRACER.instant("y")
-        assert NULL_TRACER.events() == []
-        doc = load_chrome_trace(NullTracer().save(tmp_path / "empty.json"))
-        assert doc["traceEvents"] == []
-
 
 # ----------------------------------------------------------------------
 # metrics registry
@@ -292,6 +286,29 @@ def _cluster_inputs(num_requests: int = 500):
     return trace, config
 
 
+class TestServingTracing:
+    def test_execute_span_carries_the_routed_price(self):
+        # The router cuts an 8-step request to 2 steps; the batch.execute
+        # span carries the price the router routed on, of the 2 steps run.
+        model = "ddim-cifar10"
+        router = SLORouter(schemes=("fp32",))
+        two_steps = router.predicted_plan_latency(
+            model, "fp32", GenerationPlan(num_steps=2))
+        request = Request(model=model, num_steps=8, seed=3,
+                          latency_slo=1.01 * two_steps)
+        decision = router.decide(request)
+        assert decision.plan.num_steps == 2
+        pipeline = _tiny_pipeline(name=model)
+        tracer = Tracer()
+        engine = ServingEngine(
+            ModelVariantPool(builder=lambda _model, _scheme: pipeline),
+            router=router, tracer=tracer)
+        [response] = engine.serve([request])
+        assert response.num_steps == 2
+        [span] = tracer.spans(name="batch.execute")
+        assert span["args"]["predicted_s"] == decision.predicted_latency
+
+
 class TestClusterTracing:
     def test_traced_report_is_byte_identical(self):
         trace, config = _cluster_inputs()
@@ -308,6 +325,15 @@ class TestClusterTracing:
         assert {"replica-0", "replica-1"} <= lanes
         phases = {e["ph"] for e in doc["traceEvents"]}
         assert {"X", "b", "e"} <= phases
+
+    def test_every_execute_span_carries_a_price(self):
+        trace, config = _cluster_inputs(num_requests=200)
+        tracer = Tracer()
+        ClusterSimulation(config, tracer=tracer).run(trace)
+        spans = tracer.spans(name="batch.execute")
+        assert spans
+        assert all(span["args"].get("predicted_s", 0.0) > 0.0
+                   for span in spans)
 
     def test_one_trace_file_covers_runner_serving_and_cluster(self, tmp_path):
         tracer = Tracer()
@@ -370,9 +396,12 @@ class TestCalibration:
         pipeline = _tiny_pipeline()
         costs = unet_layer_costs(pipeline.spec.unet,
                                  sample_size=pipeline.spec.sample_shape[-1])
-        four = predict_plan_seconds(costs, GPU_V100, "fp32", num_steps=4)
-        eight = predict_plan_seconds(costs, GPU_V100, "fp32", num_steps=8)
-        int8 = predict_plan_seconds(costs, GPU_V100, "int8", num_steps=4)
+        four = estimate_plan_latency(costs, GPU_V100, "fp32",
+                                     GenerationPlan(num_steps=4), 4)
+        eight = estimate_plan_latency(costs, GPU_V100, "fp32",
+                                      GenerationPlan(num_steps=8), 4)
+        int8 = estimate_plan_latency(costs, GPU_V100, "int8",
+                                     GenerationPlan(num_steps=4), 4)
         assert eight == pytest.approx(2 * four)
         assert 0.0 < int8 < four  # fewer bytes moved per element
 
@@ -392,6 +421,22 @@ class TestCalibration:
         spans = tracer.spans(category="calibration")
         assert len(spans) == 2
         assert all("predicted_s" in span["args"] for span in spans)
+
+    def test_cells_are_priced_at_the_steps_they_run(self):
+        # A 2-step plan on the 4-step fixture walks 2 steps; the
+        # prediction and the evaluation count must follow the plan.
+        plan = GenerationPlan(sampler="ddim", num_steps=2)
+        report = run_cost_model_calibration(
+            schemes=("fp32",), workloads={"tiny.ddim-2": plan}, repeats=1)
+        [cell] = report.cells
+        assert cell["model_evals"] == 2
+        fixture = _fixture_pipeline("fp32")
+        assert fixture.num_steps == 4
+        costs = unet_layer_costs(fixture.spec.unet,
+                                 sample_size=fixture.spec.image_size)
+        assert cell["predicted_s"] == estimate_plan_latency(
+            costs, GPU_V100, "fp32", plan, fixture.num_steps,
+            fixture.schedule.num_timesteps)
 
 
 # ----------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Tests for Algorithm 1 (format/bias search) and rounding learning (Sec. V-B)."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -209,6 +211,13 @@ class TestScreenedSearch:
         bad = int(np.sum(~np.isfinite(values)))
         with pytest.raises(ValueError, match=f"{bad} non-finite"):
             search_tensor_format(np.array(values), bitwidth, 7)
+
+    @pytest.mark.parametrize("bitwidth", [4, 8])
+    def test_empty_tensor_is_rejected_before_any_arithmetic(self, bitwidth):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="empty tensor"):
+                search_tensor_format(np.zeros(0, np.float32), bitwidth, 7)
 
 
 class TestRegularizer:
