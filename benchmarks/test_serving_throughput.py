@@ -41,7 +41,6 @@ from repro.serving import (
     VirtualClock,
     WorkloadConfig,
     generate_workload,
-    run_load_benchmark,
 )
 
 RESULTS_DIR = Path(__file__).resolve().parent / "results"
@@ -81,9 +80,9 @@ class _MeteredPipeline:
     def __getattr__(self, name):
         return getattr(self._pipeline, name)
 
-    def generate_batch(self, seeds, context=None, trace=None, plan=None):
+    def generate_batch(self, seeds, context=None, plan=None):
         images = self._pipeline.generate_batch(seeds, context=context,
-                                               trace=trace, plan=plan)
+                                               plan=plan)
         self._clock.advance(PASS_COST + IMAGE_COST * len(list(seeds)))
         return images
 
@@ -103,7 +102,7 @@ def _make_engine(pipeline: DiffusionPipeline,
     engine = ServingEngine(pool, router=SLORouter(),
                            config=EngineConfig(max_batch_size=MAX_BATCH),
                            clock=clock)
-    pool.warm([("stable-diffusion", "fp32")])  # exclude cold-start from timing
+    pool.prewarm([("stable-diffusion", "fp32")])  # exclude cold-start from timing
     return engine
 
 
@@ -117,9 +116,9 @@ def test_dynamic_batching_doubles_throughput(workload):
 
     batched_clock = VirtualClock()
     batched = _make_engine(pipeline, batched_clock)
-    batched_report = run_load_benchmark(
-        batched, list(workload),
-        report_path=RESULTS_DIR / "serving_stats.json")
+    batched.serve(list(workload))
+    batched.stats.to_json(RESULTS_DIR / "serving_stats.json")
+    batched_report = batched.stats.report()
 
     assert len(sequential_responses) == NUM_REQUESTS
     assert sequential_report["requests"]["completed"] == NUM_REQUESTS

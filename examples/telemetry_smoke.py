@@ -108,7 +108,7 @@ def main():
                            config=EngineConfig(max_batch_size=8),
                            tracer=tracer, trace_lane="engine-0",
                            metrics=metrics)
-    pool.warm([("stable-diffusion", "fp32")])
+    pool.prewarm([("stable-diffusion", "fp32")])
     responses = engine.serve([copy.copy(r) for r in requests])
     print(f"  {len(responses)} responses")
 

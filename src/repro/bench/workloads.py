@@ -459,7 +459,7 @@ def _setup_serving():
         pool = ModelVariantPool(builder=lambda _model, _scheme: pipeline)
         engine = ServingEngine(pool, router=SLORouter(),
                                config=EngineConfig(max_batch_size=8))
-        pool.warm([("stable-diffusion", "fp32")])
+        pool.prewarm([("stable-diffusion", "fp32")])
         responses = engine.serve([copy.copy(r) for r in requests])
         if len(responses) != len(requests):
             raise AssertionError("serving bench dropped requests")

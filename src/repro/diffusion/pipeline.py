@@ -87,7 +87,7 @@ class DiffusionPipeline:
     # generation
     # ------------------------------------------------------------------
     def generate(self, num_images: int, seed: int = 0, batch_size: int = 8,
-                 trace=None, plan: Optional[GenerationPlan] = None) -> np.ndarray:
+                 plan: Optional[GenerationPlan] = None) -> np.ndarray:
         """Unconditional generation of ``num_images`` images."""
         if self.is_text_to_image:
             raise ValueError(
@@ -95,7 +95,7 @@ class DiffusionPipeline:
         plan = self.resolve_plan(plan)
         plan.validate_for_model(self.spec.task, self.spec.name)
         return self._run(num_images, seed, batch_size, context_batches=None,
-                         plan=plan, trace=trace)
+                         plan=plan)
 
     def encode_prompts_deduped(self, prompts: Sequence[str],
                                batch_size: int = 8) -> np.ndarray:
@@ -116,7 +116,7 @@ class DiffusionPipeline:
         return rows[[index[prompt] for prompt in prompts]]
 
     def generate_from_prompts(self, prompts: Sequence[str], seed: int = 0,
-                              batch_size: int = 8, trace=None,
+                              batch_size: int = 8,
                               plan: Optional[GenerationPlan] = None) -> np.ndarray:
         """Text-to-image generation, one image per prompt.
 
@@ -131,11 +131,10 @@ class DiffusionPipeline:
         for start in range(0, len(prompts), batch_size):
             contexts.append(Tensor(full_context[start:start + batch_size]))
         return self._run(len(prompts), seed, batch_size, context_batches=contexts,
-                         plan=self.resolve_plan(plan), trace=trace)
+                         plan=self.resolve_plan(plan))
 
     def generate_batch(self, seeds: Sequence[int],
                        context: Optional[Tensor] = None,
-                       trace=None,
                        plan: Optional[GenerationPlan] = None) -> np.ndarray:
         """Serving path: generate one already-formed batch in a single pass.
 
@@ -177,19 +176,18 @@ class DiffusionPipeline:
                 row_context = (Tensor(context.data[position:position + 1])
                                if context is not None else None)
                 rows.append(self.generate_batch([seed], context=row_context,
-                                                trace=trace, plan=plan))
+                                                plan=plan))
             return np.concatenate(rows, axis=0)
         sampler = plan.build_sampler(self.schedule, self.num_steps)
         model = plan.wrap_model(self.model)
         noise = np.concatenate([self.initial_noise(1, s) for s in seeds], axis=0)
         rng = np.random.default_rng(seeds[0] + 1)
         latents = sampler.sample(model, self.sample_shape(len(seeds)), rng,
-                                 context=context, trace=trace,
-                                 initial_noise=noise)
+                                 context=context, initial_noise=noise)
         return self.decode_latents(latents)
 
     def _run(self, num_images: int, seed: int, batch_size: int,
-             context_batches, plan: GenerationPlan, trace) -> np.ndarray:
+             context_batches, plan: GenerationPlan) -> np.ndarray:
         sampler = plan.build_sampler(self.schedule, self.num_steps)
         model = plan.wrap_model(self.model)
         outputs = []
@@ -201,7 +199,7 @@ class DiffusionPipeline:
             rng = np.random.default_rng(seed + start + 1)
             context = context_batches[batch_index] if context_batches else None
             latents = sampler.sample(model, shape, rng, context=context,
-                                     trace=trace, initial_noise=noise)
+                                     initial_noise=noise)
             outputs.append(self.decode_latents(latents))
             batch_index += 1
         return np.concatenate(outputs, axis=0)

@@ -26,14 +26,14 @@ registered sampler.
 
 Every sampler shares one calling convention::
 
-    sampler.sample(model, shape, rng, context=None, trace=None,
-                   initial_noise=None, tracer=None, step_attrs=None)
+    sampler.sample(model, shape, rng, context=None, initial_noise=None,
+                   tracer=None, step_attrs=None)
 
 ``initial_noise`` pins ``x_T`` so seed-matched comparisons denoise identical
-starting noise (paper Section VI-C); the optional ``trace`` callback lets the
-quantization calibration machinery record intermediate latents at selected
-timesteps (the paper's "initialization dataset" and "calibration dataset",
-Section V).
+starting noise (paper Section VI-C).  Calibration records the U-Net's
+activations along a trajectory through wrappers around the model's layers
+(:func:`repro.core.calibration.collect_calibration_data`), not through the
+sampler.
 
 ``tracer`` (a :class:`repro.obs.Tracer`) books one span per denoising step;
 ``step_attrs`` is attached to every step span.  The default ``tracer=None``
@@ -52,8 +52,6 @@ import numpy as np
 
 from ..tensor import Tensor, inference_mode
 from .schedule import NoiseSchedule
-
-TraceFn = Callable[[int, np.ndarray], None]
 
 
 def _predict_noise(model, x: np.ndarray, t: np.ndarray,
@@ -79,9 +77,7 @@ class _StepBuffers:
     ``sample()`` call owns two float64 work buffers plus one float32 output
     buffer and the updates run through ``out=`` ufuncs.  The operation order
     and dtypes mirror the expression forms exactly, so trajectories stay
-    bit-identical to the unbuffered spelling.
-
-    ``trace`` callbacks receive a *copy* of the latent: the live ``x`` buffer
+    bit-identical to the unbuffered spelling.  The returned ``out`` buffer
     is overwritten by the next step.
     """
 
@@ -92,11 +88,9 @@ class _StepBuffers:
         self.work2 = np.empty(shape, dtype=np.float64)
         self.out = np.empty(shape, dtype=np.float32)
 
-    def finish(self, trace: Optional[TraceFn], t: int) -> np.ndarray:
-        """Cast work1 into the float32 output and run the trace callback."""
+    def finish(self) -> np.ndarray:
+        """Cast work1 into the float32 output."""
         np.copyto(self.out, self.work1)
-        if trace is not None:
-            trace(t, self.out.copy())
         return self.out
 
 
@@ -140,7 +134,6 @@ class DDPMSampler:
     # repro: hot -- T model evaluations per image; per-step temporaries dominate non-model cost
     def sample(self, model, shape, rng: np.random.Generator,
                context: Optional[Tensor] = None,
-               trace: Optional[TraceFn] = None,
                initial_noise: Optional[np.ndarray] = None,
                tracer=None, step_attrs: Optional[Dict] = None) -> np.ndarray:
         """Generate samples of the given ``(N, C, H, W)`` shape.
@@ -172,7 +165,7 @@ class DDPMSampler:
                     noise = rng.standard_normal(shape).astype(np.float32)
                     np.multiply(noise, np.sqrt(beta), out=buffers.work2)
                     np.add(work, buffers.work2, out=work)
-                x = buffers.finish(trace, t)
+                x = buffers.finish()
                 if tracer is not None:
                     tracer.add_span("sampler.step", span_started, tracer.time(),
                                     category="sampler", process="sampler",
@@ -246,7 +239,6 @@ class DDIMSampler:
     # repro: hot -- the paper's fast path: num_steps model evaluations per image
     def sample(self, model, shape, rng: np.random.Generator,
                context: Optional[Tensor] = None,
-               trace: Optional[TraceFn] = None,
                initial_noise: Optional[np.ndarray] = None,
                tracer=None, step_attrs: Optional[Dict] = None) -> np.ndarray:
         """Generate samples; with ``eta=0`` the trajectory is deterministic
@@ -286,7 +278,7 @@ class DDIMSampler:
                     noise = rng.standard_normal(shape).astype(np.float32)
                     np.multiply(noise, sigma, out=work2)
                     np.add(work, work2, out=work)
-                x = buffers.finish(trace, t)
+                x = buffers.finish()
                 if tracer is not None:
                     tracer.add_span("sampler.step", span_started, tracer.time(),
                                     category="sampler", process="sampler",
@@ -340,7 +332,6 @@ class DPMSolver2Sampler:
     # repro: hot -- 2*num_steps-1 model evaluations per image
     def sample(self, model, shape, rng: np.random.Generator,
                context: Optional[Tensor] = None,
-               trace: Optional[TraceFn] = None,
                initial_noise: Optional[np.ndarray] = None,
                tracer=None, step_attrs: Optional[Dict] = None) -> np.ndarray:
         schedule = self.schedule
@@ -373,8 +364,6 @@ class DPMSolver2Sampler:
                     np.multiply(eps_avg, 0.5, out=eps_avg)
                     x = _ddim_step_into(x, eps_avg, alpha_bar, alpha_bar_prev,
                                         buffers, buffers.out)
-                if trace is not None:
-                    trace(t, x.copy())
                 if tracer is not None:
                     tracer.add_span("sampler.step", span_started, tracer.time(),
                                     category="sampler", process="sampler",

@@ -18,12 +18,14 @@ Components (one module each):
 * :mod:`~repro.serving.router` — SLO-aware (scheme, generation-plan)
   selection from the roofline cost model: precision degrades before the
   step budget is cut;
-* :mod:`~repro.serving.stats` — queue-wait/batch/latency/cache telemetry
+* :mod:`~repro.serving.stats` — one completion counter and one batch
+  counter (queue wait, latency, scheme, plan, SLO outcome, batch size)
   and the JSON stats report;
 * :mod:`~repro.serving.engine` — the orchestrating engine (lifecycle:
   queue → route → batch → variant pool → generate → stats);
 * :mod:`~repro.serving.loadgen` — deterministic workload generation and
-  the load benchmark entry point;
+  the one SLO-tier table (:func:`slo_for_tier`), which the cluster trace
+  shares;
 * :mod:`~repro.serving.clock` — virtual time for deterministic tests and
   benchmarks of the timing-sensitive components.
 """
@@ -36,7 +38,6 @@ from .loadgen import (
     SLO_TIERS,
     WorkloadConfig,
     generate_workload,
-    run_load_benchmark,
     slo_for_tier,
     zipf_weights,
 )
@@ -48,12 +49,7 @@ from .router import (
     RoutingDecision,
     SLORouter,
 )
-from .stats import (
-    BatchRecord,
-    RequestRecord,
-    ServingStats,
-    percentile_summary,
-)
+from .stats import ServingStats, percentile_summary, plan_label
 
 __all__ = [
     "Request", "Response", "RequestQueue", "QueueFullError",
@@ -62,9 +58,9 @@ __all__ = [
     "EmbeddingCache",
     "SLORouter", "RoutingDecision", "DEFAULT_SCHEMES",
     "DEFAULT_STEP_FRACTIONS",
-    "ServingStats", "RequestRecord", "BatchRecord",
+    "ServingStats", "plan_label",
     "ServingEngine", "EngineConfig",
-    "WorkloadConfig", "generate_workload", "run_load_benchmark",
+    "WorkloadConfig", "generate_workload",
     "slo_for_tier", "SLO_TIERS", "zipf_weights",
     "percentile_summary",
     "VirtualClock",

@@ -16,7 +16,8 @@ admission (who gets capacity under overload) become the levers.
   (round-robin, least-loaded, variant-affinity) and the memoizing router
   wrapper that makes 10^6-request routing cheap;
 * :mod:`~repro.serving.cluster.autoscaler` — replica-count control from
-  arrival rate and modeled cost, with warmup/cooldown/drain semantics;
+  arrival rate and measured service time, with warmup/cooldown/drain
+  semantics;
 * :mod:`~repro.serving.cluster.trace` — diurnal + bursty Poisson
   arrivals, Zipf tenants/prompts, per-tenant SLO-tier mixes;
 * :mod:`~repro.serving.cluster.sim` — the discrete-event loop on one
@@ -66,14 +67,7 @@ from .report import (
     save_cluster_report,
 )
 from .sim import ClusterConfig, ClusterSimulation, run_cluster_sim
-from .trace import (
-    TRACE_TIERS,
-    Trace,
-    TraceConfig,
-    default_plan_mix,
-    generate_trace,
-    tier_slo_seconds,
-)
+from .trace import Trace, TraceConfig, default_plan_mix, generate_trace
 
 __all__ = [
     "Replica", "ReplicaConfig", "ClusterCostModel", "SimPipeline",
@@ -84,7 +78,6 @@ __all__ = [
     "AffinityPolicy", "CachedRouter", "POLICIES", "make_policy",
     "Autoscaler", "AutoscalerConfig",
     "Trace", "TraceConfig", "generate_trace", "default_plan_mix",
-    "tier_slo_seconds", "TRACE_TIERS",
     "ClusterSimulation", "ClusterConfig", "run_cluster_sim",
     "ClusterStats", "build_cluster_report", "save_cluster_report",
     "SCHEMA",

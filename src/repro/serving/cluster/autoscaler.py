@@ -8,9 +8,11 @@ amortized service time S per request, N active replicas run at
     desired = ceil(λ · S / ρ*)
 
 clamped to ``[min_replicas, max_replicas]``.  λ comes from the front
-door's windowed arrival counter and S from the modeled cost of what was
-actually admitted (smoothed with an EWMA so one quiet tick doesn't flap
-the fleet).
+door's windowed arrival counter and S from measurement: the executor
+busy-seconds booked per request completed in the window, smoothed with an
+EWMA (weight ``service_ewma`` on the newest window) so one quiet tick
+doesn't flap the fleet.  Until a window completes anything, S is
+``default_service_seconds``.
 
 Scaling is deliberately not free or instant:
 
@@ -57,6 +59,15 @@ class AutoscalerConfig:
         if min_replicas < 1 or max_replicas < min_replicas:
             raise ValueError(f"need 1 <= min_replicas <= max_replicas, got "
                              f"{min_replicas}..{max_replicas}")
+        if interval_seconds <= 0:
+            raise ValueError(f"interval_seconds must be > 0, got "
+                             f"{interval_seconds}")
+        if warmup_seconds < 0:
+            raise ValueError(f"warmup_seconds must be >= 0, got "
+                             f"{warmup_seconds}")
+        if not 0 < service_ewma <= 1:
+            raise ValueError(f"service_ewma must be in (0, 1], got "
+                             f"{service_ewma}")
         self.min_replicas = min_replicas
         self.max_replicas = max_replicas
         self.target_utilization = target_utilization

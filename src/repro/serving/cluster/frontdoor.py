@@ -18,14 +18,14 @@ reason:
 
 Admitted requests are routed (scheme/plan via the shared cached SLO
 router) and placed by the configured :class:`~repro.serving.cluster.
-affinity.RoutingPolicy`.  The front door also keeps per-tenant
-offered/admitted tallies and windowed arrival/cost counters that feed the
-autoscaler's utilization estimate.
+affinity.RoutingPolicy`.  The front door also counts offered and admitted
+requests (offered per tenant, for the rejection rates) and the arrivals
+of each autoscaler window.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence
 
 from ..request import Request
 from ..stats import ServingStats
@@ -66,6 +66,14 @@ class FrontDoorConfig:
         ``max_cluster_pending`` bounds total admitted-but-unfinished
         requests across active replicas — the cluster-wide backlog bound.
         """
+        if tenant_rate <= 0:
+            raise ValueError(f"tenant_rate must be > 0, got {tenant_rate}")
+        if tenant_burst < 1:
+            raise ValueError("tenant_burst must be >= 1 so a full bucket "
+                             f"admits a request, got {tenant_burst}")
+        if max_cluster_pending < 1:
+            raise ValueError("max_cluster_pending must be >= 1, got "
+                             f"{max_cluster_pending}")
         self.tenant_rate = tenant_rate
         self.tenant_burst = tenant_burst
         self.max_cluster_pending = max_cluster_pending
@@ -94,12 +102,9 @@ class FrontDoor:
         self.offered = 0
         self.admitted = 0
         self.offered_by_tenant: Dict[str, int] = {}
-        self.admitted_by_tenant: Dict[str, int] = {}
         self._buckets: Dict[str, TokenBucket] = {}
-        # Windowed signals for the autoscaler (reset by take_window()).
+        # Arrivals since the last autoscaler tick (reset by take_window()).
         self._window_arrivals = 0
-        self._window_admitted = 0
-        self._window_cost_s = 0.0
 
     # ------------------------------------------------------------------
     def _bucket(self, tenant: str, now: float) -> TokenBucket:
@@ -159,27 +164,18 @@ class FrontDoor:
             return None
 
         self.admitted += 1
-        self._window_admitted += 1
-        self._window_cost_s += self.cost_model.amortized_request_seconds(
-            request.model, decision.scheme, decision.plan,
-            batch_size_hint=max(replica.config.max_batch_size / 2.0, 1.0))
-        self.admitted_by_tenant[tenant] = \
-            self.admitted_by_tenant.get(tenant, 0) + 1
         return replica
 
     # ------------------------------------------------------------------
-    def take_window(self) -> Tuple[int, int, float]:
-        """Return and reset (arrivals, admitted, modeled admitted cost s).
+    def take_window(self) -> int:
+        """Return and reset the arrivals offered since the last call.
 
         Called once per autoscaler tick; arrivals/interval is the offered
-        rate, cost/admitted the mean amortized service seconds.
+        rate.
         """
-        window = (self._window_arrivals, self._window_admitted,
-                  self._window_cost_s)
+        arrivals = self._window_arrivals
         self._window_arrivals = 0
-        self._window_admitted = 0
-        self._window_cost_s = 0.0
-        return window
+        return arrivals
 
     def summary(self) -> Dict:
         """Front-door block of the cluster report."""

@@ -112,36 +112,33 @@ class SimPipeline:
         self.num_steps = spec.default_sampling_steps
         self.schedule = SimPipeline._Schedule(spec.train_timesteps)
 
-    def generate_batch(self, seeds, context=None, trace=None, plan=None):
+    def generate_batch(self, seeds, context=None, plan=None):
         return [SimPipeline._PLACEHOLDER] * len(seeds)
 
 
-def paper_costs_fn(sample_size: int = 64) -> Callable[[str], List[LayerCost]]:
+def paper_costs_fn() -> Callable[[str], List[LayerCost]]:
     """Per-model layer costs at paper scale (same U-Net for every model).
 
     The reproduction's stand-in models are tiny enough that launch
     overhead flattens the per-scheme spread; routing and service costs in
-    the cluster use the paper-scale architecture so scheme and step-budget
-    decisions behave like the system the paper characterizes.
+    the cluster use the paper-scale architecture (64x64 latents) so scheme
+    and step-budget decisions behave like the system the paper
+    characterizes.
     """
-    costs = unet_layer_costs(paper_scale_stable_diffusion_config(), sample_size)
+    costs = unet_layer_costs(paper_scale_stable_diffusion_config(), 64)
     return lambda model: costs
 
 
-def default_cluster_router(schemes=None,
-                           device: DeviceProfile = GPU_L4_SERVING) -> SLORouter:
+def default_cluster_router() -> SLORouter:
     """The router the cluster prices everything with, in one place.
 
     Trace generation (turning symbolic SLO tiers into seconds), request
-    routing and the replica service-time model must all share one cost
-    model — an SLO priced by a different router than the one serving it
-    is either trivially met or unmeetable.  Both the trace generator and
-    :class:`~repro.serving.cluster.sim.ClusterSimulation` default to this.
+    routing and the replica service-time model all read this router:
+    paper-scale costs on :data:`GPU_L4_SERVING` over the default scheme
+    ladder.  An SLO priced by a different router than the one serving it
+    would be either trivially met or unmeetable, so there is no other.
     """
-    kwargs = {"costs_fn": paper_costs_fn(), "device": device}
-    if schemes:
-        kwargs["schemes"] = schemes
-    return SLORouter(**kwargs)
+    return SLORouter(device=GPU_L4_SERVING, costs_fn=paper_costs_fn())
 
 
 class ClusterCostModel:
@@ -153,13 +150,12 @@ class ClusterCostModel:
     bit-for-bit.  A single-image trajectory costs exactly the router's
     price of its (model, scheme, plan) — the price the request was routed
     on and the one its engine stamps on the ``batch.execute`` span.
-    ``costs_fn`` sizes each variant's weights (paper scale by default).
+    Each variant's weights are sized at paper scale.
     """
 
-    def __init__(self, router,
-                 costs_fn: Optional[Callable[[str], List[LayerCost]]] = None):
+    def __init__(self, router):
         self.router = router
-        self.costs_fn = costs_fn or paper_costs_fn()
+        self.costs_fn = paper_costs_fn()
         self._plan_seconds: Dict[Tuple, float] = {}
         self._variant_bytes: Dict[Tuple[str, str], float] = {}
 
@@ -207,8 +203,7 @@ class ReplicaConfig:
 
     def __init__(self, max_batch_size: int = 8, max_wait: float = 0.1,
                  capacity: int = 96,
-                 memory_budget_bytes: Optional[float] = 4.5e9,
-                 keep_records: bool = False):
+                 memory_budget_bytes: Optional[float] = 4.5e9):
         """
         ``capacity`` bounds in-flight requests (pending in the batcher plus
         scheduled-but-unfinished); past it the replica sheds load and the
@@ -216,15 +211,11 @@ class ReplicaConfig:
         ``memory_budget_bytes`` sizes the variant pool — at paper scale
         ~4.5 GB holds one model's full fp32/fp8/fp4 ladder but not two
         models' (the regime where affinity routing matters).
-        ``keep_records`` is forwarded to the replica's ServingStats;
-        simulators at 10^5-10^6 requests leave it off and rely on the
-        aggregate counters plus the cluster-level stats.
         """
         self.max_batch_size = max_batch_size
         self.max_wait = max_wait
         self.capacity = capacity
         self.memory_budget_bytes = memory_budget_bytes
-        self.keep_records = keep_records
 
 
 class Replica:
@@ -250,20 +241,20 @@ class Replica:
             clock=clock)
         # Each replica traces on its own "replica-<id>" lane of the shared
         # "cluster" process, so Perfetto shows the fleet as parallel tracks.
+        # Its stats keep counters only: at 10^5-10^6 requests the cluster's
+        # own compact arrays hold the latencies.
         self.engine = ServingEngine(
             pool, router=router,
             config=EngineConfig(max_batch_size=self.config.max_batch_size,
                                 max_wait=self.config.max_wait,
                                 queue_capacity=max(self.config.capacity, 1)),
-            stats=ServingStats(keep_records=self.config.keep_records),
+            stats=ServingStats(keep_records=False),
             clock=clock, tracer=tracer,
             trace_lane=f"replica-{replica_id}", trace_process="cluster")
         # executor timeline + accounting
         self.busy_until = float(started_at)
         self.busy_seconds = 0.0
         self.inflight = 0
-        self.served = 0
-        self.batches = 0
         self.variant_loads = 0
         self.variant_reloads = 0
         self.prompt_hits = 0
@@ -366,8 +357,6 @@ class Replica:
                                                finished=finished)
         self._pending_loads.discard((batch.key.model, batch.key.scheme))
         self.inflight -= len(batch)
-        self.served += len(batch)
-        self.batches += 1
         if self.state == DRAINING and self.is_idle():
             self.stop(finished)
         return responses
@@ -403,17 +392,17 @@ class Replica:
         return self.busy_seconds / lifetime if lifetime > 0 else 0.0
 
     def summary(self, now: float) -> Dict:
-        """Per-replica block of the cluster report."""
+        """Per-replica block of the cluster report; the served, batch and
+        scheme counts are the engine's own."""
         stats = self.engine.stats
         pool_stats = self.pool.stats()
         return {
             "state": self.state,
             "started_at": self.started_at,
             "stopped_at": self.stopped_at,
-            "served": self.served,
-            "batches": self.batches,
-            "mean_batch_size": (self.served / self.batches
-                                if self.batches else 0.0),
+            "served": stats.completed,
+            "batches": stats.batch_count,
+            "mean_batch_size": stats.mean_batch_size,
             "busy_seconds": self.busy_seconds,
             "utilization": self.utilization(now),
             "rejections": stats.rejections(),
@@ -431,5 +420,5 @@ class Replica:
                              if (self.prompt_hits + self.prompt_misses)
                              else 0.0),
             },
-            "by_scheme": dict(stats.report()["requests"]["by_scheme"]),
+            "by_scheme": stats.by_scheme(),
         }

@@ -22,7 +22,8 @@ Event kinds:
   timeline (``started = max(formed, replica.busy_until)``); responses are
   recorded into cluster stats with exact queue/dispatch/service splits.
 * **tick** — the autoscaler evaluates the last window's arrival rate and
-  modeled cost, possibly spawning ``warming`` replicas or draining one.
+  measured busy-seconds per completion, possibly spawning ``warming``
+  replicas or draining one.
 * **warmup** — a warming replica becomes active (scale-ups take
   ``warmup_seconds`` to contribute capacity).
 
@@ -39,13 +40,11 @@ import heapq
 from typing import Dict, List, Optional, Union
 
 from ..clock import VirtualClock
-from ..router import SLORouter
 from .affinity import CachedRouter, RoutingPolicy, make_policy
 from .autoscaler import Autoscaler, AutoscalerConfig
 from .frontdoor import FrontDoor, FrontDoorConfig
 from .replica import (
     ACTIVE,
-    GPU_L4_SERVING,
     WARMING,
     ClusterCostModel,
     Replica,
@@ -76,15 +75,14 @@ class ClusterConfig:
                  replica: Optional[ReplicaConfig] = None,
                  frontdoor: Optional[FrontDoorConfig] = None,
                  autoscaler: Optional[AutoscalerConfig] = None,
-                 policy: Union[str, RoutingPolicy] = "affinity",
-                 schemes=None,
-                 device=GPU_L4_SERVING):
+                 policy: Union[str, RoutingPolicy] = "affinity"):
         """
         ``autoscaler=None`` runs a fixed fleet of ``initial_replicas``;
         pass an :class:`AutoscalerConfig` to enable scaling.  ``policy``
         is a registry name (``affinity`` / ``round_robin`` /
-        ``least_loaded``) or a policy instance.  ``schemes`` overrides the
-        router's candidate ladder and ``device`` its roofline device.
+        ``least_loaded``) or a policy instance.  Routing and service are
+        priced by :func:`~repro.serving.cluster.replica.
+        default_cluster_router`, the router the trace's SLOs come from.
         """
         if initial_replicas < 1:
             raise ValueError(
@@ -94,15 +92,12 @@ class ClusterConfig:
         self.frontdoor = frontdoor or FrontDoorConfig()
         self.autoscaler = autoscaler
         self.policy = policy
-        self.schemes = schemes
-        self.device = device
 
 
 class ClusterSimulation:
     """Drives a replica fleet through a trace on one virtual timeline."""
 
-    def __init__(self, config: Optional[ClusterConfig] = None,
-                 router: Optional[SLORouter] = None, tracer=None):
+    def __init__(self, config: Optional[ClusterConfig] = None, tracer=None):
         """``tracer`` (:class:`repro.obs.Tracer`, default off) records the
         whole fleet on the "cluster" process: one lane per replica (batch
         segments + per-request async spans, booked by each replica's
@@ -113,10 +108,7 @@ class ClusterSimulation:
         self.config = config or ClusterConfig()
         self.clock = VirtualClock()
         self.tracer = tracer
-        if router is None:
-            router = default_cluster_router(schemes=self.config.schemes,
-                                            device=self.config.device)
-        self.router = CachedRouter(router)
+        self.router = CachedRouter(default_cluster_router())
         self.cost_model = ClusterCostModel(self.router)
         self.policy = (make_policy(self.config.policy)
                        if isinstance(self.config.policy, str)
@@ -227,7 +219,7 @@ class ClusterSimulation:
 
     def _on_tick(self, now: float) -> None:
         self.events["ticks"] += 1
-        arrivals, _admitted, _cost_s = self.frontdoor.take_window()
+        arrivals = self.frontdoor.take_window()
         counts = self._fleet_counts()
         # Measured signals: executor busy-seconds and completions this
         # window (exact, not estimates — scheduled service is booked into

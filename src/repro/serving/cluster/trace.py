@@ -37,13 +37,9 @@ import numpy as np
 from ...data.prompts import sample_prompt_specs
 from ...diffusion.plan import GenerationPlan
 from ...models import get_model_spec
-from ..loadgen import zipf_weights
+from ..loadgen import SLO_TIERS, slo_for_tier, zipf_weights
 from ..request import Request
-from ..router import SLORouter
 from .replica import default_cluster_router
-
-#: Symbolic tiers a tenant contract can name; ``None`` = best effort.
-TRACE_TIERS: Tuple[Optional[str], ...] = ("loose", "medium", "tight", None)
 
 
 def default_plan_mix(model: str) -> Tuple[Optional[GenerationPlan], ...]:
@@ -65,35 +61,6 @@ def default_plan_mix(model: str) -> Tuple[Optional[GenerationPlan], ...]:
     return tuple(plans)
 
 
-def tier_slo_seconds(router: SLORouter, model: str, num_steps: int,
-                     tier: Optional[str],
-                     headroom: Dict[str, float]) -> Optional[float]:
-    """Concrete latency target for a tier, with cluster headroom.
-
-    Unlike the single-engine :func:`~repro.serving.loadgen.slo_for_tier`
-    (whose ``tight`` hugs the cheapest scheme's *service* latency), the
-    cluster tiers multiply the router's predictions by a headroom factor:
-    end-to-end latency includes batching delay, dispatch waits behind
-    busy replicas and batch-size amortization, so a deliverable target
-    must leave room for them.  ``tight`` is headroom x the cheapest
-    scheme, ``loose`` headroom x the dearest, ``medium`` headroom x their
-    midpoint.
-    """
-    if tier is None:
-        return None
-    predictions = router.predictions(model, num_steps)
-    cheapest = min(predictions.values())
-    dearest = max(predictions.values())
-    anchor = {"tight": cheapest,
-              "medium": 0.5 * (cheapest + dearest),
-              "loose": dearest}
-    try:
-        return headroom[tier] * anchor[tier]
-    except KeyError:
-        raise ValueError(f"unknown SLO tier {tier!r}; "
-                         f"use one of {TRACE_TIERS}") from None
-
-
 @dataclass
 class TraceConfig:
     """Shape of a cluster traffic trace (all draws derive from ``seed``)."""
@@ -111,7 +78,12 @@ class TraceConfig:
     num_tenants: int = 20
     tenant_skew: float = 1.1
     tier_affinity: float = 0.6              # P(request uses tenant's tier)
-    tiers: Sequence[Optional[str]] = TRACE_TIERS
+    #: Symbolic tiers a tenant contract can name; ``None`` = best effort.
+    tiers: Sequence[Optional[str]] = SLO_TIERS
+    #: Cluster headroom over :func:`~repro.serving.loadgen.slo_for_tier`'s
+    #: anchors: end-to-end latency includes batching delay, dispatch waits
+    #: behind busy replicas and batch-size amortization, so a deliverable
+    #: target must leave room for them.
     tier_headroom: Dict[str, float] = field(default_factory=lambda: {
         "loose": 4.0, "medium": 3.0, "tight": 2.0})
     #: Prompt popularity (text-to-image models only).
@@ -129,11 +101,24 @@ class TraceConfig:
                              f"rate stays positive, got {self.diurnal_amplitude}")
         if self.base_rate <= 0:
             raise ValueError(f"base_rate must be > 0, got {self.base_rate}")
+        if self.diurnal_period_s <= 0:
+            raise ValueError("diurnal_period_s must be > 0, got "
+                             f"{self.diurnal_period_s}")
+        if self.burst_multiplier <= 0:
+            raise ValueError("burst_multiplier must be > 0 so the rate stays "
+                             f"positive, got {self.burst_multiplier}")
         if not 0 <= self.tier_affinity <= 1:
             raise ValueError("tier_affinity must be in [0, 1], got "
                              f"{self.tier_affinity}")
         if self.num_tenants < 1:
             raise ValueError("num_tenants must be >= 1")
+        for tier in self.tiers:
+            if tier not in SLO_TIERS:
+                raise ValueError(f"tiers holds unknown SLO tier {tier!r}; "
+                                 f"use values from {SLO_TIERS}")
+            if tier is not None and tier not in self.tier_headroom:
+                raise ValueError(f"tier_headroom has no factor for tier "
+                                 f"{tier!r}, got {self.tier_headroom}")
 
     def describe(self) -> Dict:
         """JSON-friendly summary (plans rendered as labels)."""
@@ -197,11 +182,6 @@ class Trace:
     def __iter__(self) -> Iterator[Tuple[float, Request]]:
         for index in range(len(self.arrivals)):
             yield float(self.arrivals[index]), self.request_at(index)
-
-    def head(self, count: int) -> List[Tuple[float, Request]]:
-        """The first ``count`` (arrival, request) pairs, materialized."""
-        return [(float(self.arrivals[i]), self.request_at(i))
-                for i in range(min(count, len(self.arrivals)))]
 
     def fingerprint(self) -> str:
         """Content hash over the config and the drawn arrays.
@@ -268,19 +248,15 @@ def _arrival_times(config: TraceConfig, rng: np.random.Generator,
     return times
 
 
-def generate_trace(config: TraceConfig,
-                   router: Optional[SLORouter] = None) -> Trace:
+def generate_trace(config: TraceConfig) -> Trace:
     """Draw a deterministic cluster trace from the config.
 
-    ``router`` turns symbolic tiers into concrete latency targets; it
-    defaults to :func:`~repro.serving.cluster.replica.
-    default_cluster_router` — the same pricing the cluster serves with.
-    An SLO priced against a different cost model than the serving one is
-    meaningless (trivially met or unmeetable), so only override this
-    together with :class:`~repro.serving.cluster.sim.ClusterConfig`'s
-    router knobs.
+    Symbolic tiers become concrete latency targets through
+    :func:`~repro.serving.cluster.replica.default_cluster_router` — the
+    same pricing the cluster routes and charges service with, so no trace
+    carries an SLO priced by another cost model.
     """
-    router = router or default_cluster_router()
+    router = default_cluster_router()
     n = config.num_requests
     # Independent seeded streams per concern: the arrival loop's chunked
     # draws can never perturb the request fields, and vice versa.
@@ -331,7 +307,7 @@ def generate_trace(config: TraceConfig,
         "plans": {model: tuple(plans.get(model) or default_plan_mix(model))
                   for model in models},
         "slo": {
-            (model, tier): tier_slo_seconds(
+            (model, tier): slo_for_tier(
                 router, model, get_model_spec(model).default_sampling_steps,
                 tier, config.tier_headroom)
             for model in models for tier in tiers},

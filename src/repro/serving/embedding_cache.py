@@ -61,15 +61,13 @@ class EmbeddingCache:
             self.evictions += 1
 
     def get_contexts(self, model: str, pipeline,
-                     prompts: Sequence[str]) -> Tuple[np.ndarray, List[bool]]:
+                     prompts: Sequence[str]) -> np.ndarray:
         """Context embeddings for ``prompts``, encoding only cache misses.
 
-        Returns ``(contexts, hit_flags)`` where ``contexts`` is a
-        ``(len(prompts), tokens, dim)`` array in prompt order and
-        ``hit_flags[i]`` says whether prompt ``i`` was served from cache.
+        Returns a ``(len(prompts), tokens, dim)`` array in prompt order;
+        every lookup counts as one hit or one miss.
         """
         prompts = list(prompts)
-        hit_flags: List[bool] = []
         missing: List[str] = []
         rows: Dict[str, np.ndarray] = {}
         for prompt in prompts:
@@ -78,11 +76,9 @@ class EmbeddingCache:
             if entry is not None:
                 self._entries.move_to_end(key)
                 self.hits += 1
-                hit_flags.append(True)
                 rows[prompt] = entry
             else:
                 self.misses += 1
-                hit_flags.append(False)
                 if prompt not in missing:
                     missing.append(prompt)
         if missing:
@@ -91,5 +87,4 @@ class EmbeddingCache:
                 row = np.asarray(row)
                 rows[prompt] = row
                 self._store((model, prompt), row)
-        contexts = np.stack([rows[prompt] for prompt in prompts], axis=0)
-        return contexts, hit_flags
+        return np.stack([rows[prompt] for prompt in prompts], axis=0)

@@ -22,9 +22,10 @@ Request lifecycle
    :class:`~repro.serving.embedding_cache.EmbeddingCache`; the whole batch
    runs in one :meth:`~repro.diffusion.DiffusionPipeline.generate_batch`
    sampler pass with per-request seeds, under the batch key's plan.
-5. **Instrumentation**: every request/batch lands in
-   :class:`~repro.serving.stats.ServingStats` (queue wait, batch size,
-   latency percentiles, throughput, cache hit rates) for the JSON report.
+5. **Instrumentation**: every completed request and every generation
+   pass is counted once in :class:`~repro.serving.stats.ServingStats`
+   (queue wait, batch size, latency percentiles, throughput, cache hit
+   rates) for the JSON report.
 
 The engine is single-threaded and synchronous: ``submit`` enqueues,
 :meth:`run_until_idle` drains.  That keeps semantics deterministic and
@@ -58,7 +59,7 @@ from .embedding_cache import EmbeddingCache
 from .pool import ModelVariantPool
 from .request import QueueFullError, Request, RequestQueue, Response
 from .router import SLORouter
-from .stats import BatchRecord, RequestRecord, ServingStats
+from .stats import ServingStats, plan_label
 
 
 @dataclass
@@ -86,8 +87,12 @@ class ServingEngine:
         build, embed, execute — as spans on the ``(trace_process,
         trace_lane)`` track, plus one async span per request.  Each
         ``batch.execute`` span carries ``predicted_s``, the router's price
-        of the batch's routed (model, scheme, plan): the number the request
-        was routed on.  ``metrics`` (:class:`repro.obs.MetricsRegistry`)
+        of *one image's* trajectory under the batch's routed (model,
+        scheme, plan): the number the request was routed on, not the
+        batch's duration.  The cluster charges a batch of n images
+        ``predicted_s x (1 + 0.15 (n - 1))`` plus variant-load and
+        prompt-embedding time, so its batched spans run longer by
+        construction.  ``metrics`` (:class:`repro.obs.MetricsRegistry`)
         receives labeled counters/histograms for the same lifecycle.  All
         telemetry timestamps come off the engine ``clock``, so a virtual-
         clock engine traces in virtual time.  Prompt embeddings are cached
@@ -214,15 +219,13 @@ class ServingEngine:
             started = self.clock()
         pipeline = self._pipeline_for(batch.key)
         context = None
-        hit_flags: Optional[List[bool]] = None
         embed_started = embed_finished = None
         if pipeline.is_text_to_image:
             if self.tracer is not None:
                 embed_started = self.clock()
             prompts = [request.prompt for request in batch.requests]
-            contexts, hit_flags = self.embedding_cache.get_contexts(
-                batch.key.model, pipeline, prompts)
-            context = Tensor(contexts)
+            context = Tensor(self.embedding_cache.get_contexts(
+                batch.key.model, pipeline, prompts))
             if self.tracer is not None:
                 embed_finished = self.clock()
         seeds = [request.seed for request in batch.requests]
@@ -238,11 +241,8 @@ class ServingEngine:
         # step budget in the plan and resolve to the training grid.
         num_steps = plan.resolve_steps(pipeline.num_steps,
                                        pipeline.schedule.num_timesteps)
-        self.stats.record_batch(BatchRecord(
-            model=batch.key.model, scheme=batch.key.scheme,
-            num_steps=num_steps, batch_size=len(batch),
-            latency=batch_latency, sampler=plan.sampler,
-            guidance_scale=plan.guidance_scale, eta=plan.eta))
+        label = plan_label(plan, num_steps)
+        self.stats.record_batch(len(batch))
         if self.tracer is not None:
             self._trace_batch(batch, started, finished, num_steps,
                               embed_started, embed_finished)
@@ -268,8 +268,6 @@ class ServingEngine:
                 batch_latency=batch_latency,
                 total_latency=queue_wait + dispatch_wait + batch_latency,
                 dispatch_wait=dispatch_wait,
-                embedding_cache_hit=(hit_flags[position]
-                                     if hit_flags is not None else None),
                 plan=plan)
             responses.append(response)
             slo_met = response.meets_slo(request.latency_slo)
@@ -288,25 +286,8 @@ class ServingEngine:
                                      {"scheme": batch.key.scheme}).inc()
                 self.metrics.histogram("serving.queue_wait_s") \
                     .observe(queue_wait)
-            if self.stats.keep_records:
-                self.stats.record_request(RequestRecord(
-                    request_id=request.request_id, model=batch.key.model,
-                    scheme=batch.key.scheme, num_steps=num_steps,
-                    queue_wait=queue_wait, batch_size=len(batch),
-                    batch_latency=batch_latency,
-                    total_latency=response.total_latency,
-                    latency_slo=request.latency_slo,
-                    slo_met=slo_met,
-                    sampler=plan.sampler,
-                    guidance_scale=plan.guidance_scale,
-                    eta=plan.eta,
-                    dispatch_wait=dispatch_wait,
-                    tenant=request.tenant,
-                    tier=request.tier))
-            else:
-                # At simulator scale even the per-request dataclass is
-                # measurable; the aggregate counters stay exact.
-                self.stats.record_completion(batch.key.scheme, slo_met)
+            self.stats.record_request(batch.key.scheme, slo_met, label,
+                                      queue_wait, response.total_latency)
         return responses
 
     def _drain_queue_batches(self) -> Iterator[Batch]:

@@ -1,4 +1,4 @@
-"""Load generator: deterministic mixed serving workloads + benchmark runner.
+"""Load generator: deterministic mixed serving workloads and SLO tiers.
 
 Builds request streams with the properties that make serving interesting:
 a pool of prompts reused with a Zipf-like popularity skew (so the
@@ -7,26 +7,31 @@ SLO tiers (so the router serves different schemes and step budgets) and a
 mix of generation plans (so the batcher sees several sampler/guidance
 groups).  Everything is seeded, so a workload is reproducible across runs
 and across the sequential-vs-batched comparison in the throughput
-benchmark.
+benchmark.  :func:`slo_for_tier` is the one tier table: the cluster trace
+generator prices its tiers through it too, with its own headroom.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import List, Mapping, Optional, Sequence
 
 import numpy as np
 
 from ..data.prompts import sample_prompt_specs
 from ..diffusion.plan import GenerationPlan
 from ..models import get_model_spec
-from .engine import ServingEngine
 from .request import Request
 from .router import SLORouter
 
 #: Symbolic SLO tiers resolved against the router's per-scheme predictions.
 #: ``None`` means "no SLO" (router serves best quality).
 SLO_TIERS = ("loose", "medium", "tight", None)
+
+#: Single-engine headroom per tier: ``loose`` fits every candidate scheme
+#: twice over, ``medium`` sits at the midpoint of the scheme ladder and
+#: ``tight`` hugs the cheapest scheme's service latency.
+ENGINE_TIER_HEADROOM = {"loose": 2.0, "medium": 1.0, "tight": 1.0001}
 
 
 def zipf_weights(count: int, skew: float) -> np.ndarray:
@@ -48,25 +53,32 @@ def zipf_weights(count: int, skew: float) -> np.ndarray:
 
 
 def slo_for_tier(router: SLORouter, model: str, num_steps: int,
-                 tier: Optional[str]) -> Optional[float]:
+                 tier: Optional[str],
+                 headroom: Mapping[str, float] = ENGINE_TIER_HEADROOM
+                 ) -> Optional[float]:
     """Turn a symbolic tier into a concrete latency target in seconds.
 
-    ``loose`` fits every candidate scheme, ``tight`` only the cheapest,
-    ``medium`` sits midway — derived from the router's own predictions so
-    the tiers stay meaningful whatever the model scale or device profile.
+    Each tier is ``headroom[tier]`` times an anchor taken from the
+    router's own predictions of a plain ``num_steps`` trajectory, so the
+    tiers stay meaningful whatever the model scale or device profile:
+    ``tight`` anchors on the cheapest scheme, ``loose`` on the dearest and
+    ``medium`` on their midpoint.  The default headroom is the
+    single-engine table; the cluster trace passes its own, since its
+    end-to-end latency also holds batching delay and dispatch waits.
     """
     if tier is None:
         return None
+    if tier not in SLO_TIERS:
+        raise ValueError(f"unknown SLO tier {tier!r}; use one of {SLO_TIERS}")
+    if tier not in headroom:
+        raise ValueError(f"headroom has no factor for SLO tier {tier!r}")
     predictions = router.predictions(model, num_steps)
     cheapest = min(predictions.values())
     dearest = max(predictions.values())
-    if tier == "loose":
-        return 2.0 * dearest
-    if tier == "medium":
-        return 0.5 * (cheapest + dearest)
-    if tier == "tight":
-        return 1.0001 * cheapest
-    raise ValueError(f"unknown SLO tier {tier!r}; use one of {SLO_TIERS}")
+    anchor = {"tight": cheapest,
+              "medium": 0.5 * (cheapest + dearest),
+              "loose": dearest}[tier]
+    return headroom[tier] * anchor
 
 
 @dataclass
@@ -114,11 +126,3 @@ def generate_workload(config: WorkloadConfig,
         ))
     return requests
 
-
-def run_load_benchmark(engine: ServingEngine, requests: Sequence[Request],
-                       report_path=None) -> Dict:
-    """Drive a workload through the engine and return (and save) the report."""
-    engine.serve(requests)
-    if report_path is not None:
-        engine.stats.to_json(report_path)
-    return engine.stats.report()

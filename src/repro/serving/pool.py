@@ -3,16 +3,16 @@
 The quantization registry gives every checkpoint a family of precision
 variants (FP32, FP8, FP4, INT8, ...).  The pool is the serving-side owner of
 those variants: :meth:`ModelVariantPool.get` lazily builds the pipeline for
-a ``(model, scheme)`` pair — loading the zoo checkpoint (memoized
-in-process by :func:`repro.zoo.load_pretrained`) and running post-training
-quantization via :func:`repro.core.quantize_pipeline` — and caches it.
+a ``(model, scheme)`` pair and caches it.  The default builder is
+:func:`repro.experiments.variants.build_variant`, the experiments' own
+pretrain -> calibration -> quantize stage chain (the zoo checkpoint is
+memoized in-process by :func:`repro.zoo.load_pretrained`).
 
-With a ``run_store`` (the experiments' content-addressed
-:class:`~repro.experiments.store.RunStore`), the default builder instead
-goes through :func:`repro.experiments.variants.build_variant`: a variant
-quantized before — by a previous server process or by :meth:`prewarm` —
-is *loaded* from the artifact store instead of re-quantized at request
-time.  Stage-level sharing with experiment runs follows content keys: the
+Without a ``run_store`` every build is a cold quantize.  With one (the
+experiments' content-addressed :class:`~repro.experiments.store.RunStore`)
+a variant quantized before — by a previous server process or by
+:meth:`prewarm` — is *loaded* from the artifact store instead of
+re-quantized at request time.  Stage-level sharing with experiment runs follows content keys: the
 pretrain checkpoint is shared whenever the pretrain configs match, while
 calibration/quantize artifacts are shared only when the serving
 quantization config coincides with the experiment's (serving uses the
@@ -41,11 +41,11 @@ from collections import OrderedDict
 from typing import Callable, Dict, Iterable, Optional, Set, Tuple
 
 from .. import nn
-from ..core import DEQUANTIZE_MEMO, QuantizationConfig, quantize_pipeline, resident_nbytes
+from ..core import DEQUANTIZE_MEMO, QuantizationConfig, resident_nbytes
 from ..diffusion import DiffusionPipeline
 from ..models import get_model_spec
 from ..profiling import estimate_peak_memory, scheme_bytes_per_element
-from ..zoo import PretrainConfig, load_pretrained
+from ..zoo import PretrainConfig
 
 VariantKey = Tuple[str, str]  # (model name, scheme name)
 
@@ -81,7 +81,7 @@ class ModelVariantPool:
                  clock: Callable[[], float] = time.perf_counter):
         """
         ``builder`` overrides how a ``(model, scheme)`` pipeline is built
-        (tests inject stubs; production uses the zoo + quantizer default).
+        (tests inject stubs; production uses :func:`build_variant`).
         ``quantization`` maps a scheme name to the full
         :class:`QuantizationConfig` used for that variant (default: the
         scheme for both weights and activations).  A variant is charged
@@ -94,7 +94,8 @@ class ModelVariantPool:
         entirely.  ``run_store`` (a
         :class:`repro.experiments.RunStore`) makes the default builder load
         pre-quantized variants from the content-addressed artifact store,
-        falling back to a cold quantize that populates the store.
+        falling back to a cold quantize that populates the store; without
+        one every build is a cold quantize.
         ``clock`` stamps build/prewarm durations (wall time by default);
         an engine serving from the pool replaces it with its own (possibly
         virtual) clock, so the pool's timing stats are deterministic
@@ -129,24 +130,14 @@ class ModelVariantPool:
         return QuantizationConfig(weight_dtype=scheme, activation_dtype=scheme)
 
     def _default_builder(self, model: str, scheme: str) -> DiffusionPipeline:
-        config = self._quantization(scheme)
-        if self.run_store is not None:
-            from ..experiments.variants import build_variant
-            built = build_variant(model, config, pretrain=self.pretrain,
-                                  store=self.run_store,
-                                  zoo_cache_dir=self.cache_dir)
-            self._last_build_source = built.source
-            return built.pipeline
-        checkpoint = load_pretrained(model, self.pretrain,
-                                     cache_dir=self.cache_dir)
-        pipeline = DiffusionPipeline(checkpoint)
-        prompts = None
-        if pipeline.is_text_to_image and config.requires_calibration():
-            from ..data import PromptDataset
-            prompts = PromptDataset(config.calibration.num_samples).prompts
-        quantized, _report = quantize_pipeline(pipeline, config, prompts=prompts)
-        self._last_build_source = "cold"
-        return quantized
+        # Imported here: the experiments package is only needed once a
+        # variant is built, and importing it costs every server start.
+        from ..experiments.variants import build_variant
+        built = build_variant(model, self._quantization(scheme),
+                              pretrain=self.pretrain, store=self.run_store,
+                              zoo_cache_dir=self.cache_dir)
+        self._last_build_source = built.source
+        return built.pipeline
 
     # ------------------------------------------------------------------
     @property
@@ -247,11 +238,6 @@ class ModelVariantPool:
             self._variants.pop(victim)
             self._costs.pop(victim)
             self.evictions += 1
-
-    def warm(self, variants) -> None:
-        """Pre-build an iterable of ``(model, scheme)`` pairs (cold-start)."""
-        for model, scheme in variants:
-            self.get(model, scheme)
 
     def prewarm(self, specs: Iterable) -> Dict:
         """Build every variant a workload will need before traffic arrives.

@@ -78,7 +78,6 @@ class Response:
     #: in single-engine live serving; nonzero under the cluster simulator
     #: when a batch queues behind a busy replica).
     dispatch_wait: float = 0.0
-    embedding_cache_hit: Optional[bool] = None
     #: The generation plan the request was actually served with (the routed
     #: plan — possibly step-reduced relative to what was asked for).
     plan: Optional[GenerationPlan] = None

@@ -69,13 +69,11 @@ class SLORouter:
 
     def __init__(self, schemes: Sequence[str] = DEFAULT_SCHEMES,
                  device: DeviceProfile = GPU_V100,
-                 batch_size: int = 1,
-                 context_tokens: int = 16,
                  costs_fn: Optional[Callable[[str], List[LayerCost]]] = None):
         """
         ``costs_fn`` maps a model name to the per-layer cost list the
         roofline runs over; the default walks the model's own (scaled-down)
-        ``UNetConfig``.  Passing e.g. ``lambda _:
+        ``UNetConfig`` at batch size 1 with 16 context tokens.  Passing e.g. ``lambda _:
         unet_layer_costs(paper_scale_stable_diffusion_config(), 64)`` routes
         with paper-scale costs — useful because the reproduction's stand-in
         models are so small that launch overhead flattens the scheme spread.
@@ -88,17 +86,15 @@ class SLORouter:
         self.schemes: List[str] = sorted(
             schemes, key=lambda s: -get_scheme(s).bits)
         self.device = device
-        self.batch_size = batch_size
-        self.context_tokens = context_tokens
         self._costs_fn = costs_fn or self._spec_costs
         self._cost_cache: Dict[Tuple[str, str], float] = {}
 
     # ------------------------------------------------------------------
-    def _spec_costs(self, model: str) -> List[LayerCost]:
+    @staticmethod
+    def _spec_costs(model: str) -> List[LayerCost]:
         spec = get_model_spec(model)
         return unet_layer_costs(spec.unet, spec.sample_shape[-1],
-                                batch_size=self.batch_size,
-                                context_tokens=self.context_tokens)
+                                batch_size=1, context_tokens=16)
 
     def predicted_step_latency(self, model: str, scheme: str) -> float:
         """Roofline latency of one U-Net forward of ``model`` at ``scheme``."""
@@ -110,20 +106,6 @@ class SLORouter:
                                           scheme)
         self._cost_cache[key] = latency
         return latency
-
-    def predicted_latency(self, model: str, scheme: str, num_steps: int) -> float:
-        """Predicted end-to-end latency of a plain ``num_steps`` trajectory."""
-        return self.predicted_step_latency(model, scheme) * num_steps
-
-    def plan_steps(self, model: str, plan: GenerationPlan) -> int:
-        """The concrete step count ``plan`` performs on ``model``.
-
-        Plans for full-grid samplers (DDPM) carry no step budget; they
-        resolve to the model's ``train_timesteps``.
-        """
-        spec = get_model_spec(model)
-        return plan.resolve_steps(spec.default_sampling_steps,
-                                  spec.train_timesteps)
 
     def predicted_plan_latency(self, model: str, scheme: str,
                                plan: GenerationPlan) -> float:
@@ -138,8 +120,10 @@ class SLORouter:
             spec.default_sampling_steps, spec.train_timesteps)
 
     def predictions(self, model: str, num_steps: int) -> Dict[str, float]:
-        """Predicted latency for every candidate scheme (debug/ops view)."""
-        return {scheme: self.predicted_latency(model, scheme, num_steps)
+        """Predicted latency of a plain ``num_steps`` DDIM trajectory for
+        every candidate scheme (the anchors of the SLO tiers)."""
+        plan = GenerationPlan(num_steps=num_steps)
+        return {scheme: self.predicted_plan_latency(model, scheme, plan)
                 for scheme in self.schemes}
 
     # ------------------------------------------------------------------

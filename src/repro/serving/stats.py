@@ -1,88 +1,49 @@
-"""Serving instrumentation: per-request and per-batch records, JSON report.
+"""Serving instrumentation: completion and batch counters, JSON report.
 
-Every served request contributes a :class:`RequestRecord` (queue wait, batch
-size, measured latency, scheme *and generation plan* actually served) and
-every generation pass a :class:`BatchRecord`.  :meth:`ServingStats.report`
-aggregates them into the quantities a serving operator watches — p50/p95
-latency and queue wait, throughput, mean/histogram batch size, rejection
-counts (total and per tenant / SLO tier / reason), cache hit rates, and a
-per-plan block (latency summary, scheme mix and SLO attainment per routed
+:meth:`ServingStats.record_request` is the one way to count a completed
+request and :meth:`ServingStats.record_batch` the one way to count a
+generation pass.  :meth:`ServingStats.report` aggregates them into the
+quantities a serving operator watches — p50/p95 latency and queue wait,
+throughput, mean/histogram batch size, rejection counts (total and per
+tenant / SLO tier / reason), cache hit rates, and a per-plan block
+(latency summary, scheme mix and SLO attainment per routed
 sampler/steps/guidance combination, the quality dimension the
 two-dimensional router trades) — and serializes to JSON so load-test runs
 can be archived and diffed.
 
-Scalar aggregates (request/batch/rejection counts, scheme mix, SLO
-attainment, batch-size histogram) are maintained incrementally as records
-arrive, so ``ServingStats(keep_records=False)`` can drop the per-record
-lists entirely: the cluster simulator pushes ~10^6 requests through
-replica engines and keeps its own compact latency arrays, so retaining a
-dataclass per request in every replica would only burn memory.  With
-``keep_records=False`` the counter blocks stay exact and only the
-record-derived blocks (latency summaries, per-plan breakdown) are empty.
+The counters (completions, scheme mix, SLO attainment, batch count and
+size histogram) are exact in every instance.  With ``keep_records=True``
+(the default, a single engine) each completion also keeps the five
+columns the latency blocks and the per-plan block read: plan label,
+scheme, queue wait, total latency and SLO outcome.  The cluster's
+replicas and front door use ``ServingStats(keep_records=False)``: the
+simulator pushes ~10^6 requests through them and keeps its own compact
+latency arrays, so those blocks stay empty there.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional
 
 import numpy as np
 
 
-@dataclass
-class RequestRecord:
-    """Instrumentation for one completed request."""
+def plan_label(plan, num_steps: int) -> str:
+    """Routed-plan identity for grouping, e.g. ``ddim/8`` or ``dpm2/4@g2``.
 
-    request_id: int
-    model: str
-    scheme: str
-    num_steps: int
-    queue_wait: float
-    batch_size: int
-    batch_latency: float
-    total_latency: float
-    latency_slo: Optional[float]
-    slo_met: Optional[bool]
-    sampler: str = "ddim"
-    guidance_scale: float = 1.0
-    eta: float = 0.0
-    #: Seconds the formed batch waited for the executor (0 when a batch is
-    #: processed the moment it closes; the cluster simulator models busy
-    #: replicas, where a closed batch can queue behind in-flight work).
-    dispatch_wait: float = 0.0
-    tenant: Optional[str] = None
-    tier: Optional[str] = None
-
-    @property
-    def plan_label(self) -> str:
-        """Routed-plan identity for grouping, e.g. ``ddim/8`` or ``dpm2/4@g2``.
-
-        Every plan knob that changes the served execution participates —
-        eta included, since stochastic plans take a different (per-row)
-        serving path with a different latency profile.
-        """
-        label = f"{self.sampler}/{self.num_steps}"
-        if self.guidance_scale != 1.0:
-            label += f"@g{self.guidance_scale:g}"
-        if self.eta != 0.0:
-            label += f"@eta{self.eta:g}"
-        return label
-
-
-@dataclass
-class BatchRecord:
-    """Instrumentation for one generation pass."""
-
-    model: str
-    scheme: str
-    num_steps: int
-    batch_size: int
-    latency: float
-    sampler: str = "ddim"
-    guidance_scale: float = 1.0
-    eta: float = 0.0
+    ``num_steps`` is the step count the plan resolved to on the serving
+    pipeline.  Every plan knob that changes the served execution
+    participates — eta included, since stochastic plans take a different
+    (per-row) serving path with a different latency profile.
+    """
+    label = f"{plan.sampler}/{num_steps}"
+    if plan.guidance_scale != 1.0:
+        label += f"@g{plan.guidance_scale:g}"
+    if plan.eta != 0.0:
+        label += f"@eta{plan.eta:g}"
+    return label
 
 
 def percentile_summary(values, quantiles=(50, 95, 99)) -> Dict[str, float]:
@@ -107,8 +68,12 @@ class ServingStats:
 
     def __init__(self, keep_records: bool = True):
         self.keep_records = keep_records
-        self.requests: List[RequestRecord] = []
-        self.batches: List[BatchRecord] = []
+        # Per-completion columns, kept only with keep_records.
+        self._labels: List[str] = []
+        self._schemes: List[str] = []
+        self._queue_waits: List[float] = []
+        self._latencies: List[float] = []
+        self._slo_outcomes: List[Optional[bool]] = []
         self.rejected = 0
         self.rejections_by_tenant: Dict[str, int] = {}
         self.rejections_by_tier: Dict[str, int] = {}
@@ -118,7 +83,6 @@ class ServingStats:
         #: Extra counter blocks merged into the report (embedding cache,
         #: variant pool, ...), keyed by component name.
         self.components: Dict[str, Dict] = {}
-        # incremental aggregates (exact whether or not records are kept)
         self._completed = 0
         self._scheme_counts: Dict[str, int] = {}
         self._slo_with = 0
@@ -128,39 +92,30 @@ class ServingStats:
         self._size_histogram: Dict[str, int] = {}
 
     # ------------------------------------------------------------------
-    def record_request(self, record: RequestRecord) -> None:
-        self._completed += 1
-        self._scheme_counts[record.scheme] = (
-            self._scheme_counts.get(record.scheme, 0) + 1)
-        if record.slo_met is not None:
-            self._slo_with += 1
-            if record.slo_met:
-                self._slo_met += 1
-        if self.keep_records:
-            self.requests.append(record)
-
-    def record_completion(self, scheme: str,
-                          slo_met: Optional[bool] = None) -> None:
-        """Count a completed request without materializing a record.
-
-        The record-free twin of :meth:`record_request` for callers running
-        with ``keep_records=False`` at scales where even constructing the
-        dataclass per request is measurable.
-        """
+    def record_request(self, scheme: str, slo_met: Optional[bool],
+                       label: str, queue_wait: float,
+                       total_latency: float) -> None:
+        """Count one completed request served at ``scheme`` under the plan
+        :func:`plan_label` names; ``slo_met`` is None without a target."""
         self._completed += 1
         self._scheme_counts[scheme] = self._scheme_counts.get(scheme, 0) + 1
         if slo_met is not None:
             self._slo_with += 1
             if slo_met:
                 self._slo_met += 1
-
-    def record_batch(self, record: BatchRecord) -> None:
-        self._batch_count += 1
-        self._batch_size_sum += record.batch_size
-        key = str(record.batch_size)
-        self._size_histogram[key] = self._size_histogram.get(key, 0) + 1
         if self.keep_records:
-            self.batches.append(record)
+            self._labels.append(label)
+            self._schemes.append(scheme)
+            self._queue_waits.append(queue_wait)
+            self._latencies.append(total_latency)
+            self._slo_outcomes.append(slo_met)
+
+    def record_batch(self, batch_size: int) -> None:
+        """Count one generation pass over ``batch_size`` requests."""
+        self._batch_count += 1
+        self._batch_size_sum += batch_size
+        key = str(batch_size)
+        self._size_histogram[key] = self._size_histogram.get(key, 0) + 1
 
     def record_rejection(self, tenant: Optional[str] = None,
                          tier: Optional[str] = None,
@@ -193,6 +148,19 @@ class ServingStats:
         return self._completed
 
     @property
+    def batch_count(self) -> int:
+        return self._batch_count
+
+    @property
+    def mean_batch_size(self) -> float:
+        return (self._batch_size_sum / self._batch_count
+                if self._batch_count else 0.0)
+
+    def by_scheme(self) -> Dict[str, int]:
+        """Completed requests per served scheme, in first-served order."""
+        return dict(self._scheme_counts)
+
+    @property
     def wall_time(self) -> float:
         if self.started_at is None or self.finished_at is None:
             return 0.0
@@ -218,43 +186,42 @@ class ServingStats:
 
     def report(self) -> Dict:
         """Aggregate everything into a JSON-serializable stats report."""
-        plan_groups: Dict[str, List[RequestRecord]] = {}
-        for record in self.requests:
-            plan_groups.setdefault(record.plan_label, []).append(record)
+        plan_rows: Dict[str, List[int]] = {}
+        for row, label in enumerate(self._labels):
+            plan_rows.setdefault(label, []).append(row)
         plans: Dict[str, Dict] = {}
-        for label in sorted(plan_groups):
-            records = plan_groups[label]
+        for label in sorted(plan_rows):
+            rows = plan_rows[label]
             by_scheme: Dict[str, int] = {}
-            for record in records:
-                by_scheme[record.scheme] = by_scheme.get(record.scheme, 0) + 1
-            targeted = [r for r in records if r.slo_met is not None]
+            for row in rows:
+                scheme = self._schemes[row]
+                by_scheme[scheme] = by_scheme.get(scheme, 0) + 1
+            targeted = [self._slo_outcomes[row] for row in rows
+                        if self._slo_outcomes[row] is not None]
             plans[label] = {
-                "count": len(records),
+                "count": len(rows),
                 "latency_s": percentile_summary(
-                    [r.total_latency for r in records], (50, 95)),
+                    [self._latencies[row] for row in rows], (50, 95)),
                 "by_scheme": by_scheme,
                 "slo": {
                     "with_target": len(targeted),
-                    "met": sum(1 for r in targeted if r.slo_met),
+                    "met": sum(1 for met in targeted if met),
                 },
             }
         return {
             "requests": {
                 "completed": self._completed,
                 "rejected": self.rejected,
-                "by_scheme": dict(self._scheme_counts),
+                "by_scheme": self.by_scheme(),
             },
             "rejections": self.rejections(),
             "wall_time_s": self.wall_time,
             "throughput_rps": self.throughput,
-            "queue_wait_s": percentile_summary(
-                [r.queue_wait for r in self.requests], (50, 95)),
-            "latency_s": percentile_summary(
-                [r.total_latency for r in self.requests], (50, 95)),
+            "queue_wait_s": percentile_summary(self._queue_waits, (50, 95)),
+            "latency_s": percentile_summary(self._latencies, (50, 95)),
             "batch": {
                 "count": self._batch_count,
-                "mean_size": (self._batch_size_sum / self._batch_count
-                              if self._batch_count else 0.0),
+                "mean_size": self.mean_batch_size,
                 "size_histogram": dict(self._size_histogram),
             },
             "slo": {

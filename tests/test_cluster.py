@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.profiling import estimate_utilization
-from repro.serving import Request, VirtualClock
+from repro.serving import Request, ServingStats, VirtualClock
 from repro.serving.cluster import (
     ACTIVE,
     DRAINING,
@@ -160,6 +160,24 @@ def test_frontdoor_overload_bound(router, cost_model):
         assert door.dispatch(sd_request(), 0.0, [replica]) is not None
     assert door.dispatch(sd_request(), 0.0, [replica]) is None
     assert door.stats.rejections()["by_reason"] == {"overload": 1}
+
+
+def test_frontdoor_config_validation():
+    for field, value in (("tenant_rate", -1.0), ("tenant_rate", 0.0),
+                         ("tenant_burst", 0.5),
+                         ("max_cluster_pending", 0)):
+        with pytest.raises(ValueError, match=field):
+            FrontDoorConfig(**{field: value})
+
+
+def test_frontdoor_window_counts_arrivals_offered(router, cost_model):
+    replica, clock = make_replica(router, cost_model)
+    door = FrontDoor(router, make_policy("round_robin"), cost_model,
+                     FrontDoorConfig(tenant_rate=1.0, tenant_burst=1.0))
+    door.dispatch(sd_request(tenant="hot"), 0.0, [replica])
+    door.dispatch(sd_request(tenant="hot"), 0.0, [replica])  # throttled
+    assert door.take_window() == 2       # offered, admitted or not
+    assert door.take_window() == 0       # reset by the read
 
 
 # ---------------------------------------------------------------------------
@@ -350,6 +368,14 @@ def test_autoscaler_config_validation():
         AutoscalerConfig(scale_down_utilization=0.9, target_utilization=0.6)
     with pytest.raises(ValueError):
         AutoscalerConfig(min_replicas=4, max_replicas=2)
+    # values the simulator cannot run: a zero or negative tick interval,
+    # an activation scheduled in the past, an EWMA weight outside (0, 1]
+    for field, value in (("interval_seconds", 0.0),
+                         ("interval_seconds", -5.0),
+                         ("warmup_seconds", -5.0),
+                         ("service_ewma", 2.0), ("service_ewma", 0.0)):
+        with pytest.raises(ValueError, match=field):
+            AutoscalerConfig(**{field: value})
 
 
 # ---------------------------------------------------------------------------
@@ -393,6 +419,28 @@ def test_sim_is_deterministic_to_the_byte():
     a = json.dumps(run_sim("affinity"), sort_keys=True)
     b = json.dumps(run_sim("affinity"), sort_keys=True)
     assert a == b
+
+
+def test_replica_summaries_read_their_engines_counts():
+    trace = generate_trace(TraceConfig(num_requests=1500, seed=4))
+    sim = ClusterSimulation(ClusterConfig(
+        initial_replicas=2, autoscaler=AutoscalerConfig(interval_seconds=10.0,
+                                                        min_replicas=1)))
+    report = sim.run(trace)
+    assert len(report["replicas"]) == len(sim.replicas)
+    for replica in sim.replicas:
+        summary = report["replicas"][str(replica.replica_id)]
+        engine = replica.engine.stats.report()
+        assert summary["served"] == engine["requests"]["completed"]
+        assert summary["batches"] == engine["batch"]["count"]
+        assert summary["mean_batch_size"] == engine["batch"]["mean_size"]
+        assert summary["by_scheme"] == engine["requests"]["by_scheme"]
+    # every completion was served by exactly one replica, in one batch
+    summaries = report["replicas"].values()
+    assert (sum(s["served"] for s in summaries)
+            == report["requests"]["completed"] > 0)
+    assert (sum(s["batches"] for s in summaries)
+            == report["events"]["completions"])
 
 
 def test_affinity_beats_round_robin():
@@ -462,7 +510,8 @@ def test_sim_virtual_time_only():
 def test_engine_fully_deterministic_under_virtual_clock(router, cost_model):
     """No wall-clock leakage: identical virtual runs -> identical reports."""
     def one_run():
-        replica, clock = make_replica(router, cost_model, keep_records=True)
+        replica, clock = make_replica(router, cost_model)
+        replica.engine.stats = ServingStats()     # keep per-request records
         now = 0.0
         for index in range(12):
             replica.submit(sd_request(seed=index, latency_slo=None,

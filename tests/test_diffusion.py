@@ -103,14 +103,6 @@ class TestSamplers:
         assert out.shape == (1, 3, 16, 16)
         assert np.all(np.isfinite(out))
 
-    def test_trace_callback_sees_every_step(self, tiny_model):
-        schedule = NoiseSchedule.create(tiny_model.spec.train_timesteps)
-        sampler = DDIMSampler(schedule, num_steps=4)
-        seen = []
-        sampler.sample(tiny_model, (1, 3, 16, 16), np.random.default_rng(0),
-                       trace=lambda t, x: seen.append(t))
-        assert len(seen) == 4
-
 
 class TestPipeline:
     def test_unconditional_generation_shape_and_range(self, tiny_pipeline):

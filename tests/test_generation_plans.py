@@ -456,7 +456,6 @@ class TestPlanAwareServing:
 
         train = get_model_spec("stable-diffusion").train_timesteps
         plan = GenerationPlan(sampler="ddpm")
-        assert paper_router.plan_steps("stable-diffusion", plan) == train
         step = paper_router.predicted_step_latency("stable-diffusion", "fp32")
         assert paper_router.predicted_plan_latency(
             "stable-diffusion", "fp32", plan) == pytest.approx(train * step)
@@ -477,20 +476,15 @@ class TestPlanAwareServing:
                 [1, 2], plan=GenerationPlan(guidance_scale=2.0))
 
     def test_plan_label_includes_every_execution_knob(self):
-        from repro.serving import RequestRecord
+        from repro.serving import plan_label
 
-        def record(**kwargs):
-            base = dict(request_id=0, model="m", scheme="fp8", num_steps=8,
-                        queue_wait=0.0, batch_size=1, batch_latency=0.0,
-                        total_latency=0.0, latency_slo=None, slo_met=None)
-            base.update(kwargs)
-            return RequestRecord(**base)
-
-        assert record().plan_label == "ddim/8"
-        assert record(guidance_scale=2.0).plan_label == "ddim/8@g2"
-        assert record(eta=0.5).plan_label == "ddim/8@eta0.5"
-        assert record(sampler="dpm2", num_steps=4,
-                      guidance_scale=2.0).plan_label == "dpm2/4@g2"
+        assert plan_label(GenerationPlan(), 8) == "ddim/8"
+        assert plan_label(GenerationPlan(guidance_scale=2.0), 8) == "ddim/8@g2"
+        assert plan_label(GenerationPlan(eta=0.5), 8) == "ddim/8@eta0.5"
+        assert plan_label(GenerationPlan(sampler="dpm2", guidance_scale=2.0),
+                          4) == "dpm2/4@g2"
+        # the label names the resolved steps, not the plan's own budget
+        assert plan_label(GenerationPlan(sampler="ddpm"), 100) == "ddpm/100"
 
     def test_router_prefers_precision_over_steps(self, paper_router):
         predictions = paper_router.predictions("stable-diffusion", 50)

@@ -7,15 +7,23 @@ cluster parameters at all — the trace is a pure function of its config),
 plus property tests for the shared Zipf popularity law.
 """
 
+import inspect
+
 import numpy as np
 import pytest
 
+from repro.models import get_model_spec
 from repro.serving.cluster import (
     TraceConfig,
     default_cluster_router,
     generate_trace,
 )
-from repro.serving.loadgen import WorkloadConfig, generate_workload, zipf_weights
+from repro.serving.loadgen import (
+    WorkloadConfig,
+    generate_workload,
+    slo_for_tier,
+    zipf_weights,
+)
 
 
 def stream_key(requests):
@@ -79,14 +87,50 @@ def test_trace_same_seed_identical_requests():
 def test_trace_independent_of_cluster_shape():
     """The trace never sees the cluster: one stream feeds any fleet size.
 
-    generate_trace has no replica-count parameter by construction; this
-    guards against someone threading cluster state into the generator
-    later.  The same (config, router) must fingerprint identically even
-    when a router instance is passed explicitly.
+    generate_trace takes its config and nothing else — no replica count,
+    no router — so cluster state cannot be threaded into the generator.
     """
-    implicit = generate_trace(TRACE)
-    explicit = generate_trace(TRACE, router=default_cluster_router())
-    assert implicit.fingerprint() == explicit.fingerprint()
+    assert list(inspect.signature(generate_trace).parameters) == ["config"]
+    assert (generate_trace(TRACE).fingerprint()
+            == generate_trace(TRACE).fingerprint())
+
+
+def _anchors(router, model, num_steps):
+    predictions = router.predictions(model, num_steps)
+    cheapest, dearest = min(predictions.values()), max(predictions.values())
+    return {"tight": cheapest, "medium": 0.5 * (cheapest + dearest),
+            "loose": dearest}
+
+
+def test_slo_for_tier_default_is_the_single_engine_table():
+    router = default_cluster_router()
+    anchors = _anchors(router, "stable-diffusion", 20)
+    assert (slo_for_tier(router, "stable-diffusion", 20, "loose")
+            == 2.0 * anchors["loose"])
+    assert (slo_for_tier(router, "stable-diffusion", 20, "medium")
+            == anchors["medium"])
+    assert (slo_for_tier(router, "stable-diffusion", 20, "tight")
+            == 1.0001 * anchors["tight"])
+    assert slo_for_tier(router, "stable-diffusion", 20, None) is None
+    with pytest.raises(ValueError, match="unknown SLO tier"):
+        slo_for_tier(router, "stable-diffusion", 20, "ultra")
+
+
+def test_trace_slos_are_headroom_times_the_same_anchors():
+    config = TraceConfig(num_requests=200, seed=3, tier_headroom={
+        "loose": 5.0, "medium": 2.5, "tight": 1.5})
+    trace = generate_trace(config)
+    router = default_cluster_router()
+    for model in config.models:
+        steps = get_model_spec(model).default_sampling_steps
+        anchors = _anchors(router, model, steps)
+        for tier, anchor in anchors.items():
+            assert (trace.catalog["slo"][(model, tier)]
+                    == config.tier_headroom[tier] * anchor)
+        assert trace.catalog["slo"][(model, None)] is None
+    for _, request in trace:
+        assert (request.latency_slo
+                == trace.catalog["slo"][(request.model, request.tier)])
 
 
 def test_trace_different_seed_differs():
@@ -122,6 +166,20 @@ def test_trace_config_validation():
     with pytest.raises(ValueError):
         # Negative skew is rejected by the shared zipf law at draw time.
         generate_trace(TraceConfig(num_requests=10, tenant_skew=-1.0))
+    # values the arrival loop cannot run: a zero-length day divides by
+    # zero, a non-positive burst multiplier makes gaps negative or infinite
+    for field, value in (("diurnal_period_s", 0.0),
+                         ("diurnal_period_s", -60.0),
+                         ("burst_multiplier", -1.0),
+                         ("burst_multiplier", 0.0)):
+        with pytest.raises(ValueError, match=field):
+            TraceConfig(**{field: value})
+    # every configured tier needs a headroom factor, and must be known
+    with pytest.raises(ValueError, match="tier_headroom"):
+        TraceConfig(tier_headroom={"loose": 4.0, "tight": 2.0})
+    with pytest.raises(ValueError, match="tiers"):
+        TraceConfig(tiers=("loose", "ultra"))
+    TraceConfig(tiers=("tight", None), tier_headroom={"tight": 2.0})
 
 
 # ---------------------------------------------------------------------------

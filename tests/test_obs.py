@@ -353,7 +353,7 @@ class TestClusterTracing:
         engine = ServingEngine(pool, router=SLORouter(),
                                config=EngineConfig(max_batch_size=4),
                                tracer=tracer, trace_lane="engine-0")
-        pool.warm([("stable-diffusion", "fp32")])
+        pool.prewarm([("stable-diffusion", "fp32")])
         assert len(engine.serve([copy.copy(r) for r in requests])) == 6
 
         # cluster replica lanes

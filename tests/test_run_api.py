@@ -377,6 +377,23 @@ class TestStoreBackedPool:
         assert stats["store_loads"] == 1 and stats["cold_builds"] == 0
         assert stats["variants"][f"{MODEL}/fp8"]["source"] == "store"
 
+    def test_pool_without_store_builds_cold_through_build_variant(
+            self, workdirs, tmp_path):
+        pretrain = tiny_settings().pretrain
+        pool = ModelVariantPool(pretrain=pretrain, cache_dir=workdirs["zoo"])
+        served = pool.get(MODEL, "int8")
+        stats = pool.stats()
+        assert stats["variants"][f"{MODEL}/int8"]["source"] == "cold"
+        assert stats["cold_builds"] == 1 and stats["store_loads"] == 0
+        # the same chain a store-backed build runs: bit-equal images
+        stored = build_variant(
+            MODEL, QuantizationConfig(weight_dtype="int8",
+                                      activation_dtype="int8"),
+            pretrain=pretrain, store=RunStore(tmp_path / "store"),
+            zoo_cache_dir=workdirs["zoo"])
+        np.testing.assert_array_equal(served.generate_batch([3, 4]),
+                                      stored.pipeline.generate_batch([3, 4]))
+
     def test_build_variant_reports_source(self, workdirs):
         store = RunStore(workdirs["store"] / "variant")
         config = QuantizationConfig(weight_dtype="int8",

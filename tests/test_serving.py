@@ -20,8 +20,10 @@ from repro.serving import (
     RequestQueue,
     ServingEngine,
     SLORouter,
+    VirtualClock,
     WorkloadConfig,
     generate_workload,
+    plan_label,
     slo_for_tier,
     variant_cost_bytes,
 )
@@ -186,17 +188,16 @@ def test_embedding_cache_hits_and_dedup(serving_pipelines):
     pipeline = serving_pipelines["stable-diffusion"]
     cache = EmbeddingCache(capacity=8)
     prompts = ["a red circle", "a blue square", "a red circle"]
-    contexts, hits = cache.get_contexts("stable-diffusion", pipeline, prompts)
+    contexts = cache.get_contexts("stable-diffusion", pipeline, prompts)
     assert contexts.shape[0] == 3
-    assert hits == [False, False, False]
+    assert cache.hits == 0 and cache.misses == 3
     # duplicated prompt produced identical rows from a single encode
     np.testing.assert_array_equal(contexts[0], contexts[2])
     reference = pipeline.encode_prompts(["a red circle"]).data[0]
     np.testing.assert_allclose(contexts[0], reference, atol=1e-6)
 
-    contexts2, hits2 = cache.get_contexts("stable-diffusion", pipeline,
-                                          ["a red circle", "a green ring"])
-    assert hits2 == [True, False]
+    contexts2 = cache.get_contexts("stable-diffusion", pipeline,
+                                   ["a red circle", "a green ring"])
     np.testing.assert_array_equal(contexts2[0], contexts[0])
     assert cache.hits == 1 and cache.misses == 4
     assert cache.hit_rate == pytest.approx(1 / 5)
@@ -410,6 +411,83 @@ def test_engine_smoke_mixed_workload(serving_pipelines, paper_costs_router):
     # JSON round-trip of the report
     import json
     assert json.loads(engine.stats.to_json())["requests"]["completed"] == 24
+
+
+class _PricedPipeline:
+    """Stub variant whose generation pass advances a virtual clock by the
+    router's price of the batch: one walk plus 15% per further image."""
+
+    def __init__(self, pipeline, clock, router, model, scheme):
+        self._pipeline, self._clock, self._router = pipeline, clock, router
+        self._model, self._scheme = model, scheme
+
+    def __getattr__(self, name):
+        return getattr(self._pipeline, name)
+
+    def generate_batch(self, seeds, context=None, plan=None):
+        images = self._pipeline.generate_batch(seeds, context=context,
+                                               plan=plan)
+        price = self._router.predicted_plan_latency(self._model,
+                                                    self._scheme, plan)
+        self._clock.advance(price * (1.0 + 0.15 * (len(seeds) - 1)))
+        return images
+
+
+def test_engine_report_agrees_with_its_responses(serving_pipelines):
+    """Every per-plan block of a mixed virtual-clock run (plans x SLO
+    tiers) is recomputable from the returned responses."""
+    from repro.serving.cluster import default_cluster_router
+
+    router = default_cluster_router()     # a scheme ladder with real spread
+    clock = VirtualClock()
+    pool = ModelVariantPool(builder=lambda m, s: _PricedPipeline(
+        serving_pipelines[m], clock, router, m, s))
+    engine = ServingEngine(pool, router=router, clock=clock,
+                           config=EngineConfig(max_batch_size=2))
+    plans = (None, GenerationPlan(sampler="dpm2"),
+             GenerationPlan(guidance_scale=2.0), GenerationPlan(eta=0.5))
+    tiers = ("loose", "medium", "tight", None)
+    # pairs of like requests arrive together, one pair per virtual second
+    requests = [
+        _request(seed=index, num_steps=4, prompt=f"prompt {index % 3}",
+                 plan=plans[index // 2 % 4], tier=tiers[index // 8],
+                 latency_slo=slo_for_tier(router, "stable-diffusion", 4,
+                                          tiers[index // 8]))
+        for index in range(32)]
+    responses = []
+    for index in range(0, len(requests), 2):
+        for request in requests[index:index + 2]:
+            engine.submit(request)
+        responses.extend(engine.pump())
+        clock.advance(1.0)
+    responses.extend(engine.run_until_idle())
+    slos = {request.request_id: request.latency_slo for request in requests}
+
+    groups = {}
+    for response in responses:
+        groups.setdefault(plan_label(response.plan, response.num_steps),
+                          []).append(response)
+    report = engine.stats.report()
+    assert set(report["plans"]) == set(groups)
+    assert len(groups) >= len(plans)
+    for label, group in groups.items():
+        block = report["plans"][label]
+        latencies = [response.total_latency for response in group]
+        assert block["count"] == len(group)
+        assert block["latency_s"]["p50"] == np.percentile(latencies, 50)
+        assert block["latency_s"]["p95"] == np.percentile(latencies, 95)
+        schemes = {}
+        for response in group:
+            schemes[response.scheme] = schemes.get(response.scheme, 0) + 1
+        assert block["by_scheme"] == schemes
+        outcomes = [response.meets_slo(slos[response.request_id])
+                    for response in group]
+        assert block["slo"] == {
+            "with_target": sum(met is not None for met in outcomes),
+            "met": sum(met is True for met in outcomes)}
+    # the run both meets and misses targets, so the SLO columns are tested
+    assert 0 < report["slo"]["met"] < report["slo"]["with_target"] == 24
+    assert report["requests"]["completed"] == len(responses) == 32
 
 
 def test_engine_batched_matches_sequential_images(serving_pipelines,
