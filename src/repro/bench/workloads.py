@@ -11,7 +11,9 @@ Coverage matches what the serving stack actually executes:
   attention), each measured on the graph-building path and the
   inference fast path.
 * ``quant.<scheme>.*`` — quantize (and packed dequantize) throughput per
-  registered quantization scheme.
+  registered quantization scheme; ``quant.fp4.learn_rounding`` times the
+  paper's rounding learning (Sec. V-B) on the FP4/FP8 row's commonest
+  Linear and Conv2d shapes.
 * ``sampler_loop.<plan>`` — one full sampler trajectory per registered
   solver on the shipped path (``inference_mode`` + buffer reuse).
   Workload metadata carries the :class:`~repro.diffusion.GenerationPlan`
@@ -299,6 +301,36 @@ for _scheme, _bits in (("int8", 8), ("int4", 4)):
     register_workload(f"quant.{_scheme}.dequantize",
                       _setup_dequantize(_scheme, _bits), suites=_MICRO,
                       repeats=9)
+
+
+def _setup_learn_rounding():
+    """One rounding learning per layer at the paper-table budget (40
+    iterations x 4 of 6 calibration records), on a Linear(32, 32) fed
+    ``(4, 16, 32)`` token records and a 3x3 Conv2d(32, 32) fed
+    ``(4, 32, 4, 4)`` records, each with its Algorithm 1 FP4 format."""
+    from .. import nn
+    from ..core import RoundingLearningConfig, learn_rounding, search_tensor_format
+
+    rng = np.random.default_rng(0)
+    cases = []
+    for layer, shape in ((nn.Linear(32, 32, rng=rng), (4, 16, 32)),
+                         (nn.Conv2d(32, 32, 3, padding=1, rng=rng), (4, 32, 4, 4))):
+        fmt = search_tensor_format(layer.weight.data, 4).fmt
+        samples = [rng.standard_normal(shape).astype(np.float32) for _ in range(6)]
+        cases.append((layer, fmt, samples))
+    config = RoundingLearningConfig(iterations=40, samples_per_iteration=4)
+
+    def run():
+        return [learn_rounding(layer, fmt, samples, config)
+                for layer, fmt, samples in cases]
+
+    return run, {"layers": len(cases), "records": 6,
+                 "iterations": config.iterations,
+                 "samples_per_iteration": config.samples_per_iteration}
+
+
+register_workload("quant.fp4.learn_rounding", _setup_learn_rounding,
+                  suites=_MICRO, repeats=9)
 
 
 # ----------------------------------------------------------------------

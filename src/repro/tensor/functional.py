@@ -2,8 +2,8 @@
 
 Each is a forward on numpy arrays plus a VJP joined by
 :func:`repro.tensor.tensor._apply`, like the :class:`repro.tensor.Tensor`
-operations, so both the diffusion models and the rounding-learning
-optimization of the quantizer can differentiate through them.
+operations, so training the diffusion models can differentiate through
+them.
 
 The convolution is the dominant cost of every U-Net forward, and its im2col
 lowering is also the dominant *allocation*: one padded image plus one patch

@@ -1,10 +1,9 @@
 """A small numpy-backed reverse-mode autograd engine.
 
 The engine substitutes for PyTorch in this reproduction.  Every value in the
-diffusion models and in the quantization method (notably the gradient-based
-rounding learning of the paper, Eq. 12-14) is a :class:`Tensor` holding a
-``numpy.ndarray`` plus, when gradients are requested, the node that routes
-gradients back to its parents.
+diffusion models is a :class:`Tensor` holding a ``numpy.ndarray`` plus,
+when gradients are requested, the node that routes gradients back to its
+parents; pretraining the zoo models is what differentiates through it.
 
 Only the operations the reproduction calls are implemented: broadcast
 arithmetic, matmul, reductions, activations, reshaping, indexing,
@@ -49,7 +48,7 @@ ArrayLike = Union["Tensor", np.ndarray, float, int, list, tuple]
 #: Grad mode is **thread-local**: the parallel experiment runner executes
 #: independent stages on worker threads, and one stage entering ``no_grad``
 #: (e.g. image decoding) must not switch off gradient tracking under a
-#: concurrent stage that is learning rounding parameters.
+#: concurrent stage that is pretraining a model.
 _GRAD_STATE = threading.local()
 
 

@@ -1,5 +1,6 @@
 """Tests for Algorithm 1 (format/bias search) and rounding learning (Sec. V-B)."""
 
+import copy
 import warnings
 
 import numpy as np
@@ -14,19 +15,28 @@ from repro.core import (
     bias_candidates,
     collect_calibration_data,
     encoding_candidates,
+    fp4_fp8_config,
     learn_rounding,
     quantizable_layer_paths,
     quantization_mse,
     quantize_fp,
     quantize_fp_with_rounding,
+    quantize_pipeline,
     regularizer_value,
     rounding,
+    schemes,
     search,
     search_tensor_format,
 )
+from repro.core.fp import _grid
+from repro.core.rounding import RoundingLearningResult, _initial_alpha
 from repro.core.schemes import MAX_SEARCH_ELEMENTS, subsample
+from repro.diffusion import DiffusionPipeline
+from repro.models import DiffusionModel
 from repro.tensor import Tensor
 from repro.tensor import functional as F
+
+from tiny_factories import make_tiny_spec
 
 
 def exhaustive_search(values, bitwidth, num_bias_candidates, encodings=None):
@@ -79,6 +89,131 @@ def _oracle_inputs():
         "around 1e-30": rng.standard_normal(300) * 1e-30,
         "one 1e6 outlier": np.append(rng.standard_normal(999), 1e6),
     }
+
+
+def _layer_forward(layer, inputs, weight):
+    """A Conv2d or Linear layer's forward pass with substituted weights."""
+    if isinstance(layer, nn.Conv2d):
+        return F.conv2d(inputs, weight, layer.bias, stride=layer.stride,
+                        padding=layer.padding)
+    return F.linear(inputs, weight, layer.bias)
+
+
+def autograd_learn_rounding(layer, fmt, calibration_inputs, config):
+    """Rounding learning through the autograd engine: Eq. 12-14 built as a
+    graph of tensor operations and differentiated by ``backward``.  The
+    oracle the closed-form gradient of :func:`learn_rounding` must match
+    bit for bit.  It accumulates gradients on ``layer.bias``, so callers
+    pass a copy."""
+    rng = np.random.default_rng(config.seed)
+    weights = layer.weight.data.astype(np.float64)
+    c = fmt.max_value
+    clipped, scales = _grid(weights, c, fmt.bias, fmt.mantissa_bits)
+    levels = clipped / scales
+    floor_levels = np.floor(levels)
+
+    alpha = nn.Parameter(_initial_alpha(levels - floor_levels))
+    scales_t = Tensor(scales.astype(np.float32))
+    floor_t = Tensor(floor_levels.astype(np.float32))
+    full_weight = Tensor(weights.astype(np.float32))
+
+    optimizer = nn.Adam([alpha], lr=config.learning_rate)
+    calibration_inputs = [np.asarray(x, dtype=np.float32) for x in calibration_inputs]
+
+    def quantized_weight():
+        return (scales_t * (floor_t + alpha.sigmoid())).clip(-c, c)
+
+    references = [_layer_forward(layer, Tensor(sample), full_weight).detach()
+                  for sample in calibration_inputs]
+
+    def output_mse(weight_tensor):
+        total = 0.0
+        for sample, reference in zip(calibration_inputs, references):
+            produced = _layer_forward(layer, Tensor(sample), weight_tensor)
+            diff = produced.data - reference.data
+            total += float(np.mean(diff * diff))
+        return total / len(calibration_inputs)
+
+    result = RoundingLearningResult(round_up=np.zeros_like(weights, dtype=bool))
+    result.initial_output_mse = output_mse(Tensor(
+        quantize_fp_with_rounding(
+            weights, fmt, np.round(levels) > floor_levels)))
+
+    for _ in range(config.iterations):
+        chosen = rng.integers(0, len(calibration_inputs),
+                              size=min(config.samples_per_iteration,
+                                       len(calibration_inputs)))
+        loss_total = None
+        for index in chosen:
+            produced = _layer_forward(layer, Tensor(calibration_inputs[index]),
+                                      quantized_weight())
+            loss = F.mse_loss(produced, references[index])
+            loss_total = loss if loss_total is None else loss_total + loss
+        loss_total = loss_total * (1.0 / len(chosen))
+        sig = alpha.sigmoid()
+        regularizer = (1.0 - ((sig - 0.5).abs() * 2.0) ** config.reg_exponent).mean()
+        loss_total = loss_total + regularizer * config.reg_weight
+        optimizer.zero_grad()
+        loss_total.backward()
+        optimizer.step()
+        result.losses.append(loss_total.item())
+
+    round_up = (1.0 / (1.0 + np.exp(-alpha.data)) >= 0.5)
+    result.round_up = round_up
+    result.final_output_mse = output_mse(Tensor(
+        quantize_fp_with_rounding(weights, fmt, round_up)))
+    return result
+
+
+def assert_same_rounding(layer, fmt, samples, config):
+    """The closed form and the autograd oracle agree bit for bit."""
+    got = learn_rounding(layer, fmt, samples, config)
+    expected = autograd_learn_rounding(copy.deepcopy(layer), fmt, samples, config)
+    np.testing.assert_array_equal(got.round_up, expected.round_up)
+    assert got.losses == expected.losses
+    assert got.initial_output_mse == expected.initial_output_mse
+    assert got.final_output_mse == expected.final_output_mse
+
+
+#: FP4 encodings with non-integer biases whose clip value ``c`` lies inside
+#: the weights' range, so the clip mask of Eq. 12 is exercised.
+ROUNDING_FORMATS = {
+    "E2M1": FPFormat(2, 1, 2.3),
+    "E1M2": FPFormat(1, 2, 0.6),
+    "E3M0": FPFormat(3, 0, 5.7),
+}
+
+
+def _rounding_case(name, seed):
+    """A layer named by ``name`` (kind, geometry, bias) with weights that
+    cover the FP4 grids above, plus three calibration samples."""
+    rng = np.random.default_rng(seed)
+    kind, geometry, bias = name.split(" ")
+    if kind == "linear":
+        layer = nn.Linear(12, 5, bias=bias != "none", rng=rng)
+        shape = (3, 12) if geometry == "2d" else (2, 3, 12)
+    else:
+        kernel, stride, padding = (int(part) for part in geometry.split("/"))
+        layer = nn.Conv2d(3, 4, kernel_size=kernel, stride=stride,
+                          padding=padding, bias=bias != "none", rng=rng)
+        shape = (2, 3, 5, 5)
+    layer.weight.data = rng.standard_normal(layer.weight.shape).astype(np.float32)
+    layer.weight.data.flat[:2] = (4.0, -4.0)  # clipped on both sides
+    if layer.bias is not None:
+        layer.bias.data = (rng.standard_normal(layer.bias.shape) * 0.1).astype(np.float32)
+        layer.bias.requires_grad = bias != "frozen"
+    samples = [rng.standard_normal(shape).astype(np.float32) for _ in range(3)]
+    return layer, samples
+
+
+#: ``kind geometry bias``: conv geometry is ``kernel/stride/padding``; a
+#: ``frozen`` bias has ``requires_grad=False``.
+ROUNDING_LAYERS = (
+    [f"linear {dims} {bias}" for dims in ("2d", "3d")
+     for bias in ("bias", "none", "frozen")]
+    + [f"conv {kernel}/{stride}/{padding} {bias}" for kernel in (1, 3)
+       for stride in (1, 2) for padding in (0, 1) for bias in ("bias", "none")]
+    + ["conv 1/1/0 frozen", "conv 3/1/1 frozen"])
 
 
 ORACLE_INPUTS = _oracle_inputs()
@@ -301,21 +436,30 @@ class TestRoundingLearning:
         layer.weight.data = (rng.standard_normal((3, 6)) * 0.5).astype(np.float32)
         calibration = [rng.standard_normal((2, 6)).astype(np.float32)
                        for _ in range(3)]
-        full_weight_forwards = []
-        forward = rounding._layer_forward
+        builds, full_weight_forwards = [], []
+        build = rounding._product
 
-        def counting(module, inputs, weight):
-            if np.array_equal(weight.data, layer.weight.data):
-                full_weight_forwards.append(inputs.data)
-            return forward(module, inputs, weight)
+        def counting(module, sample):
+            product = build(module, sample)
+            builds.append(sample)
+            forward = product.forward
 
-        monkeypatch.setattr(rounding, "_layer_forward", counting)
+            def recording(weight, view=True):
+                if np.array_equal(weight, layer.weight.data):
+                    full_weight_forwards.append(sample)
+                return forward(weight, view)
+
+            product.forward = recording
+            return product
+
+        monkeypatch.setattr(rounding, "_product", counting)
         learn_rounding(layer, fp4_format, calibration,
                        RoundingLearningConfig(iterations=4,
                                               samples_per_iteration=2))
-        assert len(full_weight_forwards) == len(calibration)
-        for sample, seen in zip(calibration, full_weight_forwards):
-            np.testing.assert_array_equal(seen, sample)
+        for seen in (builds, full_weight_forwards):
+            assert len(seen) == len(calibration)
+            for sample, recorded in zip(calibration, seen):
+                np.testing.assert_array_equal(recorded, sample)
 
     def test_requires_calibration_inputs(self, fp4_format):
         layer = nn.Linear(4, 4)
@@ -339,3 +483,111 @@ class TestRoundingLearning:
                                              result.round_up)
         nearest = quantize_fp(layer.weight.data, fp4_format)
         np.testing.assert_allclose(hardened, nearest, rtol=1e-5, atol=1e-7)
+
+
+class TestRoundingConfigValidation:
+    @pytest.mark.parametrize("field, value", [
+        ("iterations", -3),
+        ("samples_per_iteration", 0),
+        ("learning_rate", -1.0),
+        ("learning_rate", 0.0),
+        ("learning_rate", float("nan")),
+        ("learning_rate", float("inf")),
+        ("reg_weight", -0.5),
+        ("reg_weight", float("nan")),
+        ("reg_exponent", 0.5),
+        ("reg_exponent", float("inf")),
+    ])
+    def test_rejects_values_that_break_learning(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} .*{value}"):
+            RoundingLearningConfig(**{field: value})
+
+    def test_accepts_boundary_values(self):
+        config = RoundingLearningConfig(iterations=0, samples_per_iteration=1,
+                                        reg_weight=0.0, reg_exponent=1.0)
+        assert config.iterations == 0
+
+
+class TestClosedFormRounding:
+    """:func:`learn_rounding` computes Eq. 13-14's gradient in closed form;
+    it must equal the autograd spelling bit for bit: the learned rounding,
+    every loss and both output MSEs."""
+
+    @pytest.mark.parametrize("fmt_name", sorted(ROUNDING_FORMATS))
+    @pytest.mark.parametrize("layer_name", ROUNDING_LAYERS)
+    def test_matches_autograd_oracle(self, layer_name, fmt_name):
+        layer, samples = _rounding_case(layer_name, seed=len(layer_name))
+        assert_same_rounding(layer, ROUNDING_FORMATS[fmt_name], samples,
+                             RoundingLearningConfig(iterations=5,
+                                                    samples_per_iteration=2,
+                                                    learning_rate=5e-2, seed=3))
+
+    @pytest.mark.parametrize("samples_per_iteration", [1, 2, 5])
+    @pytest.mark.parametrize("iterations", [0, 1, 40])
+    @pytest.mark.parametrize("layer_name", ["linear 3d bias", "conv 3/2/1 bias"])
+    def test_matches_autograd_oracle_across_budgets(self, layer_name, iterations,
+                                                    samples_per_iteration):
+        layer, samples = _rounding_case(layer_name, seed=11)
+        assert_same_rounding(layer, ROUNDING_FORMATS["E2M1"], samples,
+                             RoundingLearningConfig(
+                                 iterations=iterations,
+                                 samples_per_iteration=samples_per_iteration,
+                                 learning_rate=5e-2, seed=iterations))
+
+    @pytest.mark.parametrize("reg_weight, reg_exponent", [(0.0, 20.0), (0.5, 1.0),
+                                                          (0.5, 2.0), (0.1, 3.5)])
+    def test_matches_autograd_oracle_across_regularizers(self, reg_weight,
+                                                         reg_exponent):
+        layer, samples = _rounding_case("conv 3/1/1 bias", seed=5)
+        assert_same_rounding(layer, ROUNDING_FORMATS["E1M2"], samples,
+                             RoundingLearningConfig(
+                                 iterations=8, samples_per_iteration=2,
+                                 learning_rate=5e-2, reg_weight=reg_weight,
+                                 reg_exponent=reg_exponent))
+
+    def test_matches_autograd_oracle_on_unet_layers(self, tiny_pipeline,
+                                                    monkeypatch):
+        """Every layer the FP4/FP8 row learns rounding for on the tiny U-Net."""
+        config = fp4_fp8_config().scaled_for_speed(num_bias_candidates=7,
+                                                   rounding_iterations=6)
+        config.calibration = CalibrationConfig(num_samples=2,
+                                               max_records_per_layer=3,
+                                               batch_size=2)
+        config.rounding = RoundingLearningConfig(iterations=6,
+                                                 samples_per_iteration=2, seed=4)
+        calls = []
+
+        def recording(layer, fmt, samples, rounding_config):
+            calls.append((layer, fmt, samples, rounding_config))
+            return learn_rounding(layer, fmt, samples, rounding_config)
+
+        monkeypatch.setattr(schemes, "learn_rounding", recording)
+        _, report = quantize_pipeline(tiny_pipeline, config)
+        assert len(calls) == sum(record.rounding_learning_used
+                                 for record in report.layers) > 0
+        kinds = {type(layer) for layer, *_ in calls}
+        assert kinds == {nn.Conv2d, nn.Linear}
+        for layer, fmt, samples, rounding_config in calls:
+            assert_same_rounding(layer, fmt, samples, rounding_config)
+
+    def test_writes_no_gradient(self):
+        """Neither learn_rounding nor a quantize run leaves a gradient on
+        any parameter: quantized artifacts carry no optimizer state."""
+        pipeline = DiffusionPipeline(
+            DiffusionModel(make_tiny_spec(), rng=np.random.default_rng(5)),
+            num_steps=4)
+        config = fp4_fp8_config().scaled_for_speed(num_bias_candidates=7,
+                                                   rounding_iterations=3)
+        config.calibration = CalibrationConfig(num_samples=2,
+                                               max_records_per_layer=2,
+                                               batch_size=2)
+        quantized, report = quantize_pipeline(pipeline, config)
+        assert any(record.rounding_learning_used for record in report.layers)
+        for model in (pipeline.model, quantized.model):
+            assert [name for name, param in model.named_parameters()
+                    if param.grad is not None] == []
+
+        layer, samples = _rounding_case("conv 3/1/1 bias", seed=2)
+        learn_rounding(layer, ROUNDING_FORMATS["E2M1"], samples,
+                       RoundingLearningConfig(iterations=3))
+        assert layer.bias.grad is None and layer.weight.grad is None
