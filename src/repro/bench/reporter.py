@@ -3,8 +3,8 @@
 The report is the machine-readable contract of the benchmarking subsystem:
 
 * ``environment`` — a fingerprint of what produced the numbers (python,
-  numpy, platform, CPU count) so reports from different machines are never
-  silently conflated;
+  numpy, platform, CPU count, BLAS thread settings) so reports from
+  different machines are never silently conflated;
 * ``workloads`` — per-workload median/p95/mean/min over outlier-trimmed
   samples, plus metadata (generation-plan and quantization-config
   fingerprints where applicable);
@@ -17,11 +17,12 @@ The report is the machine-readable contract of the benchmarking subsystem:
 
 from __future__ import annotations
 
+import ctypes
 import json
 import os
 import platform
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -35,12 +36,48 @@ from .timer import BenchTimer, Measurement
 SCHEMA_VERSION = 1
 
 
+#: Environment variables that set the BLAS and OpenMP thread counts.
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+#: Thread-count getters of the OpenBLAS builds numpy ships or links.
+_OPENBLAS_GETTERS = ("scipy_openblas_get_num_threads64_",
+                     "openblas_get_num_threads64_",
+                     "openblas_get_num_threads")
+
+
+def openblas_threads() -> Union[int, str]:
+    """Thread count of the OpenBLAS this process has loaded, read from the
+    library itself through ctypes (a setting the environment variables do
+    not show still gets reported), or ``"unknown"``."""
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = sorted({line.split()[-1] for line in maps
+                            if "openblas" in line.lower() and ".so" in line})
+    except OSError:
+        return "unknown"
+    for path in paths:
+        try:
+            library = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for symbol in _OPENBLAS_GETTERS:
+            getter = getattr(library, symbol, None)
+            if getter is not None:
+                getter.argtypes = []
+                getter.restype = ctypes.c_int
+                return int(getter())
+    return "unknown"
+
+
 def environment_fingerprint() -> Dict:
     """What hardware/software produced this report (content-hashed).
 
     Includes the active compute backend (and whether its native kernels
     compiled), so a report timed on the reference backend can never be
-    compared against an accelerated baseline without the mismatch showing.
+    compared against an accelerated baseline without the mismatch showing,
+    and the BLAS/OpenMP thread settings with the count OpenBLAS itself
+    reports, since a speedup measured at one thread count need not hold at
+    another.
     """
     info = {
         "python": platform.python_version(),
@@ -48,6 +85,8 @@ def environment_fingerprint() -> Dict:
         "platform": platform.platform(),
         "machine": platform.machine(),
         "cpu_count": os.cpu_count(),
+        "thread_env": {name: os.environ.get(name) for name in THREAD_VARS},
+        "openblas_threads": openblas_threads(),
         "backend": backend_info(),
     }
     info["fingerprint"] = content_hash(info)

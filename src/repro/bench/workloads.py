@@ -28,6 +28,11 @@ Coverage matches what the serving stack actually executes:
   the smallest speedup it must show (``min_speedup``).  Metadata carries
   the :class:`~repro.core.QuantizationConfig` fingerprint and the MAC
   count of one forward.
+* ``kernel.int8_gemv`` — one single-row INT8/INT8 linear layer at the
+  smallest weight the accelerated backend's gates admit: the *pre* arm
+  takes the path a declined product takes, the *fast* arm the layer's call
+  plan on the integer kernel.  Its ``min_speedup`` of 1 fails a run whose
+  gates admit a product the kernel loses.
 * ``serving.throughput`` — end-to-end dynamic-batched serving of a small
   deterministic workload through the real engine.
 * ``cluster.sim`` — one fleet-simulator run on the virtual clock.
@@ -36,12 +41,13 @@ Coverage matches what the serving stack actually executes:
 * ``calibration.reference`` — a fixed numpy matmul loop used to normalize
   medians across machines when comparing against a committed baseline.
 
-Both arms of every pair (``kernel.conv2d``, ``qforward.<scheme>``,
-``telemetry.overhead``) are verified at setup time, so a reported speedup
-can never come from computing less: arms that compute the same thing must
-be bit-identical, and the ``qforward`` pairs — whose arms legitimately
-differ by quantization error — are checked against the reference backend
-within the accelerated kernels' documented tolerance instead.
+Both arms of every pair (``kernel.conv2d``, ``kernel.int8_gemv``,
+``qforward.<scheme>``, ``telemetry.overhead``) are verified at setup time,
+so a reported speedup can never come from computing less: arms that
+compute the same thing must be bit-identical, and the ``kernel.int8_gemv``
+and ``qforward`` pairs — whose arms legitimately differ by the integer
+kernels' rounding — are checked against the reference backend within the
+accelerated kernels' documented tolerance instead.
 """
 
 from __future__ import annotations
@@ -465,6 +471,75 @@ for _scheme, _floor in _QFORWARD_FLOORS:
                       _setup_qforward(_scheme, FAST_ARM),
                       suites=_MACRO, pair=f"qforward.{_scheme}", arm=FAST_ARM,
                       repeats=9, min_speedup=_floor)
+
+
+# ----------------------------------------------------------------------
+# the integer-kernel gates' edge: a GEMV, declined path vs call plan
+# ----------------------------------------------------------------------
+#: Products per sample; one product takes microseconds.
+_GEMV_CALLS = 64
+
+
+@lru_cache(maxsize=None)
+def _gemv_fixture():
+    """A single-row INT8/INT8 linear layer at the smallest weight the
+    accelerated backend's gates admit, and its input."""
+    from .. import nn
+    from ..core.integer import calibrate_int_format
+    from ..core.qmodules import IntTensorQuantizer, QuantizedLinear
+    from ..tensor.backend import AcceleratedBackend
+
+    depth = AcceleratedBackend._FUSED_MIN_DEPTH
+    rows = -(-AcceleratedBackend._FUSED_MIN_WEIGHT // depth)
+    rng = np.random.default_rng(29)
+    layer = nn.Linear(depth, rows, rng=rng)
+    x = rng.standard_normal((1, depth)).astype(np.float32)
+    weights = IntTensorQuantizer(calibrate_int_format(layer.weight.data, 8))
+    module = QuantizedLinear(
+        layer, weights.quantize(layer.weight.data),
+        IntTensorQuantizer(calibrate_int_format(x, 8)),
+        packed_weight=weights.pack_weights(layer.weight.data))
+    return module, x
+
+
+def _setup_int8_gemv(arm: str):
+    def setup():
+        module, x = _gemv_fixture()
+        # The pre arm is the path a declined product takes (fake-quantize,
+        # then BLAS on the dequantized weight); the fast arm runs the plan.
+        backend = "accelerated" if arm == FAST_ARM else "reference"
+
+        def run():
+            with inference_mode(), use_backend(backend):
+                for _ in range(_GEMV_CALLS):
+                    out = module(Tensor(x))
+            return out
+
+        metadata = {"shape": [1, module.out_features, module.in_features],
+                    "calls": _GEMV_CALLS}
+        if arm == FAST_ARM:
+            with inference_mode(), use_backend("reference"):
+                reference_out = module(Tensor(x)).data
+            accelerated_out = run().data
+            if not module.packed_weight.packed_view().plans:
+                raise AssertionError("kernel.int8_gemv built no call plan")
+            scale = max(float(np.max(np.abs(reference_out))), 1.0)
+            if not np.allclose(accelerated_out, reference_out,
+                               rtol=1e-3, atol=1e-3 * scale):
+                raise AssertionError(
+                    "kernel.int8_gemv diverged between the accelerated and "
+                    "reference backends beyond tolerance")
+        return run, metadata
+
+    return setup
+
+
+register_workload("kernel.int8_gemv.pre", _setup_int8_gemv(PRE_ARM),
+                  suites=_MICRO, pair="kernel.int8_gemv", arm=PRE_ARM,
+                  repeats=9)
+register_workload("kernel.int8_gemv.fast", _setup_int8_gemv(FAST_ARM),
+                  suites=_MICRO, pair="kernel.int8_gemv", arm=FAST_ARM,
+                  repeats=9, min_speedup=1.0)
 
 
 # ----------------------------------------------------------------------

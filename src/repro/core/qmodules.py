@@ -325,8 +325,9 @@ class PackedIntWeight:
         Nibble-packed storages (bitwidth <= 4) can only be row-aligned
         when ``K`` is even; otherwise, and for degenerate shapes, this
         returns ``None`` and callers stay on the dequantized path.  The
-        reshape is a view of the packed bytes (no copy); the result is
-        kept on the storage and not pickled.
+        reshape is a view of the packed bytes (no copy); the result, with
+        the call plans the accelerated backend keeps on it, lives on this
+        storage and dies with it, and is neither pickled nor copied.
         """
         view = self._packed_view
         if view is not None:
@@ -362,7 +363,8 @@ class PackedIntWeight:
         return view
 
     def __getstate__(self):
-        # Ship the packed bytes; the view and the memo entry are per process.
+        # Ship the packed bytes; the view (with its call plans, which hold
+        # this process's pointers) and the memo entry are per process.
         return {"packed": self.packed, "shape": self.shape, "fmt": self.fmt}
 
     def __setstate__(self, state):

@@ -3,26 +3,26 @@
 A quantized layer whose weight is stored as packed levels and whose
 activations use a per-tensor integer grid of at most 8 bits, or a
 floating-point grid whose levels fit int16, runs in the integer domain on
-the accelerated backend, as two C calls:
+the accelerated backend, as one C call per product, ``fused_gemm``:
 
 1. The input is quantized straight into the im2col patch matrix, in the
    layout of :func:`repro.tensor.functional._im2col` (a linear layer is
    the 1x1 case):
 
-   * ``quantize_patches`` maps it to uint8 levels on an integer grid with
-     the arithmetic of :func:`repro.core.integer.int_levels` (Eq. 4:
+   * on an integer grid, to uint8 levels with the arithmetic of
+     :func:`repro.core.integer.int_levels` (Eq. 4:
      ``clip(rint(x / s_a) + z_a, 0, 2^b - 1)`` in float64, so the levels
      match it bit for bit).  Padding taps get the zero-point level, which
      stands for the 0.0 the float path pads with.
-   * ``quantize_fp_patches`` maps it to signed int16 levels on an FP grid
-     (the paper's FP8 E2M5/E3M4, or FP4) with the arithmetic of
-     :func:`repro.core.fp.fp_levels`: every grid point is an integer
-     multiple of the subnormal step ``u = 2^(1-b-M)``, at most 252 (E2M5)
-     or 1984 (E3M4) of them.  The binade comes from the exponent bits of
-     ``|x| * 2^frac(b)`` and the powers of two are built from bits, so
-     the loop vectorizes without a libm call.  Padding is level 0.
+   * on an FP grid (the paper's FP8 E2M5/E3M4, or FP4), to signed int16
+     levels with the arithmetic of :func:`repro.core.fp.fp_levels`: every
+     grid point is an integer multiple of the subnormal step
+     ``u = 2^(1-b-M)``, at most 252 (E2M5) or 1984 (E3M4) of them.  The
+     binade comes from the exponent bits of ``|x| * 2^frac(b)`` and the
+     powers of two are built from bits, so the loop vectorizes without a
+     libm call.  Padding is level 0.
 
-2. ``int_gemm`` computes exact int32 dot products of the activation levels
+2. The GEMM computes exact int32 dot products of the activation levels
    against the packed weight levels (uint8, or two nibbles per byte; FP4
    weights are stored as levels of their own ``u``) and applies the
    affine epilogue
@@ -34,6 +34,15 @@ the accelerated backend, as two C calls:
    precomputed with the packed weight view; FP activations have
    ``s_a = u`` and ``z_a = 0``.
 
+The level image and the patch matrix are scratch that ``fused_gemm``
+allocates and frees itself.  What does not change between calls — the
+geometry, the activation grid and the pointers to the packed levels,
+``level_sums``, ``zero_points``, ``scales`` and the bias — is a C
+``struct plan`` that :meth:`IntKernels.plan` checks and fills once per
+packed weight and input shape.  A :class:`KernelPlan` call then costs one
+output allocation and one ctypes call: about 3 µs of Python for a small
+product, where binding every buffer on every call cost 25 µs.
+
 The source is plain C that gcc vectorizes: no intrinsics and no threads.
 Weight rows are converted four at a time into a signed-byte buffer —
 uint8 levels as ``(int8_t)(w ^ 0x80)``, with ``128 * sum q_a`` added back
@@ -43,20 +52,22 @@ each weight load serves four rows.  ``gcc -O3 -march=native`` emits the
 uint8 loop as ``vpdpbusd`` and the int16 loop as ``vpdpwssd`` on
 AVX-VNNI CPUs.
 
-Measured with ``python3 perfbench/run.py --workload generate --seed 1``
-on a 2-vCPU AVX-512/VNNI VM (gcc 12, OpenBLAS): p50 wall time of one
-batch-1, 4-step DDIM image of that benchmark's 167 MB U-Net, on the
-accelerated backend.
+Measured on the ``generate`` workload of ``perfbench/run.py`` (seed 1)
+on a 2-vCPU AVX-512/VNNI VM (gcc 12, OpenBLAS): p50 wall time of 20
+batch-1, 4-step DDIM images per variant of that benchmark's 167 MB U-Net,
+in process, on the accelerated backend.
 
 ===========================  =========  =========  =======  =======
 BLAS threads                 INT8/INT8  INT4/INT8  FP4/FP8  FP32
 ===========================  =========  =========  =======  =======
-``OPENBLAS_NUM_THREADS=2``   72 ms      66 ms      82 ms    157 ms
-``OPENBLAS_NUM_THREADS=1``   78 ms      71 ms      88 ms    230 ms
+``OPENBLAS_NUM_THREADS=2``   43 ms      35 ms      46 ms    115 ms
+``OPENBLAS_NUM_THREADS=1``   54 ms      44 ms      55 ms    211 ms
 ===========================  =========  =========  =======  =======
 
-(Before the FP path, FP4/FP8 took 203 ms and 279 ms: float32 weights
-through BLAS plus numpy's FP fake-quantization of every activation.)
+(Binding every buffer on every call, with two C calls per product, the
+same runs read 56/47/62/117 ms and 68/58/74/211 ms.  Before the FP path,
+FP4/FP8 took 203 ms and 279 ms: float32 weights through BLAS plus numpy's
+FP fake-quantization of every activation.)
 
 The shared object is compiled once per machine with the system C compiler
 (``cc``/``gcc``/``clang``, override with ``REPRO_CC``) and cached under
@@ -192,7 +203,7 @@ static inline __attribute__((always_inline)) void gather(
  * ordered (image, oy, ox) and columns (channel, ky, kx).  image: scratch
  * of n * c * h * w levels of x.  A linear layer's input (h = w = 1) is
  * its own patch matrix. */
-void quantize_patches(const float *restrict x, uint8_t *restrict image,
+static void quantize_patches(const float *restrict x, uint8_t *restrict image,
                       uint8_t *restrict cols,
                       ptrdiff_t n, ptrdiff_t c, ptrdiff_t h, ptrdiff_t w,
                       ptrdiff_t ks, ptrdiff_t stride, ptrdiff_t pad,
@@ -210,7 +221,7 @@ void quantize_patches(const float *restrict x, uint8_t *restrict image,
 }
 
 /* The same for a floating-point grid: int16 levels, padding level 0. */
-void quantize_fp_patches(const float *restrict x, int16_t *restrict image,
+static void quantize_fp_patches(const float *restrict x, int16_t *restrict image,
                          int16_t *restrict cols,
                          ptrdiff_t n, ptrdiff_t c, ptrdiff_t h, ptrdiff_t w,
                          ptrdiff_t ks, ptrdiff_t stride, ptrdiff_t pad,
@@ -395,18 +406,69 @@ static inline __attribute__((always_inline)) int gemm(
  * n_rows, spatial) float32 — NCHW for a conv whose patch row m is image
  * m / spatial, position m % spatial.  Returns -1 when the scratch buffers
  * cannot be allocated. */
-int int_gemm(const void *restrict a, int wide, const uint8_t *restrict w,
-             float *restrict out,
-             ptrdiff_t m_rows, ptrdiff_t n_rows, ptrdiff_t k,
-             ptrdiff_t spatial, int nibbles,
-             const int64_t *restrict w_sums, const double *restrict w_zps,
-             const double *restrict w_scales,
-             double a_scale, double a_zp, const float *restrict bias) {
+static int int_gemm(const void *restrict a, int wide,
+                    const uint8_t *restrict w, float *restrict out,
+                    ptrdiff_t m_rows, ptrdiff_t n_rows, ptrdiff_t k,
+                    ptrdiff_t spatial, int nibbles,
+                    const int64_t *restrict w_sums,
+                    const double *restrict w_zps,
+                    const double *restrict w_scales,
+                    double a_scale, double a_zp, const float *restrict bias) {
     if (wide)
         return gemm(a, 1, w, out, m_rows, n_rows, k, spatial, nibbles,
                     w_sums, w_zps, w_scales, a_scale, a_zp, bias);
     return gemm(a, 0, w, out, m_rows, n_rows, k, spatial, nibbles, w_sums,
                 w_zps, w_scales, a_scale, a_zp, bias);
+}
+
+/* One packed weight's product at one input shape, filled once by the
+ * Python plan: the geometry, the activation grid (an integer grid with
+ * scale, zero point and qmax; or, when `wide`, an FP grid with scale =
+ * unit, zero point 0 and the fp_levels parameters) and the weight-side
+ * pointers.  Every field is 8 bytes, so the layout has no padding. */
+struct plan {
+    ptrdiff_t n, c, h, w, ks, stride, pad;
+    ptrdiff_t m_rows, n_rows, k, spatial;
+    int64_t wide, nibbles, bias_floor;
+    double scale, zero_point, qmax, max_value, frac_scale, max_level;
+    const uint8_t *weights;
+    const int64_t *w_sums;
+    const double *w_zps, *w_scales;
+    const float *bias;
+};
+
+/* The whole product: x quantized into a patch matrix of levels, then the
+ * int32 GEMM into out.  The level image and the patch matrix are scratch
+ * of this call.  Returns -1 when scratch cannot be allocated. */
+int fused_gemm(const struct plan *restrict p, const float *restrict x,
+               float *restrict out) {
+    if (p->m_rows == 0)
+        return 0;
+    size_t level = p->wide ? 2 : 1;
+    int direct = p->ks == 1 && p->stride == 1 && p->pad == 0
+                 && p->h * p->w == 1;
+    size_t image_bytes = direct ? 0 : (size_t)(p->n * p->c * p->h * p->w)
+                                      * level;
+    image_bytes = (image_bytes + 63) & ~(size_t)63; /* cols on a cache line */
+    char *scratch = malloc(image_bytes + (size_t)(p->m_rows * p->k) * level);
+    if (scratch == NULL)
+        return -1;
+    void *cols = scratch + image_bytes;
+    if (p->wide)
+        quantize_fp_patches(x, (int16_t *)scratch, cols, p->n, p->c, p->h,
+                            p->w, p->ks, p->stride, p->pad, p->max_value,
+                            p->scale, p->bias_floor, p->frac_scale,
+                            p->max_level);
+    else
+        quantize_patches(x, (uint8_t *)scratch, cols, p->n, p->c, p->h, p->w,
+                         p->ks, p->stride, p->pad, p->scale, p->zero_point,
+                         p->qmax);
+    int status = int_gemm(cols, (int)p->wide, p->weights, out, p->m_rows,
+                          p->n_rows, p->k, p->spatial, (int)p->nibbles,
+                          p->w_sums, p->w_zps, p->w_scales, p->scale,
+                          p->zero_point, p->bias);
+    free(scratch);
+    return status;
 }
 """
 
@@ -425,112 +487,150 @@ class KernelUnavailable(Exception):
     """The kernels cannot be built or loaded; the message says why."""
 
 
+def is_fp_grid(act_format) -> bool:
+    """Whether an activation grid is floating point (an ``FPFormat``;
+    duck-typed, the tensor layer does not import :mod:`repro.core`)."""
+    return hasattr(act_format, "mantissa_bits")
+
+
+class _PlanStruct(ctypes.Structure):
+    """The C ``struct plan``."""
+
+    _fields_ = ([(name, ctypes.c_ssize_t) for name in
+                 ("n", "c", "h", "w", "ks", "stride", "pad", "m_rows",
+                  "n_rows", "k", "spatial")]
+                + [(name, ctypes.c_int64) for name in
+                   ("wide", "nibbles", "bias_floor")]
+                + [(name, ctypes.c_double) for name in
+                   ("scale", "zero_point", "qmax", "max_value", "frac_scale",
+                    "max_level")]
+                + [(name, ctypes.c_void_p) for name in
+                   ("weights", "w_sums", "w_zps", "w_scales", "bias")])
+
+
+#: ``from_buffer`` on this zero-length type is the cheapest way to hand an
+#: ndarray's data pointer to ctypes (``ndarray.ctypes.data`` costs twice
+#: as much).
+_NO_BYTES = ctypes.c_char * 0
+
+
+class KernelPlan:
+    """One packed weight's product at one input shape, bound to ``fused_gemm``.
+
+    :meth:`IntKernels.plan` checks every buffer and fills the C ``struct
+    plan`` once; a call converts the input, allocates the output and makes
+    one ctypes call.  The C code allocates its own scratch, so a plan never
+    changes after it is built and any number of threads may call it at
+    once.  It holds the arrays its pointers address (``buffers``), so it
+    cannot outlive them, and it refuses to be pickled or copied: its
+    pointers mean nothing in another process or to another weight.
+    """
+
+    __slots__ = ("shape", "out_shape", "buffers", "_struct", "_address",
+                 "_run")
+
+    def __init__(self, run, struct: _PlanStruct, shape: tuple,
+                 out_shape: tuple, buffers: tuple):
+        self.shape = shape
+        self.out_shape = out_shape
+        self.buffers = buffers
+        self._struct = struct
+        self._address = ctypes.addressof(struct)
+        self._run = run
+
+    # repro: hot -- one call per engaged integer product
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        """The ``out_shape`` float32 product of the ``shape`` input ``x``."""
+        x = np.ascontiguousarray(x, dtype=np.float32)
+        if x.shape != self.shape:
+            raise ValueError(f"kernel plan for inputs {self.shape} "
+                             f"got {x.shape}")
+        out = np.empty(self.out_shape, dtype=np.float32)
+        try:
+            source = _NO_BYTES.from_buffer(x)
+        except TypeError:  # a read-only input
+            source = x.ctypes.data
+        if self._run(self._address, source, _NO_BYTES.from_buffer(out)):
+            raise MemoryError("fused_gemm could not allocate its scratch")
+        return out
+
+    def __reduce__(self):
+        raise TypeError("a kernel plan holds this process's pointers; it is "
+                        "never pickled or copied")
+
+
 class IntKernels:
-    """The integer kernels of the compiled shared object."""
+    """The compiled shared object: one entry point, bound by plans."""
 
     def __init__(self, lib: ctypes.CDLL):
-        self._quantize = lib.quantize_patches
-        self._quantize.argtypes = ([ctypes.c_void_p] * 3
-                                   + [ctypes.c_ssize_t] * 7
-                                   + [ctypes.c_double] * 3)
-        self._quantize.restype = None
-        self._quantize_fp = lib.quantize_fp_patches
-        self._quantize_fp.argtypes = ([ctypes.c_void_p] * 3
-                                      + [ctypes.c_ssize_t] * 7
-                                      + [ctypes.c_double] * 2
-                                      + [ctypes.c_int64]
-                                      + [ctypes.c_double] * 2)
-        self._quantize_fp.restype = None
-        self._gemm = lib.int_gemm
-        self._gemm.argtypes = ([ctypes.c_void_p, ctypes.c_int]
-                               + [ctypes.c_void_p] * 2
-                               + [ctypes.c_ssize_t] * 4 + [ctypes.c_int]
-                               + [ctypes.c_void_p] * 3
-                               + [ctypes.c_double] * 2 + [ctypes.c_void_p])
-        self._gemm.restype = ctypes.c_int
+        self._run = lib.fused_gemm
+        self._run.argtypes = [ctypes.c_void_p] * 3
+        self._run.restype = ctypes.c_int
 
-    def quantize_patches(self, x: np.ndarray, image: np.ndarray,
-                         cols: np.ndarray, kernel_size: int, stride: int,
-                         padding: int, scale: float, zero_point: int,
-                         bitwidth: int) -> None:
-        """Integer-grid levels of ``x`` (``(N, C, H, W)`` float32) gathered
-        into the uint8 patch matrix ``cols``; ``image`` is ``x``-shaped
-        uint8 scratch."""
-        _require_patches(x, image, cols, np.uint8, kernel_size, stride,
-                         padding)
-        self._quantize(x.ctypes.data, image.ctypes.data, cols.ctypes.data,
-                       *x.shape, kernel_size, stride, padding,
-                       scale, float(zero_point), float(2 ** bitwidth - 1))
+    def plan(self, view, act_format, shape: Tuple[int, int, int, int],
+             kernel_size: int = 1, stride: int = 1, padding: int = 0,
+             bias: Optional[np.ndarray] = None) -> KernelPlan:
+        """Bind the product of ``view`` with ``(N, C, H, W)`` inputs of
+        ``shape`` quantized onto ``act_format``.
 
-    def quantize_fp_patches(self, x: np.ndarray, image: np.ndarray,
-                            cols: np.ndarray, kernel_size: int, stride: int,
-                            padding: int, max_value: float, unit: float,
-                            bias_split: Tuple[int, float],
-                            max_level: int) -> None:
-        """Floating-point-grid levels of ``x`` in units of ``unit`` (the
-        format's subnormal step; ``bias_split`` and ``max_level`` as on
-        :class:`repro.core.formats.FPFormat`) gathered into the int16
-        patch matrix ``cols``; ``image`` is ``x``-shaped int16 scratch."""
-        if not 0 < max_level < 2 ** 15:
-            raise ValueError(f"FP levels up to {max_level} do not fit int16")
-        _require_patches(x, image, cols, np.int16, kernel_size, stride,
-                         padding)
-        bias_floor, frac_scale = bias_split
-        self._quantize_fp(x.ctypes.data, image.ctypes.data, cols.ctypes.data,
-                          *x.shape, kernel_size, stride, padding,
-                          max_value, unit, bias_floor, frac_scale,
-                          float(max_level))
-
-    def int_gemm(self, cols: np.ndarray, packed: np.ndarray, nibbles: bool,
-                 level_sums: np.ndarray, zero_points: np.ndarray,
-                 scales: np.ndarray, act_scale: float, act_zero_point: int,
-                 bias: Optional[np.ndarray], out: np.ndarray) -> None:
-        """``out`` (``(N, C_out, L)`` float32, ``L`` patch rows per image)
-        from the ``(M, K)`` levels ``cols`` — uint8 integer-grid levels, or
-        int16 FP-grid levels, which have no zero point — and packed
-        ``(C_out, ·)`` weight levels with per-row ``level_sums`` (int64),
-        ``zero_points`` and ``scales`` (float64)."""
-        m_rows, k = cols.shape
-        n_rows, spatial = packed.shape[0], out.shape[-1]
-        wide = cols.dtype == np.int16
-        if (nibbles and k % 2) or spatial < 1 or m_rows % spatial:
-            raise ValueError(f"int_gemm cannot take K={k} "
-                             f"{'nibbles' if nibbles else 'bytes'} into "
-                             f"{m_rows} rows of {spatial} positions")
-        if wide and act_zero_point:
-            raise ValueError("int16 activation levels have no zero point")
-        _require(cols, np.int16 if wide else np.uint8, (m_rows, k))
-        _require(packed, np.uint8, (n_rows, k // 2 if nibbles else k))
-        _require(out, np.float32, (m_rows // spatial, n_rows, spatial))
-        for per_row, dtype in ((level_sums, np.int64), (zero_points, np.float64),
-                               (scales, np.float64), (bias, np.float32)):
+        ``view`` is a :class:`~repro.tensor.backend.PackedLevelsView`: the
+        packed ``(C_out, K)`` weight levels (uint8, or nibbles at bitwidth
+        <= 4), ``K = C * kernel_size**2``, with per-row ``level_sums``
+        (int64), ``zero_points`` and ``scales`` (float64).  ``bias`` is
+        float32 ``(C_out,)`` or ``None``.  ``act_format`` is an integer grid
+        of at most 8 bits (``bitwidth``, ``scale``, ``zero_point``) or an FP
+        grid whose levels fit int16 (``max_value``, ``min_subnormal``,
+        ``bias_split``, ``max_level``).  Raises ``ValueError`` for a
+        geometry with no output, a grid whose levels do not fit, or a
+        buffer the C code would misread.
+        """
+        n, c, h, w = shape
+        out_h = (h + 2 * padding - kernel_size) // stride + 1
+        out_w = (w + 2 * padding - kernel_size) // stride + 1
+        if kernel_size < 1 or stride < 1 or padding < 0 or min(out_h, out_w) < 1:
+            raise ValueError(f"no {kernel_size}x{kernel_size} patches of a "
+                             f"{h}x{w} image at stride {stride}, "
+                             f"padding {padding}")
+        n_rows, k = view.shape
+        nibbles = view.bitwidth <= 4
+        if k != c * kernel_size ** 2 or (nibbles and k % 2):
+            raise ValueError(f"{'nibble' if nibbles else 'byte'} weight rows "
+                             f"of K={k} cannot take {c} channels of "
+                             f"{kernel_size}x{kernel_size} patches")
+        _require(view.packed, np.uint8, (n_rows, k // 2 if nibbles else k))
+        for per_row, dtype in ((view.level_sums, np.int64),
+                               (view.zero_points, np.float64),
+                               (view.scales, np.float64), (bias, np.float32)):
             if per_row is not None:
                 _require(per_row, dtype, (n_rows,))
-        status = self._gemm(
-            cols.ctypes.data, int(wide), packed.ctypes.data, out.ctypes.data,
-            m_rows, n_rows, k, spatial, int(nibbles),
-            level_sums.ctypes.data, zero_points.ctypes.data,
-            scales.ctypes.data, act_scale, float(act_zero_point),
-            None if bias is None else bias.ctypes.data)
-        if status:
-            raise MemoryError("int_gemm could not allocate its scratch buffers")
-
-
-def _require_patches(x: np.ndarray, image: np.ndarray, cols: np.ndarray,
-                     dtype, kernel_size: int, stride: int,
-                     padding: int) -> None:
-    """Refuse a patch geometry with no output, or buffers that do not fit
-    it."""
-    n, c, h, w = x.shape
-    out_h = (h + 2 * padding - kernel_size) // stride + 1
-    out_w = (w + 2 * padding - kernel_size) // stride + 1
-    if kernel_size < 1 or stride < 1 or padding < 0 or min(out_h, out_w) < 1:
-        raise ValueError(f"no {kernel_size}x{kernel_size} patches of a "
-                         f"{h}x{w} image at stride {stride}, "
-                         f"padding {padding}")
-    _require(x, np.float32, x.shape)
-    _require(image, dtype, x.shape)
-    _require(cols, dtype, (n * out_h * out_w, c * kernel_size ** 2))
+        if is_fp_grid(act_format):
+            max_level = act_format.max_level
+            if not 0 < max_level < 2 ** 15:
+                raise ValueError(f"FP levels up to {max_level} do not fit int16")
+            bias_floor, frac_scale = act_format.bias_split
+            grid = dict(wide=1, scale=act_format.min_subnormal,
+                        max_value=act_format.max_value, bias_floor=bias_floor,
+                        frac_scale=frac_scale, max_level=float(max_level))
+        else:
+            if not 0 < act_format.bitwidth <= 8:
+                raise ValueError(f"INT{act_format.bitwidth} levels do not "
+                                 f"fit uint8")
+            grid = dict(scale=act_format.scale,
+                        zero_point=float(act_format.zero_point),
+                        qmax=float(2 ** act_format.bitwidth - 1))
+        spatial = out_h * out_w
+        struct = _PlanStruct(
+            n=n, c=c, h=h, w=w, ks=kernel_size, stride=stride, pad=padding,
+            m_rows=n * spatial, n_rows=n_rows, k=k, spatial=spatial,
+            nibbles=int(nibbles), weights=view.packed.ctypes.data,
+            w_sums=view.level_sums.ctypes.data,
+            w_zps=view.zero_points.ctypes.data,
+            w_scales=view.scales.ctypes.data,
+            bias=None if bias is None else bias.ctypes.data, **grid)
+        buffers = (view.packed, view.level_sums, view.zero_points,
+                   view.scales, bias)
+        return KernelPlan(self._run, struct, tuple(shape),
+                          (n, n_rows, out_h, out_w), buffers)
 
 
 def _require(array: np.ndarray, dtype, shape: tuple) -> None:

@@ -25,8 +25,10 @@ no backend changes them.  Two backends ship:
     against the packed levels, so int8 and E2M1 weights read 1/4 and int4
     and E1M2 weights 1/8 of the float weight's bytes, and it does integer
     arithmetic instead of float arithmetic.  Engages only in inference
-    mode, within measured gates on the output rows and the weight size;
-    everything else declines to the reference path.
+    mode, within measured gates on the output rows, the reduction depth
+    and the weight size; everything else declines to the reference path.
+    Each packed weight binds its product once per input shape (a call
+    plan), so a call does only the work that depends on its input.
     Outputs accumulate exactly and round once to float32, and are
     therefore **tolerance-bounded** against the reference (float32
     fake-quantize, then BLAS), not bit-identical — see the kernel table
@@ -51,13 +53,13 @@ from __future__ import annotations
 import contextlib
 import os
 import threading
-from collections import OrderedDict
-from dataclasses import dataclass
-from typing import Optional, Tuple
+from dataclasses import dataclass, field
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from . import _ckernels
+from ._ckernels import is_fp_grid
 
 # ----------------------------------------------------------------------
 # MACs accounting
@@ -120,9 +122,9 @@ class PackedLevelsView:
     ``n``'s levels, the weight side of the integer GEMM's zero-point
     correction.
 
-    Deliberately plain (numpy fields only): defined here so the tensor
-    layer never imports :mod:`repro.core`, while ``PackedIntWeight``
-    up in the core package constructs it.
+    Deliberately plain (numpy fields, plus the backend's plans): defined
+    here so the tensor layer never imports :mod:`repro.core`, while
+    ``PackedIntWeight`` up in the core package constructs it.
     """
 
     packed: np.ndarray
@@ -131,6 +133,11 @@ class PackedLevelsView:
     scales: np.ndarray       # (N,) float64
     zero_points: np.ndarray  # (N,) float64, integer-valued
     level_sums: np.ndarray   # (N,) int64
+    #: The accelerated backend's call plans for this weight, one per input
+    #: shape and geometry (see :meth:`AcceleratedBackend.fused_int_gemm`).
+    #: They live and die with the view, which is never pickled.
+    plans: dict = field(default_factory=dict, init=False, repr=False,
+                        compare=False)
 
 
 # ----------------------------------------------------------------------
@@ -223,10 +230,9 @@ class AcceleratedBackend(ComputeBackend):
     numpy's BLAS is already a blocked, cache-tiled implementation with
     its own packing workspaces, and a Python-level re-tiling of it only
     loses.  What this backend adds is :meth:`fused_int_gemm`: when a
-    product with at most ``_FUSED_MAX_M`` output rows hits a packed
-    weight of at least ``_FUSED_MIN_WEIGHT`` elements, two kernels from
-    :mod:`repro.tensor._ckernels` quantize the input straight into a
-    patch matrix of activation levels and take exact int32 dot products
+    product passes the gates below, one C call from
+    :mod:`repro.tensor._ckernels` quantizes the input straight into a
+    patch matrix of activation levels and takes exact int32 dot products
     against the packed levels, with the affine correction and the bias
     applied in the kernel.  Integer activation grids give a uint8 patch
     matrix; floating-point grids (the paper's FP8, or FP4) give signed
@@ -234,18 +240,26 @@ class AcceleratedBackend(ComputeBackend):
     are integer levels, or FP4 levels in that unit.  Neither the float32
     weight nor the fake-quantized float input is materialized.
 
-    Declined (``None``, reference path): integer activation grids wider
-    than 8 bits; FP activation formats whose levels exceed int16 (E4M3,
-    E5M2); reduction depths whose int32 accumulator could overflow
-    (``K * max|q_a| * 128 >= 2**31`` for byte weight levels and
-    ``K * max|q_a| * 15`` for nibbles, with ``max|q_a|`` 255 for uint8
-    levels and the format's ``max_level`` for FP ones — E2M5 252, E3M4
-    1984); padded convolutions whose integer activation zero point has
-    no level (the padded 0.0 could not be represented, which happens when
-    calibration saw only positive or only negative values; an FP grid
-    always has level 0); and any product when the kernels are
-    unavailable.  Layers without a packed weight — FP8 and block-FP
-    weights — never reach this method.
+    Call plans: the first product of a packed weight at an input shape
+    decides the gates and, when they pass, binds a
+    :class:`~repro.tensor._ckernels.KernelPlan` (checked weight-side
+    pointers, geometry, activation grid); both are kept in the weight's
+    :attr:`PackedLevelsView.plans` with the activation grid and bias they
+    were made for.  Every later product at that shape reuses them, so a
+    call pays one dict lookup, one output allocation and one ctypes call.
+
+    Declined (``None``, reference path): products outside the gates;
+    integer activation grids wider than 8 bits; FP activation formats
+    whose levels exceed int16 (E4M3, E5M2); reduction depths whose int32
+    accumulator could overflow (``K * max|q_a| * 128 >= 2**31`` for byte
+    weight levels and ``K * max|q_a| * 15`` for nibbles, with
+    ``max|q_a|`` 255 for uint8 levels and the format's ``max_level`` for
+    FP ones — E2M5 252, E3M4 1984); padded convolutions whose integer
+    activation zero point has no level (the padded 0.0 could not be
+    represented, which happens when calibration saw only positive or only
+    negative values; an FP grid always has level 0); and any product when
+    the kernels are unavailable.  Layers without a packed weight — FP8 and
+    block-FP weights — never reach this method.
 
     Tolerance: exact integer accumulation and one float32 rounding,
     against the reference's float32 fake-quantized operands and BLAS
@@ -255,81 +269,74 @@ class AcceleratedBackend(ComputeBackend):
     name = "accelerated"
 
     #: The gates, measured per product through the full layer call on a
-    #: 2-vCPU AVX-512/VNNI VM: integer-path time over declined-path time
-    #: (fake-quantize, then BLAS on the float weight memo) for INT8/INT8,
-    #: INT4/INT8 and FP4/FP8 (E1M2 weights, E2M5 activations) layers;
-    #: below 1 the integer path wins.
+    #: 2-vCPU AVX-512/VNNI VM: integer-path time (a call plan) over
+    #: declined-path time (fake-quantize, then BLAS on the float weight
+    #: memo) for INT8/INT8, INT4/INT8 and FP4/FP8 (E1M2 weights, E2M5
+    #: activations) layers; below 1 the integer path wins.  Convolutions
+    #: are 3x3 where K is a multiple of 9 and 1x1 otherwise; M = 1 rows
+    #: are linear layers.
     #:
     #:   =====================  ================  ================
     #:   product: M, N x K      1 thread          2 threads
     #:                          int8 int4 fp4     int8 int4 fp4
     #:   =====================  ================  ================
-    #:   1, 512 x 4608          0.40 0.29 0.34    0.61 0.50 0.52
-    #:   4, 512 x 4608          0.13 0.10 0.11    0.20 0.16 0.19
-    #:   16, 512 x 4608         0.19 0.18 0.26    0.30 0.22 0.37
-    #:   64, 512 x 4608         0.25 0.27 0.38    0.38 0.43 0.53
-    #:   256, 512 x 4608        0.29 0.28 0.60    0.49 0.53 0.77
-    #:   1024, 128 x 1152       0.33 0.38 0.50    0.41 0.42 0.61
-    #:   64, 64 x 27            2.01 --   --      2.19 --   --
-    #:   64, 64 x 144           1.12 1.08 0.91    0.88 1.05 0.91
-    #:   1, 64 x 256            1.69 1.65 1.08    1.56 1.61 1.06
-    #:   64, 64 x 288           0.57 0.60 0.56    0.52 0.59 0.55
-    #:   4, 64 x 576            1.08 0.82 0.63    0.83 0.84 0.68
-    #:   64, 64 x 576           0.38 0.40 0.47    0.41 0.53 0.36
-    #:   1, 512 x 256           1.28 1.42 0.98    1.25 1.31 0.93
+    #:   1, 512 x 4608          0.28 0.21 0.30    0.46 0.39 0.50
+    #:   4, 512 x 4608          0.10 0.08 0.11    0.16 0.14 0.17
+    #:   16, 512 x 4608         0.16 0.15 0.20    0.27 0.24 0.33
+    #:   64, 512 x 4608         0.27 0.26 0.36    0.41 0.38 0.53
+    #:   256, 512 x 4608        0.41 0.40 0.57    0.60 0.60 0.77
+    #:   1024, 128 x 1152       0.34 0.33 0.41    0.42 0.43 0.48
+    #:   64, 64 x 576           0.25 0.24 0.24    0.23 0.23 0.25
+    #:   4, 64 x 576            0.22 0.21 0.18    0.21 0.21 0.18
+    #:   64, 3 x 576            0.20 0.20 0.16    0.20 0.19 0.16
+    #:   64, 64 x 288           0.29 0.28 0.27    0.26 0.26 0.27
+    #:   1, 512 x 256           0.43 0.45 0.37    0.44 0.47 0.38
+    #:   1, 128 x 256           0.35 0.35 0.25    0.35 0.35 0.25
+    #:   1, 64 x 256            0.33 0.33 0.22    0.32 0.33 0.22
+    #:   64, 64 x 192           0.38 0.38 0.16    0.35 0.36 0.17
+    #:   16, 128 x 192          0.29 0.30 0.22    0.30 0.30 0.20
+    #:   64, 64 x 144           0.37 0.37 0.31    0.33 0.34 0.31
+    #:   64, 64 x 128           0.44 0.45 0.22    0.38 0.37 0.20
+    #:   1, 3 x 128             0.30 0.30 0.20    0.30 0.31 0.20
+    #:   64, 1024 x 128         0.81 0.81 0.67    0.90 0.92 0.75
+    #:   256, 1024 x 128        0.93 0.93 0.84    1.18 1.17 0.92
+    #:   ---------------------  declined below the depth gate  ---
+    #:   1, 256 x 64            0.39 0.39 0.27    0.40 0.39 0.27
+    #:   16, 128 x 64           0.36 0.36 0.26    0.37 0.37 0.25
+    #:   256, 512 x 64          1.25 1.27 0.86    1.20 1.22 0.79
+    #:   64, 1024 x 64          1.12 1.13 0.94    1.10 1.06 0.91
+    #:   1024, 128 x 36         1.61 1.68 1.35    1.65 1.61 1.37
+    #:   64, 64 x 27            0.81 --   --      0.81 --   --
+    #:   256, 64 x 27           1.45 --   --      1.44 --   --
+    #:   64, 512 x 27           2.16 --   --      1.56 --   --
     #:   =====================  ================  ================
     #:
-    #: (-- odd K has no nibble view.)  On large weights the integer path
-    #: wins at every M measured, so the row gate is the largest M
-    #: measured.  Below one 64-channel 3x3 conv's weight (64 x 576) the
-    #: fixed cost of the two kernel calls ties or loses against a
-    #: cache-resident BLAS product.  Just above it, skinny products still
-    #: tie or lose for integer activations (4, 64 x 576 and the GEMV of a
-    #: 512 x 256 linear layer): the fixed Python cost of the fused call
-    #: outweighs the weight bytes saved.  The FP path loses less on small
-    #: products, because its declined path pays numpy's FP
-    #: fake-quantization, but no product below the weight gate wins
-    #: clearly enough to give it gates of its own.
+    #: (-- odd K has no nibble view.)  With a plan a product's fixed cost
+    #: is a few microseconds, against tens for the declined path's numpy
+    #: calls, so small products win too, down to the smallest weight
+    #: measured (3 x 128): that is the weight gate, as the row gate is the
+    #: largest M measured.  What loses is a shallow reduction with many
+    #: outputs: below 128 levels per dot, each 4x4 tile of outputs spends
+    #: more on its 16 horizontal sums and its float64 epilogue than BLAS
+    #: spends on the dots, at weights from 4608 to 65536 elements, so no
+    #: weight gate separates these losers from the small winners and the
+    #: gate is on the depth K.  Above it, products with many outputs still
+    #: lose to BLAS on two threads (256, 1024 x 128), since the kernel
+    #: runs on one.
     _FUSED_MAX_M = 1024
-    _FUSED_MIN_WEIGHT = 36864
-
-    #: Scratch buffers kept per thread.  One image of the ``generate``
-    #: benchmark's U-Net touches 33 of them (level images and patch
-    #: matrices) per activation dtype, 1.8 MB for both dtypes, so 80 keeps
-    #: an integer and an FP variant resident side by side with room to
-    #: spare; fewer would evict in a cycle and miss on every call.
-    _WORKSPACE_LIMIT = 80
-
-    def __init__(self):
-        self._workspaces = threading.local()
-
-    def _workspace(self, key: tuple, shape: tuple, dtype) -> np.ndarray:
-        """Bounded per-thread scratch cache (mirrors functional's), keyed
-        by dtype as well, so uint8 and int16 levels of one shape coexist."""
-        cache = getattr(self._workspaces, "arrays", None)
-        if cache is None:
-            cache = OrderedDict()
-            self._workspaces.arrays = cache
-        key = key + (np.dtype(dtype).char,)
-        array = cache.get(key)
-        if array is None or array.shape != shape:
-            array = np.empty(shape, dtype=dtype)
-            cache[key] = array
-            while len(cache) > self._WORKSPACE_LIMIT:
-                cache.popitem(last=False)
-        else:
-            cache.move_to_end(key)
-        return array
+    _FUSED_MIN_DEPTH = 128
+    _FUSED_MIN_WEIGHT = 384
 
     def _engages(self, m_rows: int, view: PackedLevelsView, act_format,
                  padding: int) -> bool:
         n_rows, k = view.shape
-        if m_rows > self._FUSED_MAX_M or n_rows * k < self._FUSED_MIN_WEIGHT:
+        if (m_rows > self._FUSED_MAX_M or k < self._FUSED_MIN_DEPTH
+                or n_rows * k < self._FUSED_MIN_WEIGHT):
             return False
         # The int32 accumulator holds K * max|q_a| * max|q_w| (bytes enter
         # the dots as w - 128, nibbles as they are).
         weight_max = 128 if view.bitwidth > 4 else 15
-        if _is_fp_grid(act_format):
+        if is_fp_grid(act_format):
             max_level = act_format.max_level  # int16 levels, zero point 0
             return (max_level < 2 ** 15
                     and k * max_level * weight_max < 2 ** 31)
@@ -343,47 +350,52 @@ class AcceleratedBackend(ComputeBackend):
                        act_format, bias: Optional[np.ndarray] = None,
                        kernel_size: int = 1, stride: int = 1,
                        padding: int = 0) -> Optional[np.ndarray]:
-        n, c, h, w = x.shape
+        key = (x.shape, kernel_size, stride, padding)
+        plan = view.plans.get(key)
+        # Threads racing on a new key each build a correct plan; the last
+        # one stored stays.
+        if (plan is None or plan.act_format is not act_format
+                or plan.bias is not bias):
+            plan = self._plan(x.shape, view, act_format, bias, kernel_size,
+                              stride, padding)
+            view.plans[key] = plan
+        if plan.kernel is None:
+            return None
+        out = plan.kernel(x)
+        _add_macs(plan.macs)
+        return out
+
+    def _plan(self, shape: tuple, view: PackedLevelsView, act_format,
+              bias: Optional[np.ndarray], kernel_size: int, stride: int,
+              padding: int) -> "_CallPlan":
+        """Decide once whether the product engages, and bind it if so."""
+        n, _, h, w = shape
         out_h = (h + 2 * padding - kernel_size) // stride + 1
         out_w = (w + 2 * padding - kernel_size) // stride + 1
         m_rows = n * out_h * out_w
-        if not self._engages(m_rows, view, act_format, padding):
-            return None
-        kernels = _ckernels.load_kernels()
+        kernels = None
+        if self._engages(m_rows, view, act_format, padding):
+            kernels = _ckernels.load_kernels()
         if kernels is None:
-            return None
-        n_rows, k = view.shape
-        x = np.ascontiguousarray(x, dtype=np.float32)
-        fp_grid = _is_fp_grid(act_format)
-        dtype = np.int16 if fp_grid else np.uint8
-        image = self._workspace(("image", n, c, h, w), (n, c, h, w), dtype)
-        cols = self._workspace(("cols", m_rows, k), (m_rows, k), dtype)
-        if fp_grid:
-            act_scale, act_zero_point = act_format.min_subnormal, 0
-            kernels.quantize_fp_patches(
-                x, image, cols, kernel_size, stride, padding,
-                act_format.max_value, act_scale, act_format.bias_split,
-                act_format.max_level)
-        else:
-            act_scale, act_zero_point = act_format.scale, act_format.zero_point
-            kernels.quantize_patches(x, image, cols, kernel_size, stride,
-                                     padding, act_scale, act_zero_point,
-                                     act_format.bitwidth)
-        out = np.empty((n, n_rows, out_h, out_w), dtype=np.float32)
-        if bias is not None:
-            bias = np.ascontiguousarray(bias, dtype=np.float32)
-        kernels.int_gemm(cols, view.packed, view.bitwidth <= 4,
-                         view.level_sums, view.zero_points, view.scales,
-                         act_scale, act_zero_point, bias,
-                         out.reshape(n, n_rows, out_h * out_w))
-        _add_macs(m_rows * n_rows * k)
-        return out
+            return _CallPlan(act_format, bias, None, 0)
+        kernel = kernels.plan(
+            view, act_format, shape, kernel_size, stride, padding,
+            None if bias is None else np.ascontiguousarray(bias,
+                                                           dtype=np.float32))
+        return _CallPlan(act_format, bias, kernel, m_rows * view.shape[0]
+                         * view.shape[1])
 
 
-def _is_fp_grid(act_format) -> bool:
-    """Whether an activation grid is floating point (an ``FPFormat``;
-    duck-typed, the tensor layer does not import :mod:`repro.core`)."""
-    return hasattr(act_format, "mantissa_bits")
+class _CallPlan(NamedTuple):
+    """A packed weight's product at one input shape on the accelerated
+    backend: the activation grid and bias it was decided for (a layer that
+    replaces either gets a new plan) and the bound kernel, ``None`` when
+    the product declines."""
+
+    act_format: object
+    bias: Optional[np.ndarray]
+    kernel: Optional[_ckernels.KernelPlan]
+    macs: int
 
 
 # ----------------------------------------------------------------------

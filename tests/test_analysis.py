@@ -7,6 +7,7 @@ source tree is gate-clean.
 """
 
 import json
+import os
 import subprocess
 import sys
 import textwrap
@@ -700,10 +701,13 @@ class TestSuppression:
 # CLI contract
 # ----------------------------------------------------------------------
 def run_cli(args, cwd):
+    env = {"PYTHONPATH": str(REPO_ROOT / "src"), "PATH": "/usr/bin:/bin"}
+    # A run that writes no bytecode must not leave any in the checkout.
+    if "PYTHONDONTWRITEBYTECODE" in os.environ:
+        env["PYTHONDONTWRITEBYTECODE"] = os.environ["PYTHONDONTWRITEBYTECODE"]
     return subprocess.run(
         [sys.executable, "-m", "repro.analysis", *args],
-        capture_output=True, text=True, cwd=cwd,
-        env={"PYTHONPATH": str(REPO_ROOT / "src"), "PATH": "/usr/bin:/bin"})
+        capture_output=True, text=True, cwd=cwd, env=env)
 
 
 class TestCli:

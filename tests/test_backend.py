@@ -20,10 +20,15 @@ The contract under test (see ``src/repro/tensor/backend.py``):
   eligibility gates, so autograd numerics are backend-independent.
 """
 
+import copy
+import gc
 import os
+import pickle
 import subprocess
 import sys
 import threading
+import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -70,12 +75,17 @@ from repro.tensor import (
 )
 from repro.tensor import functional as F
 from repro.tensor import _ckernels
-from repro.tensor.backend import AcceleratedBackend, reference_backend
+from repro.tensor.backend import (
+    AcceleratedBackend,
+    PackedLevelsView,
+    reference_backend,
+)
 from repro.tensor.functional import _im2col
 
 from tiny_factories import fp_probe_values
 
-#: A fused-eligible weight: N * K >= _FUSED_MIN_WEIGHT elements.
+#: A fused-eligible weight: K >= _FUSED_MIN_DEPTH and
+#: N * K >= _FUSED_MIN_WEIGHT.
 ELIGIBLE_N, ELIGIBLE_K = 512, 1024
 
 #: The process default honors REPRO_BACKEND (the backend-matrix CI job
@@ -245,11 +255,28 @@ class TestFusedDequantGemm:
         assert _int_linear(get_backend("accelerated"), x, storage,
                            calibrate_int_format(x, 8)) is None
 
-    def test_declines_cache_resident_weights(self):
-        storage, _ = _packed_storage("int8", 64, 64)
-        x = RNG.standard_normal((1, 64)).astype(np.float32)
-        assert _int_linear(get_backend("accelerated"), x, storage,
-                           calibrate_int_format(x, 8)) is None
+    def test_declines_below_the_smallest_measured_weight(self):
+        _loaded_kernels()
+        depth = AcceleratedBackend._FUSED_MIN_DEPTH
+        rows = -(-AcceleratedBackend._FUSED_MIN_WEIGHT // depth)
+        x = RNG.standard_normal((1, depth)).astype(np.float32)
+        for n_rows, engages in ((rows - 1, False), (rows, True)):
+            storage, _ = _packed_storage("int8", n_rows, depth)
+            out = _int_linear(get_backend("accelerated"), x, storage,
+                              calibrate_int_format(x, 8))
+            assert (out is not None) == engages, n_rows
+
+    def test_declines_shallow_reductions(self):
+        # Below the depth gate the kernel's per-output cost loses to BLAS
+        # on products with many outputs, whatever the weight's size.
+        _loaded_kernels()
+        depth = AcceleratedBackend._FUSED_MIN_DEPTH
+        for k, engages in ((depth - 2, False), (depth, True)):
+            storage, _ = _packed_storage("int4", ELIGIBLE_N, k)
+            x = RNG.standard_normal((4, k)).astype(np.float32)
+            out = _int_linear(get_backend("accelerated"), x, storage,
+                              calibrate_int_format(x, 8))
+            assert (out is not None) == engages, k
 
     def test_odd_reduction_depth_has_no_nibble_view(self):
         weight = (RNG.standard_normal((512, 1023)) * 0.05).astype(np.float32)
@@ -277,8 +304,36 @@ class TestFusedDequantGemm:
 
 
 # ----------------------------------------------------------------------
-# the two C kernels, against numpy
+# the C entry point, bound by kernel plans, against numpy
 # ----------------------------------------------------------------------
+def _levels_view(levels: np.ndarray, bits: int, zero_points) -> PackedLevelsView:
+    """The packed view of ``(N, K)`` weight levels, with unit scales."""
+    n_rows, k = levels.shape
+    return PackedLevelsView(
+        packed=_pack_levels(levels, bits).reshape(n_rows, -1), bitwidth=bits,
+        shape=(n_rows, k), scales=np.ones(n_rows),
+        zero_points=np.asarray(zero_points, dtype=np.float64),
+        level_sums=levels.sum(axis=1, dtype=np.int64))
+
+
+def _patch_levels(kernels, x: np.ndarray, act, kernel_size: int, stride: int,
+                  padding: int) -> np.ndarray:
+    """The ``(M, K)`` activation levels the C code gathers from ``x``.
+
+    Read back through an identity weight: output channel ``j`` dots patch
+    column ``j`` alone, and the epilogue returns ``s_a (q_a - z_a)`` in
+    float64, rounded once to float32, which gives back ``q_a`` exactly.
+    """
+    k = x.shape[1] * kernel_size ** 2
+    identity = _levels_view(np.eye(k, dtype=np.uint8), 8, np.zeros(k))
+    out = kernels.plan(identity, act, x.shape, kernel_size, stride,
+                       padding)(x)
+    products = out.transpose(0, 2, 3, 1).reshape(-1, k).astype(np.float64)
+    if hasattr(act, "mantissa_bits"):
+        return np.rint(products / act.min_subnormal)
+    return np.rint(products / act.scale) + act.zero_point
+
+
 class TestIntegerKernels:
     @pytest.mark.parametrize("bits", [8, 4])
     @pytest.mark.parametrize("m_rows", range(1, 9))
@@ -290,34 +345,34 @@ class TestIntegerKernels:
             n_rows = 7
             acts = RNG.integers(0, 256, (m_rows, k), dtype=np.uint8)
             levels = RNG.integers(0, 2 ** bits, (n_rows, k), dtype=np.uint8)
-            packed = _pack_levels(levels, bits).reshape(n_rows, -1)
             # Zero points near mid-range keep the corrected dots below
             # 2**24, so the float32 output holds them exactly.
             zero_points = RNG.integers(2 ** bits // 2 - 3, 2 ** bits // 2 + 3,
                                        n_rows).astype(np.float64)
             act_zero_point = int(RNG.integers(125, 131))
-            out = np.empty((1, n_rows, m_rows), dtype=np.float32)
-            kernels.int_gemm(acts, packed, bits == 4,
-                             levels.sum(axis=1, dtype=np.int64), zero_points,
-                             np.ones(n_rows), 1.0, act_zero_point, None, out)
+            # On a unit grid the input q_a - z_a quantizes to q_a.
+            x = (acts.astype(np.float32) - act_zero_point)[:, :, None, None]
+            plan = kernels.plan(_levels_view(levels, bits, zero_points),
+                                IntFormat(8, 1.0, act_zero_point), x.shape)
             exact = ((acts.astype(np.int64) - act_zero_point)
                      @ (levels.astype(np.int64)
                         - zero_points.astype(np.int64)[:, None]).T)
             assert np.all(np.abs(exact) < 2 ** 24)
-            np.testing.assert_array_equal(out[0].T, exact, err_msg=f"K={k}")
+            np.testing.assert_array_equal(plan(x)[:, :, 0, 0], exact,
+                                          err_msg=f"K={k}")
 
     def test_int32_accumulator_reaches_its_bound_exactly(self):
         kernels = _loaded_kernels()
         # The largest K the byte-level guard admits drives the signed
         # accumulator to -K * 255 * 128, one step from int32 overflow.
         k = 2 ** 31 // (255 * 128)
-        acts = np.full((2, k), 255, dtype=np.uint8)
+        x = np.full((2, k, 1, 1), 255.0, dtype=np.float32)
         levels = np.stack([np.zeros(k, np.uint8), np.full(k, 255, np.uint8)])
-        out = np.empty((1, 2, 2), dtype=np.float32)
-        kernels.int_gemm(acts, levels, False, levels.sum(axis=1, dtype=np.int64),
-                         np.array([1.0, 254.0]), np.ones(2), 1.0, 0, None, out)
+        plan = kernels.plan(_levels_view(levels, 8, [1.0, 254.0]),
+                            IntFormat(8, 1.0, 0), x.shape)
         # sum 255 * (0 - 1) and sum 255 * (255 - 254): +-16777215 < 2**24.
-        np.testing.assert_array_equal(out[0].T, [[-k * 255, k * 255]] * 2)
+        np.testing.assert_array_equal(plan(x)[:, :, 0, 0],
+                                      [[-k * 255, k * 255]] * 2)
 
     @pytest.mark.parametrize("kernel_size", [1, 3])
     @pytest.mark.parametrize("stride", [1, 2])
@@ -333,11 +388,10 @@ class TestIntegerKernels:
                                  (padding,) * 2),
                         constant_values=act.zero_point)
         expected, _ = _im2col(padded, (kernel_size, kernel_size), stride, 0)
-        expected = expected.reshape(-1, expected.shape[-1]).astype(np.uint8)
-        cols = np.empty_like(expected)
-        kernels.quantize_patches(x, np.empty(x.shape, np.uint8), cols, kernel_size, stride, padding,
-                                 act.scale, act.zero_point, act.bitwidth)
-        np.testing.assert_array_equal(cols, expected)
+        expected = expected.reshape(-1, expected.shape[-1])
+        np.testing.assert_array_equal(
+            _patch_levels(kernels, x, act, kernel_size, stride, padding),
+            expected)
 
     @pytest.mark.parametrize("bits", [8, 4, 2])
     def test_linear_levels_equal_int_levels(self, bits):
@@ -345,38 +399,58 @@ class TestIntegerKernels:
         # Values past the calibrated range exercise the clipping.
         x = (RNG.standard_normal((3, 301, 1, 1)) * 3).astype(np.float32)
         act = calibrate_int_format(x[:, :100], bits)
-        cols = np.empty((3, 301), dtype=np.uint8)
-        kernels.quantize_patches(x, np.empty(x.shape, np.uint8), cols, 1, 1, 0,
-                                 act.scale, act.zero_point, act.bitwidth)
-        np.testing.assert_array_equal(cols, int_levels(x, act).reshape(3, 301))
+        np.testing.assert_array_equal(_patch_levels(kernels, x, act, 1, 1, 0),
+                                      int_levels(x, act).reshape(3, 301))
 
     def test_malformed_buffers_are_refused(self):
+        # A plan checks every buffer once, when it is built.  The input is
+        # converted on every call, and the output, the level image and the
+        # patch matrix are allocated by the plan and the C code, so no
+        # caller can hand over a malformed one.
         kernels = _loaded_kernels()
-        acts = np.zeros((4, 64), dtype=np.uint8)
         levels = np.zeros((8, 64), dtype=np.uint8)
-        per_row = (levels.sum(axis=1, dtype=np.int64), np.zeros(8), np.ones(8))
-        out = np.empty((1, 8, 4), dtype=np.float32)
-        kernels.int_gemm(acts, levels, False, *per_row, 1.0, 0, None, out)
-        bad_calls = [
-            (acts.astype(np.int8), levels, False, per_row, None, out),
-            (acts, levels[:, ::2], False, per_row, None, out),
-            (acts, levels, True, per_row, None, out),  # bytes read as nibbles
-            (acts, levels, False, per_row[:2] + (np.ones(7),), None, out),
-            (acts, levels, False, per_row, np.ones(8), out),  # float64 bias
-            (acts, levels, False, per_row, None, out[:, :4]),
-            (acts, levels, False, per_row, None, np.empty((1, 8, 3), np.float32)),
+        view = _levels_view(levels, 8, np.zeros(8))
+        act, shape = IntFormat(8, 1.0, 0), (4, 64, 1, 1)
+        plan = kernels.plan(view, act, shape)
+        assert plan(np.zeros(shape)).shape == (4, 8, 1, 1)
+        with pytest.raises(ValueError):  # an input of another shape
+            plan(np.zeros((4, 63, 1, 1), dtype=np.float32))
+        bad_plans = [
+            (replace(view, packed=np.zeros((8, 128), np.uint8)[:, ::2]), act,
+             shape, {}),
+            (replace(view, packed=levels.astype(np.int8)), act, shape, {}),
+            (replace(view, bitwidth=4), act, shape, {}),  # bytes as nibbles
+            (replace(view, scales=np.ones(7)), act, shape, {}),
+            (replace(view, level_sums=view.level_sums.astype(np.int32)), act,
+             shape, {}),
+            (view, act, shape, {"bias": np.ones(8)}),  # float64 bias
+            (view, IntFormat(9, 1.0, 0), shape, {}),  # levels past uint8
+            (view, act, (4, 32, 1, 1), {}),  # K does not match the input
+            (view, act, (1, 64, 3, 3), {"kernel_size": 3}),
+            (_levels_view(np.zeros((8, 50), np.uint8), 8, np.zeros(8)), act,
+             (1, 2, 3, 3), {"kernel_size": 5}),  # no 5x5 patches of 3x3
         ]
-        for a, w, nibbles, rows, bias, o in bad_calls:
+        for bad_view, bad_act, bad_shape, kwargs in bad_plans:
             with pytest.raises(ValueError):
-                kernels.int_gemm(a, w, nibbles, *rows, 1.0, 0, bias, o)
-        x = np.zeros((1, 2, 3, 3), dtype=np.float32)
-        for image, cols, kernel_size in (
-                (np.empty(x.shape, np.uint8), np.empty((9, 17), np.uint8), 1),
-                (np.empty(8, np.uint8), np.empty((9, 2), np.uint8), 1),
-                (np.empty(x.shape, np.uint8), np.empty((0, 50), np.uint8), 5)):
-            with pytest.raises(ValueError):
-                kernels.quantize_patches(x, image, cols, kernel_size, 1, 0,
-                                         0.1, 0, 8)
+                kernels.plan(bad_view, bad_act, bad_shape, **kwargs)
+
+    def test_read_only_inputs_are_taken(self):
+        kernels = _loaded_kernels()
+        levels = RNG.integers(0, 256, (8, 64), dtype=np.uint8)
+        x = RNG.standard_normal((2, 64, 1, 1)).astype(np.float32)
+        plan = kernels.plan(_levels_view(levels, 8, np.full(8, 128.0)),
+                            calibrate_int_format(x, 8), x.shape)
+        expected = plan(x)
+        x.flags.writeable = False
+        _assert_bits_equal(plan(x), expected)
+
+    def test_plans_are_never_pickled_or_copied(self):
+        kernels = _loaded_kernels()
+        view = _levels_view(np.zeros((8, 64), dtype=np.uint8), 8, np.zeros(8))
+        plan = kernels.plan(view, IntFormat(8, 1.0, 0), (1, 64, 1, 1))
+        for clone in (pickle.dumps, copy.copy, copy.deepcopy):
+            with pytest.raises(TypeError):
+                clone(plan)
 
 
 class TestIntegerGuards:
@@ -517,14 +591,11 @@ class TestFPKernels:
                                  (padding,) * 2))
                 expected, _ = _im2col(levels, (kernel_size, kernel_size),
                                       stride, 0)
-                expected = expected.reshape(-1, expected.shape[-1])
-                cols = np.empty(expected.shape, dtype=np.int16)
-                kernels.quantize_fp_patches(
-                    x, np.empty(shape, np.int16), cols, kernel_size, stride,
-                    padding, fmt.max_value, fmt.min_subnormal,
-                    fmt.bias_split, fmt.max_level)
-                np.testing.assert_array_equal(cols, expected.astype(np.int16),
-                                              err_msg=f"{name} bias {bias}")
+                np.testing.assert_array_equal(
+                    _patch_levels(kernels, x, fmt, kernel_size, stride,
+                                  padding),
+                    expected.reshape(-1, expected.shape[-1]),
+                    err_msg=f"{name} bias {bias}")
 
     @pytest.mark.parametrize("name", KERNEL_FP_FORMATS)
     def test_linear_levels_equal_fp_levels(self, name):
@@ -533,33 +604,33 @@ class TestFPKernels:
         fmt = _fp_format(name, 2.5)
         values = fp_probe_values(fmt, rng, size=500)
         x = rng.choice(values, size=(3, 301, 1, 1)).astype(np.float32)
-        cols = np.empty((3, 301), dtype=np.int16)
-        kernels.quantize_fp_patches(x, np.empty(x.shape, np.int16), cols,
-                                    1, 1, 0, fmt.max_value, fmt.min_subnormal,
-                                    fmt.bias_split, fmt.max_level)
-        np.testing.assert_array_equal(cols, fp_levels(x, fmt).reshape(3, 301))
+        np.testing.assert_array_equal(_patch_levels(kernels, x, fmt, 1, 1, 0),
+                                      fp_levels(x, fmt).reshape(3, 301))
 
     @pytest.mark.parametrize("bits", [8, 4])
     @pytest.mark.parametrize("m_rows", range(1, 9))
     def test_int16_dots_equal_int64_matmul(self, bits, m_rows):
         kernels = _loaded_kernels()
+        fmt = FPFormat.from_name("E3M4")
+        # Every level of the grid, up to 1984 units of its subnormal step.
+        grid = np.unique(fp_levels(fmt.representable_values(), fmt))
         depths = (1, 17, 63, 129, 1001) if bits == 8 else (2, 18, 62, 130, 998)
         for k in depths:
             n_rows = 7
-            acts = RNG.integers(-1984, 1985, (m_rows, k)).astype(np.int16)
+            acts = RNG.choice(grid, (m_rows, k))
             levels = RNG.integers(0, 2 ** bits, (n_rows, k), dtype=np.uint8)
-            packed = _pack_levels(levels, bits).reshape(n_rows, -1)
             zero_points = RNG.integers(0, 2 ** bits, n_rows).astype(np.float64)
-            out = np.empty((1, n_rows, m_rows), dtype=np.float32)
-            kernels.int_gemm(acts, packed, bits == 4,
-                             levels.sum(axis=1, dtype=np.int64), zero_points,
-                             np.ones(n_rows), 1.0, 0, None, out)
+            x = (acts * fmt.min_subnormal).astype(np.float32)[:, :, None, None]
+            plan = kernels.plan(_levels_view(levels, bits, zero_points), fmt,
+                                x.shape)
             exact = acts.astype(np.int64) @ (
                 levels.astype(np.int64)
                 - zero_points.astype(np.int64)[:, None]).T
-            # One rounding of the exact integer to float32.
-            np.testing.assert_array_equal(out[0].T, exact.astype(np.float32),
-                                          err_msg=f"K={k}")
+            # One rounding of the exact integer, in units of the step.
+            np.testing.assert_array_equal(
+                plan(x)[:, :, 0, 0],
+                (exact * fmt.min_subnormal).astype(np.float32),
+                err_msg=f"K={k}")
 
     @pytest.mark.parametrize("bits", [8, 4])
     def test_int16_accumulator_reaches_its_bound_exactly(self, bits):
@@ -567,65 +638,31 @@ class TestFPKernels:
         # The largest K the E3M4 guard admits: byte levels enter the dots as
         # w - 128, so a row of zero levels drives the accumulator to
         # -K * 1984 * 128; nibbles enter as they are, up to K * 1984 * 15.
+        fmt = FPFormat.from_name("E3M4")
         weight_max, top = (128, 255) if bits == 8 else (15, 15)
         k = (2 ** 31 - 1) // (1984 * weight_max)
         k -= k % 2
-        acts = np.full((2, k), 1984, dtype=np.int16)
+        x = np.full((2, k, 1, 1), fmt.max_value, dtype=np.float32)
         levels = np.stack([np.zeros(k, np.uint8), np.full(k, top, np.uint8)])
-        packed = _pack_levels(levels, bits).reshape(2, -1)
-        out = np.empty((1, 2, 2), dtype=np.float32)
-        kernels.int_gemm(acts, packed, bits == 4,
-                         levels.sum(axis=1, dtype=np.int64),
-                         np.array([0.0, top - 1.0]), np.ones(2), 1.0, 0, None,
-                         out)
-        np.testing.assert_array_equal(out[0].T, [[0, k * 1984]] * 2)
+        plan = kernels.plan(_levels_view(levels, bits, [0.0, top - 1.0]), fmt,
+                            x.shape)
+        np.testing.assert_array_equal(
+            plan(x)[:, :, 0, 0],
+            np.float32([[0, k * 1984 * fmt.min_subnormal]] * 2))
 
     def test_malformed_fp_buffers_are_refused(self):
+        # The int16 levels and their scratch are allocated in C, and an FP
+        # grid has no zero point to get wrong; what is left to refuse at
+        # plan build is a grid whose levels do not fit int16.
         kernels = _loaded_kernels()
-        fmt = FPFormat.from_name("E2M5")
-        x = np.zeros((1, 2, 3, 3), dtype=np.float32)
-        grid = (fmt.max_value, fmt.min_subnormal, fmt.bias_split)
-        for image, cols in ((np.empty(x.shape, np.uint8),
-                             np.empty((9, 2), np.int16)),
-                            (np.empty(x.shape, np.int16),
-                             np.empty((9, 2), np.uint8))):
+        view = _levels_view(np.zeros((8, 18), dtype=np.uint8), 8, np.zeros(8))
+        shape = (1, 2, 3, 3)
+        kernels.plan(view, FPFormat.from_name("E3M4"), shape, kernel_size=3,
+                     padding=1)
+        for name in ("E4M3", "E5M2"):  # levels past int16
             with pytest.raises(ValueError):
-                kernels.quantize_fp_patches(x, image, cols, 1, 1, 0, *grid,
-                                            fmt.max_level)
-        with pytest.raises(ValueError):  # E4M3 levels do not fit int16
-            e4m3 = FPFormat.from_name("E4M3")
-            kernels.quantize_fp_patches(
-                x, np.empty(x.shape, np.int16), np.empty((9, 2), np.int16),
-                1, 1, 0, e4m3.max_value, e4m3.min_subnormal, e4m3.bias_split,
-                e4m3.max_level)
-        acts = np.zeros((4, 64), dtype=np.int16)
-        levels = np.zeros((8, 64), dtype=np.uint8)
-        per_row = (levels.sum(axis=1, dtype=np.int64), np.zeros(8), np.ones(8))
-        with pytest.raises(ValueError):  # int16 levels have no zero point
-            kernels.int_gemm(acts, levels, False, *per_row, 1.0, 3, None,
-                             np.empty((1, 8, 4), np.float32))
-
-
-class TestWorkspaces:
-    def test_scratch_buffers_are_keyed_by_dtype(self):
-        backend = AcceleratedBackend()
-        narrow = backend._workspace(("cols", 4, 8), (4, 8), np.uint8)
-        wide = backend._workspace(("cols", 4, 8), (4, 8), np.int16)
-        assert narrow.dtype == np.uint8 and wide.dtype == np.int16
-        assert backend._workspace(("cols", 4, 8), (4, 8), np.uint8) is narrow
-        assert backend._workspace(("cols", 4, 8), (4, 8), np.int16) is wide
-
-    def test_an_integer_and_an_fp_image_stay_resident(self):
-        # One image of the generate benchmark's U-Net touches 33 buffers
-        # per activation dtype; cycling through both sets must not evict.
-        backend = AcceleratedBackend()
-        keys = [(("cols", i, 8), dtype) for i in range(1, 34)
-                for dtype in (np.uint8, np.int16)]
-        first = [backend._workspace(key, (key[1], 8), dtype)
-                 for key, dtype in keys]
-        again = [backend._workspace(key, (key[1], 8), dtype)
-                 for key, dtype in keys]
-        assert all(a is b for a, b in zip(first, again))
+                kernels.plan(view, FPFormat.from_name(name), shape,
+                             kernel_size=3, padding=1)
 
 
 class TestIntPacking:
@@ -947,6 +984,80 @@ class TestQuantizedLayerDispatch:
 
 
 # ----------------------------------------------------------------------
+# call plans: a packed layer binds its product once per input shape
+# ----------------------------------------------------------------------
+def _accelerated(module, x: np.ndarray) -> np.ndarray:
+    with inference_mode(), use_backend("accelerated"):
+        return module(Tensor(x)).data
+
+
+class TestCallPlans:
+    """A plan is a cache of checked pointers and decisions: whatever a
+    layer has been called with before, each call returns what a fresh copy
+    of the layer (which has no plan yet) returns for the same input."""
+
+    def test_inputs_of_one_shape_get_their_own_results(self):
+        module = _quantized_conv("int8")
+        first, second = (RNG.standard_normal((1, 64, 2, 2)).astype(np.float32)
+                         for _ in range(2))
+        outputs = [_accelerated(module, x) for x in (first, second, first)]
+        assert len(module.packed_weight.packed_view().plans) == 1
+        _assert_bits_equal(outputs[1],
+                           _accelerated(copy.deepcopy(module), second))
+        _assert_bits_equal(outputs[0], outputs[2])
+        assert not np.array_equal(outputs[0], outputs[1])
+
+    def test_interleaved_shapes_get_their_own_results(self):
+        module = _quantized_linear("int4")
+        inputs = [RNG.standard_normal((batch, ELIGIBLE_K)).astype(np.float32)
+                  for batch in (1, 2, 1)]
+        outputs = [_accelerated(module, x) for x in inputs]
+        assert len(module.packed_weight.packed_view().plans) == 2
+        for x, out in zip(inputs, outputs):
+            _assert_bits_equal(out, _accelerated(copy.deepcopy(module), x))
+
+    def test_a_replaced_activation_grid_is_used(self):
+        module = _quantized_linear("int8")
+        x = RNG.standard_normal((2, ELIGIBLE_K)).astype(np.float32)
+        before = _accelerated(module, x)
+        module.activation_quantizer = IntTensorQuantizer.calibrated(x * 4, 8)
+        after = _accelerated(module, x)
+        _assert_bits_equal(after, _accelerated(copy.deepcopy(module), x))
+        assert not np.array_equal(before, after)
+
+    def test_a_loaded_weight_replaces_the_packed_one(self):
+        module = _quantized_conv("int4")
+        x = RNG.standard_normal((1, 64, 2, 2)).astype(np.float32)
+        before = _accelerated(module, x)
+        state = module.state_dict()
+        state["weight"] = state["weight"] * np.float32(0.5)
+        module.load_state_dict(state)
+        assert module.packed_weight is None
+        after = _accelerated(module, x)
+        with inference_mode(), use_backend("reference"):
+            expected = module(Tensor(x)).data
+        _assert_bits_equal(after, expected)
+        assert not np.array_equal(before, after)
+
+    def test_a_dropped_layer_takes_its_plans_along(self):
+        module = _quantized_conv("int8")
+        _accelerated(module, RNG.standard_normal((1, 64, 2, 2)).astype(
+            np.float32))
+        assert module.packed_weight.packed_view().plans
+        storage = weakref.ref(module.packed_weight)
+        del module
+        gc.collect()
+        assert storage() is None
+
+    def test_the_reference_backend_builds_no_plan(self):
+        module = _quantized_linear("int8")
+        x = Tensor(RNG.standard_normal((2, ELIGIBLE_K)).astype(np.float32))
+        with inference_mode(), use_backend("reference"):
+            module(x)
+        assert not module.packed_weight.packed_view().plans
+
+
+# ----------------------------------------------------------------------
 # one U-Net forward, before the decoder clips anything
 # ----------------------------------------------------------------------
 def _bottom_heavy_spec() -> ModelSpec:
@@ -1135,13 +1246,20 @@ class TestThreadSafety:
         flip.join()
         assert not errors, errors
 
-    def test_fused_kernels_are_thread_safe(self):
+    @pytest.mark.parametrize("planned_elsewhere", [False, True])
+    def test_fused_kernels_are_thread_safe(self, planned_elsewhere):
         _loaded_kernels()
         storage, _ = _packed_storage("int8", ELIGIBLE_N, ELIGIBLE_K)
         backend = get_backend("accelerated")
         x = RNG.standard_normal((4, ELIGIBLE_K)).astype(np.float32)
         act = calibrate_int_format(x, 8)
         expected = _reference_product(x, act, storage)
+        if planned_elsewhere:  # the workers share a plan another thread built
+            planner = threading.Thread(
+                target=lambda: _int_linear(backend, x, storage, act))
+            planner.start()
+            planner.join()
+            assert len(storage.packed_view().plans) == 1
         errors = []
 
         def worker():

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -139,7 +142,7 @@ def test_qforward_pairs_declare_their_speedup_floors():
               for workload in workloads_for_suite("ci")
               if workload.min_speedup is not None}
     assert floors == {"qforward.int8": 1.3, "qforward.int4": 1.2,
-                      "qforward.fp4": 1.2}
+                      "qforward.fp4": 1.2, "kernel.int8_gemv": 1.0}
 
 
 def test_ci_suite_matches_committed_baseline():
@@ -217,6 +220,21 @@ def _tiny_results():
                   pair="pairdemo", arm="fast"), fast),
         (Workload(name="plain", setup=None, suites=("t",)), plain),
     ]
+
+
+def test_fingerprint_records_the_blas_thread_count():
+    script = ("import json; from repro.bench import environment_fingerprint; "
+              "env = environment_fingerprint(); "
+              "print(json.dumps([env['thread_env'], env['openblas_threads']]))")
+    environ = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"),
+                   OPENBLAS_NUM_THREADS="1")
+    result = subprocess.run([sys.executable, "-c", script], env=environ,
+                            capture_output=True, text=True, check=True)
+    thread_env, openblas = json.loads(result.stdout)
+    assert thread_env["OPENBLAS_NUM_THREADS"] == "1"
+    assert set(thread_env) == {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                               "MKL_NUM_THREADS"}
+    assert openblas == 1
 
 
 def test_bench_report_schema(tmp_path):

@@ -12,6 +12,7 @@ import gc
 import pickle
 import sys
 import tracemalloc
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
@@ -255,6 +256,53 @@ def test_collected_variant_leaves_the_memo(fp32_pipeline, fresh_memo):
     gc.collect()
     assert fresh_memo.stats()["nbytes"] == 0
     assert fresh_memo.stats()["entries"] == 0
+
+
+def _bound_plans(model):
+    """(layer, kernel plan) for every product the layers have bound."""
+    return [(layer, plan.kernel) for layer in packed_layers(model)
+            if layer.packed_weight.packed_view() is not None
+            for plan in layer.packed_weight.packed_view().plans.values()
+            if plan.kernel is not None]
+
+
+@pytest.mark.parametrize("clone", ["deepcopy", "pickle"])
+def test_copied_variant_binds_only_its_own_arrays(fp32_pipeline, clone):
+    model = quantize(fp32_pipeline, "int8").model
+    expected = unet_forward(model, "accelerated")  # builds the plans
+    copied = (copy.deepcopy(model) if clone == "deepcopy"
+              else pickle.loads(pickle.dumps(model)))
+    # Neither the views nor their plans travel with a copy.
+    assert all(layer.packed_weight._packed_view is None
+               for layer in packed_layers(copied))
+    actual = unet_forward(copied, "accelerated")
+    np.testing.assert_array_equal(actual.view(np.uint32),
+                                  expected.view(np.uint32))
+    originals = [array for layer in packed_layers(model)
+                 for array in layer.packed_weight.arrays()]
+    for layer, plan in _bound_plans(copied):
+        view = layer.packed_weight.packed_view()
+        assert all(bound is own for bound, own in zip(
+            plan.buffers, (view.packed, view.level_sums, view.zero_points,
+                           view.scales)))
+        assert plan._struct.weights == view.packed.ctypes.data
+        for buffer in plan.buffers:
+            if buffer is not None:
+                assert not any(np.shares_memory(buffer, original)
+                               for original in originals)
+
+
+def test_dropped_variant_is_collected_with_its_plans(fp32_pipeline):
+    quantized = quantize(fp32_pipeline, "int4")
+    unet_forward(quantized.model, "accelerated")
+    layers = [layer for layer in packed_layers(quantized.model)
+              if layer.packed_weight.packed_view() is not None]
+    assert layers and all(layer.packed_weight.packed_view().plans
+                          for layer in layers)
+    storages = [weakref.ref(layer.packed_weight) for layer in layers]
+    del quantized, layers
+    gc.collect()
+    assert all(storage() is None for storage in storages)
 
 
 def test_concurrent_dequantize_keeps_accounting_exact(fresh_memo):
