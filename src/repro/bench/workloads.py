@@ -31,8 +31,9 @@ Coverage matches what the serving stack actually executes:
 * ``kernel.int8_gemv`` — one single-row INT8/INT8 linear layer at the
   smallest weight the accelerated backend's gates admit: the *pre* arm
   takes the path a declined product takes, the *fast* arm the layer's call
-  plan on the integer kernel.  Its ``min_speedup`` of 1 fails a run whose
-  gates admit a product the kernel loses.
+  plan on the integer kernel.  Its ``min_speedup`` of 1 fails a run in
+  which that smallest admitted single-row product is slower than the
+  declined path.
 * ``serving.throughput`` — end-to-end dynamic-batched serving of a small
   deterministic workload through the real engine.
 * ``cluster.sim`` — one fleet-simulator run on the virtual clock.
@@ -478,6 +479,8 @@ for _scheme, _floor in _QFORWARD_FLOORS:
 # ----------------------------------------------------------------------
 #: Products per sample; one product takes microseconds.
 _GEMV_CALLS = 64
+#: The layer's input width; the weight gate sets its output width.
+_GEMV_DEPTH = 128
 
 
 @lru_cache(maxsize=None)
@@ -489,11 +492,10 @@ def _gemv_fixture():
     from ..core.qmodules import IntTensorQuantizer, QuantizedLinear
     from ..tensor.backend import AcceleratedBackend
 
-    depth = AcceleratedBackend._FUSED_MIN_DEPTH
-    rows = -(-AcceleratedBackend._FUSED_MIN_WEIGHT // depth)
+    rows = -(-AcceleratedBackend._FUSED_MIN_WEIGHT // _GEMV_DEPTH)
     rng = np.random.default_rng(29)
-    layer = nn.Linear(depth, rows, rng=rng)
-    x = rng.standard_normal((1, depth)).astype(np.float32)
+    layer = nn.Linear(_GEMV_DEPTH, rows, rng=rng)
+    x = rng.standard_normal((1, _GEMV_DEPTH)).astype(np.float32)
     weights = IntTensorQuantizer(calibrate_int_format(layer.weight.data, 8))
     module = QuantizedLinear(
         layer, weights.quantize(layer.weight.data),

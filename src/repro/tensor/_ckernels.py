@@ -60,13 +60,14 @@ in process, on the accelerated backend.
 ===========================  =========  =========  =======  =======
 BLAS threads                 INT8/INT8  INT4/INT8  FP4/FP8  FP32
 ===========================  =========  =========  =======  =======
-``OPENBLAS_NUM_THREADS=2``   43 ms      35 ms      46 ms    115 ms
-``OPENBLAS_NUM_THREADS=1``   54 ms      44 ms      55 ms    211 ms
+``OPENBLAS_NUM_THREADS=2``   44 ms      36 ms      46 ms    121 ms
+``OPENBLAS_NUM_THREADS=1``   45 ms      37 ms      47 ms    190 ms
 ===========================  =========  =========  =======  =======
 
-(Binding every buffer on every call, with two C calls per product, the
-same runs read 56/47/62/117 ms and 68/58/74/211 ms.  Before the FP path,
-FP4/FP8 took 203 ms and 279 ms: float32 weights through BLAS plus numpy's
+(Binding every buffer on every call, with two C calls per product and
+the smallest products declined, alternating runs read 58/50/65/123 ms
+and 59/51/65/184 ms.  Before the FP path, FP4/FP8 took 203 ms and
+279 ms: float32 weights through BLAS plus numpy's
 FP fake-quantization of every activation.)
 
 The shared object is compiled once per machine with the system C compiler
@@ -756,7 +757,12 @@ def kernel_status() -> str:
 
 
 def reset_kernels_for_testing() -> None:
-    """Forget the memoized kernels (tests flip the env gates)."""
+    """Forget the memoized kernels (tests flip the env gates).
+
+    Plans already built keep their decision: a layer that ran before the
+    reset still engages or declines as it did, so a test that flips the
+    env gates uses fresh layers or clears ``view.plans``.
+    """
     global _LOADED, _KERNELS, _STATUS
     with _LOAD_LOCK:
         _LOADED, _KERNELS, _STATUS = False, None, "unloaded"

@@ -298,16 +298,15 @@ class AcceleratedBackend(ComputeBackend):
     #:   64, 64 x 144           0.37 0.37 0.31    0.33 0.34 0.31
     #:   64, 64 x 128           0.44 0.45 0.22    0.38 0.37 0.20
     #:   1, 3 x 128             0.30 0.30 0.20    0.30 0.31 0.20
-    #:   64, 1024 x 128         0.81 0.81 0.67    0.90 0.92 0.75
-    #:   256, 1024 x 128        0.93 0.93 0.84    1.18 1.17 0.92
-    #:   ---------------------  declined below the depth gate  ---
     #:   1, 256 x 64            0.39 0.39 0.27    0.40 0.39 0.27
     #:   16, 128 x 64           0.36 0.36 0.26    0.37 0.37 0.25
-    #:   256, 512 x 64          1.25 1.27 0.86    1.20 1.22 0.79
-    #:   64, 1024 x 64          1.12 1.13 0.94    1.10 1.06 0.91
-    #:   1024, 128 x 36         1.61 1.68 1.35    1.65 1.61 1.37
     #:   64, 64 x 27            0.81 --   --      0.81 --   --
+    #:   64, 1024 x 128         0.81 0.81 0.67    0.90 0.92 0.75
+    #:   256, 1024 x 128        0.93 0.93 0.84    1.18 1.17 0.92
+    #:   64, 1024 x 64          1.12 1.13 0.94    1.10 1.06 0.91
+    #:   256, 512 x 64          1.25 1.27 0.86    1.20 1.22 0.79
     #:   256, 64 x 27           1.45 --   --      1.44 --   --
+    #:   1024, 128 x 36         1.61 1.68 1.35    1.65 1.61 1.37
     #:   64, 512 x 27           2.16 --   --      1.56 --   --
     #:   =====================  ================  ================
     #:
@@ -315,23 +314,23 @@ class AcceleratedBackend(ComputeBackend):
     #: is a few microseconds, against tens for the declined path's numpy
     #: calls, so small products win too, down to the smallest weight
     #: measured (3 x 128): that is the weight gate, as the row gate is the
-    #: largest M measured.  What loses is a shallow reduction with many
-    #: outputs: below 128 levels per dot, each 4x4 tile of outputs spends
-    #: more on its 16 horizontal sums and its float64 epilogue than BLAS
-    #: spends on the dots, at weights from 4608 to 65536 elements, so no
-    #: weight gate separates these losers from the small winners and the
-    #: gate is on the depth K.  Above it, products with many outputs still
-    #: lose to BLAS on two threads (256, 1024 x 128), since the kernel
-    #: runs on one.
+    #: largest M measured.  The six rows from (256, 1024 x 128) down are
+    #: admitted and lose, with integer weights on two threads: products
+    #: with many outputs, where the kernel on one thread loses to BLAS on
+    #: two, and shallow reductions (K < 128) with many outputs, where each
+    #: 4x4 tile of outputs spends more on its 16 horizontal sums and its
+    #: float64 epilogue than BLAS spends on the dots.  No weight gate
+    #: separates them from the small winners, and no workload runs them;
+    #: the shallow products of the ``generate`` U-Net, its time-embedding
+    #: GEMV (1, 256 x 64), 1x1 skip convs (16, 128 x 64) and input conv
+    #: (64, 64 x 27), win.
     _FUSED_MAX_M = 1024
-    _FUSED_MIN_DEPTH = 128
     _FUSED_MIN_WEIGHT = 384
 
     def _engages(self, m_rows: int, view: PackedLevelsView, act_format,
                  padding: int) -> bool:
         n_rows, k = view.shape
-        if (m_rows > self._FUSED_MAX_M or k < self._FUSED_MIN_DEPTH
-                or n_rows * k < self._FUSED_MIN_WEIGHT):
+        if m_rows > self._FUSED_MAX_M or n_rows * k < self._FUSED_MIN_WEIGHT:
             return False
         # The int32 accumulator holds K * max|q_a| * max|q_w| (bytes enter
         # the dots as w - 128, nibbles as they are).

@@ -84,8 +84,7 @@ from repro.tensor.functional import _im2col
 
 from tiny_factories import fp_probe_values
 
-#: A fused-eligible weight: K >= _FUSED_MIN_DEPTH and
-#: N * K >= _FUSED_MIN_WEIGHT.
+#: A fused-eligible weight: N * K >= _FUSED_MIN_WEIGHT.
 ELIGIBLE_N, ELIGIBLE_K = 512, 1024
 
 #: The process default honors REPRO_BACKEND (the backend-matrix CI job
@@ -257,7 +256,7 @@ class TestFusedDequantGemm:
 
     def test_declines_below_the_smallest_measured_weight(self):
         _loaded_kernels()
-        depth = AcceleratedBackend._FUSED_MIN_DEPTH
+        depth = 128
         rows = -(-AcceleratedBackend._FUSED_MIN_WEIGHT // depth)
         x = RNG.standard_normal((1, depth)).astype(np.float32)
         for n_rows, engages in ((rows - 1, False), (rows, True)):
@@ -265,18 +264,6 @@ class TestFusedDequantGemm:
             out = _int_linear(get_backend("accelerated"), x, storage,
                               calibrate_int_format(x, 8))
             assert (out is not None) == engages, n_rows
-
-    def test_declines_shallow_reductions(self):
-        # Below the depth gate the kernel's per-output cost loses to BLAS
-        # on products with many outputs, whatever the weight's size.
-        _loaded_kernels()
-        depth = AcceleratedBackend._FUSED_MIN_DEPTH
-        for k, engages in ((depth - 2, False), (depth, True)):
-            storage, _ = _packed_storage("int4", ELIGIBLE_N, k)
-            x = RNG.standard_normal((4, k)).astype(np.float32)
-            out = _int_linear(get_backend("accelerated"), x, storage,
-                              calibrate_int_format(x, 8))
-            assert (out is not None) == engages, k
 
     def test_odd_reduction_depth_has_no_nibble_view(self):
         weight = (RNG.standard_normal((512, 1023)) * 0.05).astype(np.float32)
@@ -830,9 +817,11 @@ class TestFPGuards:
             module, served, x, lambda: F.fused_linear(
                 Tensor(x), module.packed_weight, module.bias,
                 act_format=module._integer_activations()))
-        small = Linear(64, 64, rng=np.random.default_rng(7))
+        side = 16
+        assert side * side < AcceleratedBackend._FUSED_MIN_WEIGHT
+        small = Linear(side, side, rng=np.random.default_rng(7))
         module, served = _fp_quantized(QuantizedLinear, small, "E1M2", "E2M5")
-        x = RNG.standard_normal((1, 64)).astype(np.float32)
+        x = RNG.standard_normal((1, side)).astype(np.float32)
         self._declines_bit_identically(
             module, served, x, lambda: F.fused_linear(
                 Tensor(x), module.packed_weight, module.bias,

@@ -32,6 +32,7 @@ from repro.bench.compare import (
     VERDICT_REGRESSION,
 )
 from repro.bench.registry import WORKLOAD_REGISTRY, Workload
+from repro.bench.reporter import openblas_threads
 from repro.diffusion import DiffusionPipeline, GenerationPlan
 from repro.models import DiffusionModel
 from repro.tensor import Tensor, inference_mode, is_grad_enabled, is_inference_mode
@@ -234,6 +235,8 @@ def test_fingerprint_records_the_blas_thread_count():
     assert thread_env["OPENBLAS_NUM_THREADS"] == "1"
     assert set(thread_env) == {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
                                "MKL_NUM_THREADS"}
+    if openblas_threads() == "unknown":
+        pytest.skip("numpy's BLAS here is not an OpenBLAS this host can read")
     assert openblas == 1
 
 
